@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from importlib import resources
 
 import numpy as np
@@ -50,10 +51,20 @@ def _dump_json(obj):
 
 
 def _atomic_write(path, text):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write through a uniquely named temp file in the target directory, so
+    concurrent runs into one directory never share a temp file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # mkstemp's 0600 -> open()'s mode
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _parse_set(expr):
@@ -157,7 +168,8 @@ def _run_solve(cfg):
     write_gridfunction(u, os.path.join(out, "solution.csv"),
                        os.path.join(out, "solution.meta.json"))
     _atomic_write(os.path.join(out, "solver_report.json"), _dump_json(report.to_json()))
-    sys.stdout.write(f"solve: converged in {report.iterations} iterations, "
+    sys.stdout.write(f"solve: converged in {report.total_iterations} iterations "
+                     f"over {report.continuation_steps + 1} legs, "
                      f"residual {report.final_residual:.3e}\n")
     return 0
 

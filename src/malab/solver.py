@@ -11,7 +11,7 @@ residual, else it is halved down to a hard floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,7 +46,9 @@ class SolverReport:
     residual_history: list
     min_hessian_eigenvalue: float
     converged: bool = True
-    continuation_steps: int = 0
+    continuation_steps: int = 0  # legs after the first
+    total_iterations: int = 0    # Newton iterations (Jacobian LUs) over all legs
+    rejected_steps: int = 0      # damping halvings plus halved continuation steps
 
     def to_json(self):
         return {
@@ -56,12 +58,9 @@ class SolverReport:
             "min_hessian_eigenvalue": self.min_hessian_eigenvalue,
             "converged": self.converged,
             "continuation_steps": self.continuation_steps,
+            "total_iterations": self.total_iterations,
+            "rejected_steps": self.rejected_steps,
         }
-
-
-def _interior_hessians(values, picker):
-    """FD Hessians at interior nodes as an (M, n, n) stack."""
-    return picker.hessian(values)
 
 
 class _Stencil:
@@ -215,17 +214,32 @@ def _assemble_jacobian(stencil, H, drift, side):
     return J
 
 
+def _harmonic_lift(st, collar_idx, collar_vals):
+    """Discrete harmonic extension of collar data: the 5-point Laplacian
+    vanishes at every interior node, and the collar holds the data."""
+    lift = np.zeros(st.grid.shape)
+    lift[collar_idx] = collar_vals
+    eye = np.broadcast_to(np.eye(st.n), (st.M, st.n, st.n))
+    laplace = _assemble_jacobian(st, eye, DriftCoefficients.zero(st.n), PRIMAL)
+    laplace.eliminate_zeros()  # mixed-stencil entries of an identity Hessian
+    residual = np.trace(st.hessian(lift), axis1=1, axis2=2)
+    lift.reshape(-1)[st.interior_flat] = splu(laplace).solve(-residual)
+    return lift
+
+
 class _InitialNotConvex(Exception):
     pass
 
 
 def _newton_core(st, grid, values, drift, side, config):
-    """Damped Newton at fixed boundary values; `values` is the start iterate."""
+    """Damped Newton at fixed boundary values from the start iterate `values`.
+    Returns (values, residual history, final residual, damping halvings)."""
     r, H, mindet = _log_residual(st, values, drift, side, config.det_floor)
     if r is None:
         raise _InitialNotConvex(mindet)
     rnorm = float(np.abs(r).max())
     history = [rnorm]
+    halvings = 0
     it = 0
     while rnorm > config.residual_tol and it < config.max_newton_iters:
         J = _assemble_jacobian(st, H, drift, side)
@@ -243,6 +257,7 @@ def _newton_core(st, grid, values, drift, side, config):
                     accepted = True
                     break
             lam *= config.damping_factor
+            halvings += 1
         if not accepted:
             if mindet < config.det_floor:
                 raise ConvexityError("Newton step lost Hessian positivity at the damping floor",
@@ -254,7 +269,7 @@ def _newton_core(st, grid, values, drift, side, config):
     if rnorm > config.residual_tol:
         raise ConvergenceError("Newton iteration cap reached",
                                residual=rnorm, history=history)
-    return values, history, rnorm
+    return values, history, rnorm, halvings
 
 
 def newton_solve(domain, grid, drift, boundary, config=None, side=DUAL, initial=None):
@@ -263,11 +278,13 @@ def newton_solve(domain, grid, drift, boundary, config=None, side=DUAL, initial=
     boundary: callable(point) -> value, or an array aligned with
     grid.boundary_nodes() order. Returns (GridFunction, SolverReport).
 
-    When the least-squares paraboloid start clashes with the prescribed data
-    at the collar (the composite iterate has an indefinite FD Hessian at the
-    seam), the solve falls back to a continuation in the boundary data,
-    walking from the paraboloid's own trace to the requested data and
-    restarting Newton from each converged iterate.
+    The start is the least-squares convex paraboloid plus `lift`, the discrete
+    harmonic extension of its mismatch with the data (one Laplace solve).
+    Newton legs run over t in (0, 1], each from the last converged iterate
+    plus (t_try - t) * lift; the first tries t = 1, and the step in t halves
+    only when a leg's start is not convex. The lift moves the interior with
+    the collar, so the legs do not grow in number with resolution. With
+    init="given", a start that is not convex raises ConvexityError.
     """
     config = config or SolverConfig()
     interior = grid.interior_nodes()
@@ -290,55 +307,45 @@ def newton_solve(domain, grid, drift, boundary, config=None, side=DUAL, initial=
     if config.init == "given":
         if initial is None:
             raise DomainError("init='given' requires an initial GridFunction")
-        base = initial.values.copy()
+        values = initial.values.copy()
     else:
-        base = _quadratic_init(grid, bnodes, bvals)
-    base[grid.mask == 0] = np.nan
+        values = _quadratic_init(grid, bnodes, bvals)
+    values[grid.mask == 0] = np.nan
+    fit_trace = values[bidx].copy()
+    delta_data = bvals - fit_trace
+    # a given start keeps its interior; the paraboloid gets the lifted mismatch
+    lift = 0.0 if config.init == "given" else _harmonic_lift(st, bidx, delta_data)
 
-    def with_boundary(field, data):
-        out = field.copy()
-        out[bidx] = data
-        return out
-
-    continuation_steps = 0
-    try:
-        values, history, rnorm = _newton_core(
-            st, grid, with_boundary(base, bvals), drift, side, config)
-    except _InitialNotConvex as first_fail:
-        if config.init == "given":
-            raise ConvexityError("given initial iterate is not convex",
-                                 min_det=float(first_fail.args[0]))
-        # continuation from the paraboloid's own trace to the requested data
-        fit_trace = base[bidx].copy()
-        delta_data = bvals - fit_trace
-        values = with_boundary(base, fit_trace)
-        # intermediate legs only need a loose solve; the final leg uses the
-        # requested tolerance
-        from dataclasses import replace
-
-        loose = replace(config, residual_tol=max(config.residual_tol, 1e-9))
-        t, dt = 0.0, 1.0
-        history, rnorm = [], np.inf
-        while t < 1.0:
-            t_try = min(1.0, t + dt)
-            trial = with_boundary(values, fit_trace + t_try * delta_data)
-            leg_cfg = config if t_try >= 1.0 else loose
-            try:
-                values, history, rnorm = _newton_core(st, grid, trial, drift, side, leg_cfg)
-            except _InitialNotConvex:
-                dt *= 0.5
-                if dt < config.min_step:
-                    raise ConvexityError(
-                        "continuation cannot keep the iterate convex",
-                        t_reached=t) from None
-                continue
-            t = t_try
-            dt *= 2.0
-            continuation_steps += 1
+    loose = replace(config, residual_tol=max(config.residual_tol, 1e-9))
+    t, dt = 0.0, 1.0
+    legs = total_iterations = rejected_steps = 0
+    while t < 1.0:
+        t_try = min(1.0, t + dt)
+        start = values + (t_try - t) * lift
+        start[bidx] = bvals if t_try >= 1.0 else fit_trace + t_try * delta_data
+        leg_cfg = config if t_try >= 1.0 else loose
+        try:
+            values, history, rnorm, halvings = _newton_core(st, grid, start, drift, side, leg_cfg)
+        except _InitialNotConvex as fail:
+            if config.init == "given":
+                raise ConvexityError("given initial iterate is not convex",
+                                     min_det=float(fail.args[0])) from None
+            dt *= 0.5
+            rejected_steps += 1
+            if dt < config.min_step:
+                raise ConvexityError("continuation cannot keep the iterate convex",
+                                     t_reached=t) from None
+            continue
+        t = t_try
+        dt *= 2.0
+        legs += 1
+        total_iterations += len(history) - 1
+        rejected_steps += halvings
 
     out = GridFunction(grid, np.where(grid.mask == 0, 0.0, values))
     min_eig = float(np.linalg.eigvalsh(st.hessian(values))[:, 0].min())
     report = SolverReport(iterations=len(history) - 1, final_residual=rnorm,
                           residual_history=history, min_hessian_eigenvalue=min_eig,
-                          continuation_steps=continuation_steps)
+                          continuation_steps=legs - 1, total_iterations=total_iterations,
+                          rejected_steps=rejected_steps)
     return out, report

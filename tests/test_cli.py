@@ -22,7 +22,7 @@ def test_catalog_constants(tmp_path, capsys):
     assert fixtures["duallog"]["drift"]["d0"] == pytest.approx(0.0)
 
 
-def test_solve_artifacts_and_determinism(tmp_path):
+def test_solve_artifacts_and_determinism(tmp_path, capsys):
     cfg = {
         "n": 2, "side": "dual",
         "domain": {"kind": "box", "lo": [1, -1], "hi": [2, 1]},
@@ -35,11 +35,16 @@ def test_solve_artifacts_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli(["solve", "--config", str(cfg_path), "--out", str(out1)]) == 0
     assert run_cli(["solve", "--config", str(cfg_path), "--out", str(out2)]) == 0
+    assert sorted(os.listdir(out1)) == ["solution.csv", "solution.meta.json", "solver_report.json"]
     for name in ("solution.csv", "solver_report.json", "solution.meta.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     report = json.loads((out1 / "solver_report.json").read_text())
     jsonschema.validate(report, _schema("solver_report.schema.json"))
     assert report["converged"] and report["final_residual"] <= 1e-10
+    # stdout gives the Newton iterations of all legs
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith(f"solve: converged in {report['total_iterations']} iterations "
+                                f"over {report['continuation_steps'] + 1} legs")
     # quadratic convergence tail: late residual ratios are tiny
     hist = report["residual_history"]
     assert hist[-1] / hist[-2] <= 1e-2
@@ -121,3 +126,22 @@ def test_computational_error_exit_code(tmp_path, capsys):
 
 def test_missing_config_file():
     assert run_cli(["solve", "--config", "/nonexistent.json"]) == 2
+
+
+def test_atomic_write_ignores_a_foreign_temp_file(tmp_path):
+    """Another run's temp file next to the target is neither used nor
+    removed, and the artifact gets open()'s default mode and exact bytes."""
+    from malab.cli import _atomic_write
+
+    target = tmp_path / "solver_report.json"
+    foreign = tmp_path / "solver_report.json.tmp"
+    foreign.mkdir()
+    _atomic_write(str(target), "{}\n")
+    reference = tmp_path / "reference.json"
+    with open(reference, "w") as fh:
+        fh.write("{}\n")
+    assert target.read_bytes() == b"{}\n"
+    assert os.stat(target).st_mode == os.stat(reference).st_mode
+    assert foreign.is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "reference.json", "solver_report.json", "solver_report.json.tmp"]

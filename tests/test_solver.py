@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from malab.domains import Ball, Box
+from malab.domains import AffineMap, Ball, Box
 from malab.errors import ConvergenceError, ConvexityError
 from malab.grids import Grid, INTERIOR, GridFunction, sample_oracle
-from malab.oracles import DriftCoefficients, DualLog, ExpSolution, Quadratic
+from malab.oracles import (AffineImageOracle, DriftCoefficients, DualLog, ExpSolution,
+                           Quadratic)
 from malab.solver import SolverConfig, newton_solve, residual_field
 
 BOX = Box([1, -1], [2, 1])
@@ -14,6 +15,20 @@ DL = DualLog(2)
 
 def duallog_trace(p):
     return float(DL.value(p))
+
+
+def nodal_error(u, oracle):
+    g = u.grid
+    return float(np.nanmax(np.abs(u.values - oracle.value(g.points()))[g.mask == INTERIOR]))
+
+
+def rotated_duallog(degrees=30.0):
+    """DualLog composed with a rotation R: w(y) = u(R^T y) solves the dual
+    equation with drift R d. Its leading truncation errors do not cancel."""
+    th = np.radians(degrees)
+    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    d = DL.drift()
+    return AffineImageOracle(DL, AffineMap(R, np.zeros(2))), DriftCoefficients(d.d0, R @ d.d)
 
 
 class TestResidualField:
@@ -108,6 +123,52 @@ class TestManufactured:
         assert rep.iterations == len(hist) - 1
 
 
+class TestHarmonicLiftStart:
+    """The lifted start carries the boundary data into the interior, so the
+    number of continuation legs does not grow as the grid is refined."""
+
+    @pytest.mark.parametrize("res", [17, 33, 65])
+    def test_duallog_box_needs_no_continuation(self, res):
+        g = Grid.build(BOX, (res, 2 * res - 1))
+        u, rep = newton_solve(BOX, g, DL.drift(), duallog_trace,
+                              SolverConfig(residual_tol=1e-11))
+        assert rep.continuation_steps == 0
+        assert rep.total_iterations == rep.iterations
+        assert rep.final_residual <= 1e-11
+        assert nodal_error(u, DL) <= 4.0 * g.spacing.max() ** 2
+
+    def test_rotated_duallog_legs_bounded_and_error_falls(self):
+        """A solve that takes more than one leg reports the Newton iterations
+        of all its legs, and at least one halved step in t."""
+        rot, drift = rotated_duallog()
+        errs, steps = [], []
+        for res in (17, 33, 65):
+            g = Grid.build(BOX, (res, 2 * res - 1))
+            u, rep = newton_solve(BOX, g, drift, lambda p: float(rot.value(p)),
+                                  SolverConfig(residual_tol=1e-11))
+            assert rep.continuation_steps + 1 <= 3
+            assert rep.final_residual <= 1e-11
+            assert rep.iterations == len(rep.residual_history) - 1
+            if rep.continuation_steps:
+                assert rep.total_iterations > rep.iterations
+                assert rep.rejected_steps >= 1
+            steps.append(rep.continuation_steps)
+            errs.append(nodal_error(u, rot))
+        assert steps[-1] >= 1  # the multi-leg report checks above ran
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] <= 4.0 * (1.0 / 64) ** 2
+
+    @pytest.mark.parametrize("res", [33, 65])
+    def test_primal_expsolution(self, res):
+        ex = ExpSolution(2)
+        box = Box([-1, -1], [1, 1])
+        g = Grid.build(box, res)
+        u, rep = newton_solve(box, g, ex.drift(), lambda p: float(ex.value(p)),
+                              SolverConfig(residual_tol=1e-11), side="primal")
+        assert rep.final_residual <= 1e-11
+        assert nodal_error(u, ex) <= 4.0 * g.spacing.max() ** 2
+
+
 class TestProperties:
     def test_comparison_principle(self, rng):
         ball = Ball(np.zeros(2), 1.0)
@@ -151,6 +212,15 @@ class TestProperties:
         u, rep = newton_solve(BOX, g, DL.drift(), duallog_trace,
                               SolverConfig(init="given"), initial=start)
         assert rep.iterations <= 2
+
+    def test_given_init_not_convex_raises(self):
+        """A given start is used as it is: no lift, no continuation."""
+        g = Grid.build(BOX, (17, 33))
+        pts = g.points()
+        saddle = GridFunction(g, 0.5 * (pts[..., 0] ** 2 - pts[..., 1] ** 2))
+        with pytest.raises(ConvexityError, match="given initial iterate is not convex"):
+            newton_solve(BOX, g, DL.drift(), duallog_trace,
+                         SolverConfig(init="given"), initial=saddle)
 
     def test_under_resolved_grid_rejected(self):
         from malab.errors import DomainError
