@@ -101,6 +101,9 @@ class BlowupRecord:
     normal_map_radius: float
     normal_map_covered: int
     normal_map_directions: int
+    # (points, values) of the normalized potential on the probe lattice, for
+    # `blowup --set dump_fields=true`; not serialized
+    probes: tuple = field(default=None, repr=False)
 
     def to_json(self):
         return {
@@ -183,14 +186,14 @@ def run_blowup(u, p, ladder, probes_per_axis=161, directions=None,
     ratio_peak = 0.0
     for sec in sections:
         w = sec.normalized_potential
-        pts, vals = _normalized_probes(w, probes_per_axis)
-        inside = vals < 1.0
-        pts, vals = pts[inside], vals[inside]
+        lattice = _normalized_probes(w, probes_per_axis)
+        inside = lattice[1] < 1.0
+        pts, vals = lattice[0][inside], lattice[1][inside]
         grads = w.gradient(pts)
         fvals = np.einsum("ki,ki->k", pts, grads) - vals
         d_needed = max(d_needed, choose_shift_constant(vals, fvals))
-        probe_sets.append((pts, vals, grads, fvals))
-    for pts, vals, grads, fvals in probe_sets:
+        probe_sets.append((pts, vals, grads, fvals, lattice))
+    for pts, vals, grads, fvals, _ in probe_sets:
         ratio_peak = max(ratio_peak, float(
             (np.einsum("ki,ki->k", grads, grads) / (d_needed + fvals) ** 2).max()))
     eps = (1.0 / 30.0) / ratio_peak * (1.0 - 1e-12) if ratio_peak > 0 else 1.0
@@ -199,7 +202,7 @@ def run_blowup(u, p, ladder, probes_per_axis=161, directions=None,
     report = BlowupReport(base_point=np.asarray(p, float), phi_base=phi_base,
                           params=params)
     a = params.alpha
-    for sec, (pts, vals, grads, fvals) in zip(sections, probe_sets):
+    for sec, (pts, vals, grads, fvals, lattice) in zip(sections, probe_sets):
         w = sec.normalized_potential
         q = sec.map.apply(p)
         phi_w = phi_rule(w, w.side)
@@ -238,5 +241,6 @@ def run_blowup(u, p, ladder, probes_per_axis=161, directions=None,
             sup_weighted_trace=float(weighted_trace[half].max()),
             sup_gradient_ratio=float(gradient_ratio.max()),
             half_section_radius=circ, normal_map_radius=r_nm,
-            normal_map_covered=covered, normal_map_directions=ndirs))
+            normal_map_covered=covered, normal_map_directions=ndirs,
+            probes=lattice))
     return report

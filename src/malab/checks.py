@@ -18,7 +18,7 @@ from .errors import CounterexampleError, PreconditionError, WindowError
 from .geometry import (ScalarRule, calabi_laplacian, geometry_sample,
                        grad_logrho_rule, grid_phi_inequality_fields, phi_rule,
                        rho_value_rule, xx_hessian_logrho, fd_step)
-from .grids import GridFunction, INTERIOR
+from .grids import GridFunction, INTERIOR, atomic_write, csv_text
 from .oracles import DUAL, PRIMAL, FieldOracle, ScaledOracle, pde_residual
 from .solver import residual_field
 from .stencils import fd_gradient, fd_hessian
@@ -44,17 +44,12 @@ class CheckReport:
                 "tolerances": self.tolerances, "stats": self.stats}
 
     def write_csv(self, path):
-        import csv
-
         keys = sorted(self.residuals)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            n = self.points.shape[1] if self.points is not None else 0
-            w.writerow([f"x{i+1}" for i in range(n)] + keys)
-            rows = len(next(iter(self.residuals.values()))) if self.residuals else 0
-            for r in range(rows):
-                pt = [f"{v:.17g}" for v in self.points[r]] if self.points is not None else []
-                w.writerow(pt + [f"{self.residuals[k][r]:.17g}" for k in keys])
+        rows = len(self.residuals[keys[0]]) if keys else 0
+        pts = self.points if self.points is not None else np.empty((rows, 0))
+        table = np.column_stack([pts] + [self.residuals[k] for k in keys])
+        header = [f"x{i+1}" for i in range(pts.shape[1])] + keys
+        atomic_write(path, csv_text(header, table))
 
 
 def _stats(arrs):

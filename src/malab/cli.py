@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from importlib import resources
 
 import numpy as np
@@ -25,7 +24,7 @@ from .checks import (identity_suite, det_barrier_probe, section_functionals,
 from .domains import domain_from_json
 from .errors import MalabError, UsageError
 from .geometry import geometry_sample
-from .grids import Grid, write_gridfunction
+from .grids import Grid, atomic_write as _atomic_write, csv_text, write_gridfunction
 from .oracles import DriftCoefficients, catalog, normalize_at
 from .solver import SolverConfig, newton_solve
 
@@ -48,23 +47,6 @@ def _validate_config(cfg):
 
 def _dump_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _atomic_write(path, text):
-    """Write through a uniquely named temp file in the target directory, so
-    concurrent runs into one directory never share a temp file."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
-    umask = os.umask(0)
-    os.umask(umask)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)  # mkstemp's 0600 -> open()'s mode
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _parse_set(expr):
@@ -261,17 +243,11 @@ def _run_blowup(cfg):
     out = _out_dir(cfg)
     _atomic_write(os.path.join(out, "blowup_report.json"), _dump_json(report.to_json()))
     if cfg.get("dump_fields"):
-        from .blowup import extract_section, _normalized_probes
-
+        header = [f"x{i+1}" for i in range(u.n)] + ["value"]
         for k, rec in enumerate(report.records):
-            sec = extract_section(u, p, rec.C, directions=cfg.get("directions"))
-            pts, vals = _normalized_probes(sec.normalized_potential,
-                                           int(cfg.get("probes_per_axis", 161)))
-            rows = ["".join(f"x{i+1}," for i in range(u.n)) + "value"]
-            rows += [",".join(f"{v:.17g}" for v in np.r_[pt, val])
-                     for pt, val in zip(pts, vals)]
+            pts, vals = rec.probes
             _atomic_write(os.path.join(out, f"blowup_level_{k}.csv"),
-                          "\n".join(rows) + "\n")
+                          csv_text(header, np.column_stack([pts, vals]), eol="\n"))
     worst = max(r.scaling_rel_error for r in report.records)
     sys.stdout.write(f"blowup: {len(report.records)} levels, "
                      f"worst scaling error {worst:.3e}\n")

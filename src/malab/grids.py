@@ -11,8 +11,9 @@ Derivative fields are computed on whole arrays with NaN standing for
 
 from __future__ import annotations
 
-import csv
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,22 +312,44 @@ def check_convex(fu):
 # CSV + sidecar JSON round trip
 
 
+def atomic_write(path, text):
+    """Write `text` verbatim to `path` through a uniquely named temp file in
+    the target directory, renamed over `path` once complete: a reader sees the
+    old file or the whole new one, and concurrent runs into one directory
+    never share a temp file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # mkstemp's 0600 -> open()'s mode
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def csv_text(header, table, eol="\r\n"):
+    """CSV text of a header and a float table, each value to 17 significant
+    digits."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * table.shape[1]) + eol
+    return ",".join(header) + eol + (row * len(table)) % tuple(table.ravel().tolist())
+
+
 def write_gridfunction(fu, csv_path, meta_path=None):
+    """In-domain nodes as CSV rows `x1,...,xn,value` and, given `meta_path`,
+    the grid metadata as sidecar JSON; each file is written atomically."""
     grid = fu.grid
-    n = grid.dim
-    header = [f"x{i+1}" for i in range(n)] + ["value"]
-    nodes = np.argwhere(grid.mask != OUTSIDE)
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for node in nodes:
-            node = tuple(node)
-            pt = grid.point(node)
-            w.writerow([f"{v:.17g}" for v in pt] + [f"{fu.values[node]:.17g}"])
+    live = grid.mask != OUTSIDE
+    nodes = np.nonzero(live)
+    table = np.column_stack([grid.coords[i][nodes[i]] for i in range(grid.dim)]
+                            + [fu.values[live]])
+    atomic_write(csv_path, csv_text([f"x{i+1}" for i in range(grid.dim)] + ["value"], table))
     if meta_path:
-        with open(meta_path, "w") as fh:
-            json.dump(grid.meta_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        atomic_write(meta_path, json.dumps(grid.meta_json(), indent=2, sort_keys=True) + "\n")
 
 
 def read_gridfunction(csv_path, meta_path):
@@ -337,16 +360,22 @@ def read_gridfunction(csv_path, meta_path):
     got_lo = np.asarray(meta["bounds"]["lo"])
     if np.abs(got_lo - grid.lo).max() > 1e-9:
         raise DomainError("sidecar bounds do not match the rebuilt grid")
+    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != grid.dim + 1:
+        raise DomainError("CSV rows must hold a grid point and a value",
+                          columns=int(data.shape[1]))
+    pts = data[:, :-1]
+    # snap every row to its nearest node; a non-finite point snaps anywhere
+    # and then fails the distance check
+    idx = np.clip(np.nan_to_num(np.rint((pts - grid.lo) / grid.spacing)),
+                  0, np.array(grid.shape) - 1).astype(np.intp)
+    nodes = np.column_stack([grid.coords[i][idx[:, i]] for i in range(grid.dim)])
+    on_grid = np.abs(nodes - pts).max(axis=1) <= 1e-9 * (1 + np.abs(pts).max(axis=1))
+    if not on_grid.all():
+        raise DomainError("CSV point is not a grid node",
+                          point=pts[np.argmin(on_grid)].tolist())
     vals = np.full(grid.shape, np.nan)
-    with open(csv_path) as fh:
-        r = csv.reader(fh)
-        next(r)
-        for row in r:
-            pt = np.array([float(v) for v in row[:-1]])
-            node = grid.nearest_node(pt)
-            if np.abs(grid.point(node) - pt).max() > 1e-9 * (1 + np.abs(pt).max()):
-                raise DomainError("CSV point is not a grid node", point=pt.tolist())
-            vals[node] = float(row[-1])
+    vals[tuple(idx.T)] = data[:, -1]
     return GridFunction(grid, vals)
 
 

@@ -214,6 +214,16 @@ def _assemble_jacobian(stencil, H, drift, side):
     return J
 
 
+def _factor(J):
+    """Sparse LU of a Newton Jacobian or the lift's Laplace matrix. Their
+    stencils give a symmetric pattern with a large diagonal, so the columns
+    are ordered by minimum degree on A + A^T in SuperLU's symmetric mode;
+    the pivot threshold keeps partial pivoting, since the dual-side drift
+    term makes J nonsymmetric."""
+    return splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                options=dict(SymmetricMode=True))
+
+
 def _harmonic_lift(st, collar_idx, collar_vals):
     """Discrete harmonic extension of collar data: the 5-point Laplacian
     vanishes at every interior node, and the collar holds the data."""
@@ -223,7 +233,7 @@ def _harmonic_lift(st, collar_idx, collar_vals):
     laplace = _assemble_jacobian(st, eye, DriftCoefficients.zero(st.n), PRIMAL)
     laplace.eliminate_zeros()  # mixed-stencil entries of an identity Hessian
     residual = np.trace(st.hessian(lift), axis1=1, axis2=2)
-    lift.reshape(-1)[st.interior_flat] = splu(laplace).solve(-residual)
+    lift.reshape(-1)[st.interior_flat] = _factor(laplace).solve(-residual)
     return lift
 
 
@@ -243,7 +253,7 @@ def _newton_core(st, grid, values, drift, side, config):
     it = 0
     while rnorm > config.residual_tol and it < config.max_newton_iters:
         J = _assemble_jacobian(st, H, drift, side)
-        delta = splu(J).solve(-r)
+        delta = _factor(J).solve(-r)
         lam = 1.0
         accepted = False
         while lam >= config.min_step:

@@ -80,6 +80,30 @@ def test_blowup_cli_schema(tmp_path):
     assert all(r["scaling_rel_error"] <= 1e-6 for r in report["records"])
 
 
+def test_blowup_dump_fields(tmp_path):
+    """One CSV per rung: the normalized potential on the probe lattice, equal
+    to what a fresh extraction of that rung's section gives."""
+    from malab.blowup import _normalized_probes, extract_section
+    from malab.oracles import catalog, normalize_at
+
+    ladder = [0.1, 0.2]
+    assert run_cli(["blowup", "--set", "fixture=duallog", "--set", "p=[1,0]",
+                    "--set", f"ladder={ladder}", "--set", "probes_per_axis=61",
+                    "--set", "dump_fields=true", "--out", str(tmp_path)]) == 0
+    assert sorted(os.listdir(tmp_path)) == [
+        "blowup_level_0.csv", "blowup_level_1.csv", "blowup_report.json"]
+    p = np.array([1.0, 0.0])
+    u = normalize_at(catalog(2)["duallog"], p)
+    for k, C in enumerate(ladder):
+        w = extract_section(u, p, C).normalized_potential
+        pts, vals = _normalized_probes(w, 61)
+        rows = ["x1,x2,value"] + [",".join(f"{v:.17g}" for v in (*pt, val))
+                                  for pt, val in zip(pts, vals)]
+        assert len(rows) > 1000
+        assert (tmp_path / f"blowup_level_{k}.csv").read_bytes() == \
+            ("\n".join(rows) + "\n").encode()
+
+
 def test_det_barrier_cli(tmp_path):
     assert run_cli(["verify", "--set", "fixture=quadratic",
                     "--set", "suite=det_barrier", "--set", "delta=1.0",

@@ -1,9 +1,13 @@
+import errno
+import json
+import os
+
 import numpy as np
 import pytest
 
 from malab.domains import Ball, Box
 from malab.errors import DomainError, StencilError
-from malab.grids import (Grid, GridFunction, INTERIOR, box_grid, check_convex,
+from malab.grids import (Grid, GridFunction, INTERIOR, OUTSIDE, box_grid, check_convex,
                          differentiate, read_gridfunction, sample_oracle,
                          write_gridfunction)
 from malab.oracles import DualLog, ExpSolution, Quadratic
@@ -153,3 +157,83 @@ def test_csv_round_trip(tmp_path):
     both = np.isfinite(fu.values)
     assert np.array_equal(both, np.isfinite(back.values))
     assert np.allclose(fu.values[both], back.values[both], rtol=0, atol=0)
+
+
+def test_csv_round_trip_bit_identical(tmp_path, rng):
+    """Random values over sixteen decades read back bit for bit; outside
+    nodes read back as NaN."""
+    g = Grid.build(Ball(np.zeros(2), 1.0), 97)
+    fu = GridFunction(g, rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-8, 8, g.shape))
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.meta.json"
+    write_gridfunction(fu, csv, meta)
+    back = read_gridfunction(csv, meta)
+    assert np.array_equal(back.values, fu.values, equal_nan=True)
+    assert np.array_equal(np.isnan(back.values), g.mask == OUTSIDE)
+
+
+def test_csv_bytes_match_row_by_row_golden(tmp_path, rng):
+    g = Grid.build(Ball(np.zeros(2), 1.0), 17)
+    fu = GridFunction(g, rng.standard_normal(g.shape))
+    write_gridfunction(fu, tmp_path / "f.csv", tmp_path / "f.meta.json")
+    rows = ["x1,x2,value"]
+    for node in np.argwhere(g.mask != OUTSIDE):
+        node = tuple(node)
+        rows.append(",".join(f"{v:.17g}" for v in [*g.point(node), fu.values[node]]))
+    assert (tmp_path / "f.csv").read_bytes() == ("\r\n".join(rows) + "\r\n").encode()
+    meta = json.dumps(g.meta_json(), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "f.meta.json").read_bytes() == meta.encode()
+
+
+def test_csv_off_grid_point_rejected(tmp_path):
+    g = Grid.build(Ball(np.zeros(2), 1.0), 17)
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.meta.json"
+    write_gridfunction(sample_oracle(Quadratic.unit(2), g), csv, meta)
+    lines = csv.read_bytes().split(b"\r\n")
+    x1, rest = lines[5].split(b",", 1)
+    lines[5] = b"%.17g," % (float(x1) + g.spacing[0] / 3) + rest
+    csv.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(DomainError, match="not a grid node"):
+        read_gridfunction(csv, meta)
+
+
+class _DiskFullAfterHalf:
+    """File wrapper whose write stores half the text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_write_failing_part_way_leaves_no_partial_file(tmp_path, monkeypatch):
+    """A write that fails after storing half its text leaves no solution.csv
+    and no temp file; a solution already there keeps its bytes."""
+    g = Grid.build(Ball(np.zeros(2), 1.0), 17)
+    fu = sample_oracle(Quadratic.unit(2), g)
+    csv, meta = tmp_path / "solution.csv", tmp_path / "solution.meta.json"
+    fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda *a, **k: _DiskFullAfterHalf(fdopen(*a, **k)))
+    with pytest.raises(OSError):
+        write_gridfunction(fu, csv, meta)
+    assert os.listdir(tmp_path) == []
+
+    monkeypatch.undo()
+    write_gridfunction(fu, csv, meta)
+    before = csv.read_bytes()
+    monkeypatch.setattr(os, "fdopen", lambda *a, **k: _DiskFullAfterHalf(fdopen(*a, **k)))
+    with pytest.raises(OSError):
+        write_gridfunction(GridFunction(g, 2.0 * fu.values), csv, meta)
+    assert csv.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["solution.csv", "solution.meta.json"]
