@@ -9,8 +9,8 @@ from .legendre import (LegendrePair, involution_residual, legendre_grid,
 from .oracles import (DriftCoefficients, DualLog, ExpSolution, FieldOracle,
                       Quadratic, catalog, normalize_at, pde_residual)
 from .solver import SolverConfig, SolverReport, newton_solve, residual_field
-from .geometry import (CalabiOperator, GeometrySample, calabi_laplacian,
-                       geometry_sample, structure_residuals)
+from .geometry import (GeometrySample, calabi_laplacian, geometry_sample,
+                       structure_residuals)
 from .checks import (BarrierConstants, CheckReport, det_barrier_probe,
                      identity_suite, phi_barrier_ladder, phi_inequality_check,
                      section_functionals)

@@ -16,21 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .checks import BarrierConstants, choose_shift_constant, trace_ray
+from .checks import (BarrierConstants, barrier_functionals, choose_epsilon,
+                     choose_shift_constant, gradient_ratio, require_normalized,
+                     trace_ray)
 from .domains import Polytope, direction_fan, normalize_domain
 from .errors import PreconditionError, UnboundedSectionError
-from .geometry import phi_rule, rho_sign
+from .geometry import invariants, phi_rule
 from .oracles import AffineImageOracle
 
 DEFAULT_DIRECTIONS = {2: 128, 3: 512}
-
-
-def _check_min_at(u, p):
-    p = np.asarray(p, dtype=float)
-    if abs(float(u.value(p))) > 1e-9 or np.abs(u.gradient(p)).max() > 1e-9:
-        raise PreconditionError("potential must have value 0 and zero gradient at p",
-                                value=float(u.value(p)))
-    return p
 
 
 @dataclass
@@ -57,7 +51,7 @@ def extract_section(u, p, C, directions=None, mvee_tol=1e-9):
     Raises UnboundedSectionError when a ray leaves the oracle's domain
     before reaching the level.
     """
-    p = _check_min_at(u, p)
+    p = require_normalized(u, p)
     n = u.n
     directions = directions or DEFAULT_DIRECTIONS.get(n, 512)
     dirs = direction_fan(n, directions)
@@ -175,7 +169,7 @@ def run_blowup(u, p, ladder, probes_per_axis=161, directions=None,
     the image of the base point (with the exact C_k * Phi(p) scaling law),
     suprema of the barrier functionals over the half-section, and the
     normal-mapping ball coverage."""
-    p = _check_min_at(u, p)
+    p = require_normalized(u, p)
     n = u.n
     ladder = sorted(float(C) for C in ladder)
     phi_base = float(phi_rule(u, u.side)(np.asarray(p, dtype=float)))
@@ -194,10 +188,8 @@ def run_blowup(u, p, ladder, probes_per_axis=161, directions=None,
         d_needed = max(d_needed, choose_shift_constant(vals, fvals))
         probe_sets.append((pts, vals, grads, fvals, lattice))
     for pts, vals, grads, fvals, _ in probe_sets:
-        ratio_peak = max(ratio_peak, float(
-            (np.einsum("ki,ki->k", grads, grads) / (d_needed + fvals) ** 2).max()))
-    eps = (1.0 / 30.0) / ratio_peak * (1.0 - 1e-12) if ratio_peak > 0 else 1.0
-    params = BarrierConstants.defaults(n, 1.0, d_needed, eps)
+        ratio_peak = max(ratio_peak, float(gradient_ratio(grads, fvals, d_needed).max()))
+    params = BarrierConstants.defaults(n, 1.0, d_needed, choose_epsilon(ratio_peak))
 
     report = BlowupReport(base_point=np.asarray(p, float), phi_base=phi_base,
                           params=params)
@@ -205,27 +197,17 @@ def run_blowup(u, p, ladder, probes_per_axis=161, directions=None,
     for sec, (pts, vals, grads, fvals, lattice) in zip(sections, probe_sets):
         w = sec.normalized_potential
         q = sec.map.apply(p)
-        phi_w = phi_rule(w, w.side)
-        phi_at_base = float(phi_w(q))
+        phi_at_base = float(phi_rule(w, w.side)(q))
         expected = sec.C * phi_base
         rel = abs(phi_at_base - expected) / max(abs(expected), 1e-300) \
             if expected else abs(phi_at_base)
 
         H = w.hessian(pts)
-        sign, logdet = np.linalg.slogdet(H)
-        rho = np.exp(rho_sign(w.side) / (n + 2.0) * logdet)
+        inv = invariants(H, w.third(pts), w.side)
+        rho, phis = inv["rho"], inv["Phi"]
         trace = np.einsum("kii->k", H)
-        phis = phi_w(pts)
+        weights = barrier_functionals(params, vals, grads, fvals, rho, phis, trace)
         half = vals < 0.5
-        dpf = d_needed + fvals
-        gradient_ratio = np.einsum("ki,ki->k", grads, grads) / dpf**2
-        Hexp = eps * gradient_ratio
-        pw = dpf ** (2.0 * n * a / (n + 2.0))
-        weighted_phi = np.exp(-params.m_weighted / (1.0 - vals)) * rho**a * phis / pw
-        weighted_barrier = np.exp(-params.m_weighted / (1.0 - vals) + Hexp) \
-            * (params.h(vals) + 2.0 * a) * rho**a / pw
-        weighted_trace = np.exp(-params.m_trace / (1.0 - vals)) * rho**a * trace \
-            / (pw * dpf**2)
 
         r_nm, covered, ndirs, circ = _normal_map_coverage(pts, vals, normal_directions)
         report.records.append(BlowupRecord(
@@ -236,10 +218,10 @@ def run_blowup(u, p, ladder, probes_per_axis=161, directions=None,
             sup_rho_half=float(rho[half].max()),
             sup_rho_alpha_phi_half=float((rho**a * phis)[half].max()),
             sup_rho_alpha_trace_half=float((rho**a * trace)[half].max()),
-            sup_weighted_phi=float(weighted_phi[half].max()),
-            sup_weighted_barrier=float(weighted_barrier[half].max()),
-            sup_weighted_trace=float(weighted_trace[half].max()),
-            sup_gradient_ratio=float(gradient_ratio.max()),
+            sup_weighted_phi=float(weights["weighted_phi"][half].max()),
+            sup_weighted_barrier=float(weights["weighted_barrier"][half].max()),
+            sup_weighted_trace=float(weights["weighted_trace"][half].max()),
+            sup_gradient_ratio=float(weights["gradient_ratio"].max()),
             half_section_radius=circ, normal_map_radius=r_nm,
             normal_map_covered=covered, normal_map_directions=ndirs,
             probes=lattice))

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CounterexampleError, PreconditionError, WindowError
-from .geometry import (ScalarRule, calabi_laplacian, geometry_sample,
-                       grad_logrho_rule, grid_phi_inequality_fields, phi_rule,
-                       rho_value_rule, xx_hessian_logrho, fd_step)
+from .geometry import (ScalarRule, calabi_laplacian, fd_step, grad_logrho_rule,
+                       grid_invariants, grid_phi_inequality_fields, invariants,
+                       phi_rule, rho_value_rule, xx_hessian_logrho)
 from .grids import GridFunction, INTERIOR, atomic_write, csv_text
-from .oracles import DUAL, PRIMAL, FieldOracle, ScaledOracle, pde_residual
+from .oracles import DUAL, PRIMAL, ScaledOracle, pde_residual
 from .solver import residual_field
 from .stencils import fd_gradient, fd_hessian
 
@@ -100,20 +100,19 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
     res = {k: np.empty(len(probes)) for k in
            ("logrho_flat", "rho_laplacian", "primal_value_laplacian",
             "dual_value_laplacian", "phi_scaling_rel")}
+    Hs, Ts = potential.hessian(probes), potential.third(probes)
+    inv = invariants(Hs, Ts, side)
+    scaled = ScaledOracle(potential, scale_factor)
+    phi_scaled = invariants(scaled.hessian(probes), scaled.third(probes), side)["Phi"]
+
     rho_r = rho_value_rule(potential, side)
     glr_r = grad_logrho_rule(potential, side)
-    phi_r = phi_rule(potential, side)
-    scaled = ScaledOracle(potential, scale_factor)
-    phi_scaled = phi_rule(scaled, side)
-
     rho_rule = ScalarRule(rho_r, gradient=lambda y: rho_r(y) * glr_r(y))
 
     for k, x in enumerate(probes):
-        H = potential.hessian(x)
-        Hi = np.linalg.inv(H)
-        glr = glr_r(x)
-        rho = float(rho_r(x))
-        phi = float(phi_r(x))
+        H, Hi, glr = Hs[k], inv["Ginv"][k], inv["grad_logrho"][k]
+        rho = float(inv["rho"][k])
+        phi = float(inv["Phi"][k])
 
         res["logrho_flat"][k] = np.abs(xx_hessian_logrho(potential, x, side)).max()
 
@@ -124,11 +123,11 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
         if side == PRIMAL:
             f_grad, f_hess = potential.gradient(x), H
             u_grad = x @ H  # d_i u = sum_k x_k f_ki
-            u_hess = H + np.einsum("k,kij->ij", x, potential.third(x))
+            u_hess = H + np.einsum("k,kij->ij", x, Ts[k])
         else:
             u_grad, u_hess = potential.gradient(x), H
             f_grad = x @ H
-            f_hess = H + np.einsum("k,kij->ij", x, potential.third(x))
+            f_hess = H + np.einsum("k,kij->ij", x, Ts[k])
 
         drift_term = (n + 2.0) / (2.0 * rho)
 
@@ -142,7 +141,7 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
         res["primal_value_laplacian"][k] = metric_lap(f_grad, f_hess) - (n + inner_f)
         res["dual_value_laplacian"][k] = metric_lap(u_grad, u_hess) - (n - inner_u)
 
-        phi_new = float(phi_scaled(x))
+        phi_new = float(phi_scaled[k])
         want = scale_factor * phi
         res["phi_scaling_rel"][k] = abs(phi_new - want) / max(abs(want), 1e-300) if want else abs(phi_new)
 
@@ -181,18 +180,11 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
     n = potential.n
 
     phi_r = phi_rule(potential, side)
-    glr_r = grad_logrho_rule(potential, side)
-    residuals, phis, margins, used = [], [], [], []
-    skipped = 0
-    for x in probes:
-        phi0 = float(phi_r(x))
-        if phi0 <= phi_floor:
-            skipped += 1
-            continue
-        used.append(x)
-        H = potential.hessian(x)
-        Hi = np.linalg.inv(H)
-        glr = glr_r(x)
+    inv = invariants(potential.hessian(probes), potential.third(probes), side)
+    live = inv["Phi"] > phi_floor
+    residuals = np.empty(int(live.sum()))
+    for j, k in enumerate(np.flatnonzero(live)):
+        x, phi0, Hi, glr = probes[k], inv["Phi"][k], inv["Ginv"][k], inv["grad_logrho"][k]
         hstep = fd_step(potential, x)
         gphi = fd_gradient(phi_r, x, hstep)
         hphi = fd_hessian(phi_r, x, hstep)
@@ -203,19 +195,9 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
                + (n * n - 3.0 * n - 10.0) / (2.0 * (n - 1.0))
                * np.einsum("ij,i,j->", Hi, gphi, glr)
                + (n + 2.0) ** 2 / (n - 1.0) * phi0**2)
-        r = float(lap - rhs)
-        residuals.append(r)
-        phis.append(phi0)
-        margins.append(r + tol_scale * max(1.0, phi0**2))
-    residuals = np.asarray(residuals)
-    margins = np.asarray(margins)
-    passed = bool(len(margins) == 0 or margins.min() >= 0.0)
-    arrs = {"residual": residuals, "phi": np.asarray(phis), "margin": margins}
-    stats = _stats(arrs)
-    stats["skipped_zero_phi"] = skipped
-    used = np.asarray(used) if used else np.zeros((0, potential.n))
-    return CheckReport("phi_inequality", passed, {"tol_scale": tol_scale}, stats,
-                       points=used, residuals=arrs)
+        residuals[j] = lap - rhs
+    return _phi_inequality_report("phi_inequality", probes[live], residuals,
+                                  inv["Phi"][live], int((~live).sum()), tol_scale)
 
 
 def _phi_inequality_grid(fu, side, drift, tol_scale, phi_floor, gate_tol,
@@ -233,17 +215,19 @@ def _phi_inequality_grid(fu, side, drift, tol_scale, phi_floor, gate_tol,
     if probe_predicate is not None:
         valid &= probe_predicate(fu.grid.points())
     live = valid & (phi_f > phi_floor)
-    skipped = int((valid & ~live).sum())
-    residuals = res_f[live]
-    phis = phi_f[live]
+    return _phi_inequality_report("phi_inequality_grid", fu.grid.points()[live],
+                                  res_f[live], phi_f[live],
+                                  int((valid & ~live).sum()), tol_scale)
+
+
+def _phi_inequality_report(name, points, residuals, phis, skipped, tol_scale):
     margins = residuals + tol_scale * np.maximum(1.0, phis**2)
-    pts = fu.grid.points()[live]
     passed = bool(len(margins) == 0 or margins.min() >= 0.0)
     arrs = {"residual": residuals, "phi": phis, "margin": margins}
     stats = _stats(arrs)
     stats["skipped_zero_phi"] = skipped
-    return CheckReport("phi_inequality_grid", passed, {"tol_scale": tol_scale}, stats,
-                       points=pts, residuals=arrs)
+    return CheckReport(name, passed, {"tol_scale": tol_scale}, stats,
+                       points=points, residuals=arrs)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +274,9 @@ class BarrierConstants:
                 "m_trace": self.m_trace, "d": self.d, "epsilon": self.epsilon}
 
 
-def _check_normalized(u, p):
+def require_normalized(u, p):
+    """p as an array, after checking that u has value 0 and zero gradient
+    there (apply normalize_at first)."""
     p = np.asarray(p, dtype=float)
     if abs(float(u.value(p))) > 1e-9 or np.abs(u.gradient(p)).max() > 1e-9:
         raise PreconditionError(
@@ -356,7 +342,7 @@ def section_probes(u, p, C, window, probes_per_axis=201, ray_count=None,
     """
     from .domains import direction_fan
 
-    p = _check_normalized(u, p)
+    p = require_normalized(u, p)
     n = u.n
     ray_count = ray_count or (128 if n == 2 else 512)
     dirs = direction_fan(n, ray_count)
@@ -388,6 +374,38 @@ def choose_shift_constant(u_vals, f_vals):
             return d
         d *= 2.0
     raise PreconditionError("no shift constant d satisfies the pointwise bound")
+
+
+def gradient_ratio(grads, f_vals, d):
+    """|grad u|^2 / (d + f)^2 at each probe."""
+    return np.einsum("ki,ki->k", grads, grads) / (d + f_vals) ** 2
+
+
+def choose_epsilon(ratio_peak):
+    """Smallness scale that keeps the exponent epsilon * gradient_ratio
+    below 1/30."""
+    return (1.0 / 30.0) / ratio_peak * (1.0 - 1e-12) if ratio_peak > 0 else 1.0
+
+
+def barrier_functionals(params, u_vals, grads, f_vals, rho, phi, trace):
+    """Integrands of the barrier functionals over the section
+    {u < params.C}, at probes with values u_vals, gradients grads, Legendre
+    values f_vals = <x, grad u> - u, invariants rho and Phi, and Hessian
+    traces. Returns a dict of arrays: phi_barrier, weighted_phi,
+    weighted_barrier, weighted_trace and gradient_ratio."""
+    n, C, d, a = params.n, params.C, params.d, params.alpha
+    ratio = gradient_ratio(grads, f_vals, d)
+    pw = (d + f_vals) ** (2.0 * n * a / (n + 2.0))
+    return {
+        "phi_barrier": np.exp(-params.m_phi / (C - u_vals)) * phi,
+        "weighted_phi": np.exp(-params.m_weighted / (C - u_vals)) * rho**a * phi / pw,
+        "weighted_barrier": np.exp(-params.m_weighted / (C - u_vals)
+                                   + params.epsilon * ratio)
+        * (params.h(u_vals) + 2.0 * a) * rho**a / pw,
+        "weighted_trace": np.exp(-params.m_trace / (C - u_vals)) * rho**a * trace
+        / (pw * (d + f_vals) ** 2),
+        "gradient_ratio": ratio,
+    }
 
 
 @dataclass
@@ -429,39 +447,24 @@ def section_functionals(u, p, C, window, probes_per_axis=201,
     uv = u.value(pts)
     grads = u.gradient(pts)                    # x = grad u
     fv = np.einsum("ki,ki->k", pts, grads) - uv
-    phi = phi_rule(u, u.side)(pts)
     H = u.hessian(pts)
-    sign, logdet = np.linalg.slogdet(H)
-    from .geometry import rho_sign
-
-    rho = np.exp(rho_sign(u.side) / (n + 2.0) * logdet)
-    trace = np.einsum("kii->k", H)
+    inv = invariants(H, u.third(pts), u.side)
 
     d = shift_d if shift_d is not None else choose_shift_constant(uv, fv)
-    gradient_ratio = np.einsum("ki,ki->k", grads, grads) / (d + fv) ** 2
     if epsilon is None:
-        peak = float(gradient_ratio.max())
-        epsilon = (1.0 / 30.0) / peak * (1.0 - 1e-12) if peak > 0 else 1.0
+        epsilon = choose_epsilon(float(gradient_ratio(grads, fv, d).max()))
     params = BarrierConstants.defaults(n, C, d, epsilon)
+    w = barrier_functionals(params, uv, grads, fv, inv["rho"], inv["Phi"],
+                            np.einsum("kii->k", H))
 
-    a = params.alpha
-    pw = (d + fv) ** (2.0 * n * a / (n + 2.0))
-    phi_barrier = np.exp(-params.m_phi / (C - uv)) * phi
-    weighted_phi = np.exp(-params.m_weighted / (C - uv)) * rho**a * phi / pw
-    Hexp = epsilon * gradient_ratio
-    weighted_barrier = np.exp(-params.m_weighted / (C - uv) + Hexp) \
-        * (params.h(uv) + 2.0 * a) * rho**a / pw
-    weighted_trace = np.exp(-params.m_trace / (C - uv)) * rho**a * trace \
-        / (pw * (d + fv) ** 2)
-
-    k = int(np.argmax(phi_barrier))
+    k = int(np.argmax(w["phi_barrier"]))
     return SectionFunctionalReport(
         params=params,
-        sup_phi_barrier=float(phi_barrier.max()),
-        sup_weighted_phi=float(weighted_phi.max()),
-        sup_weighted_barrier=float(weighted_barrier.max()),
-        sup_weighted_trace=float(weighted_trace.max()),
-        sup_gradient_ratio=float(gradient_ratio.max()),
+        sup_phi_barrier=float(w["phi_barrier"].max()),
+        sup_weighted_phi=float(w["weighted_phi"].max()),
+        sup_weighted_barrier=float(w["weighted_barrier"].max()),
+        sup_weighted_trace=float(w["weighted_trace"].max()),
+        sup_gradient_ratio=float(w["gradient_ratio"].max()),
         argmax_phi_barrier=pts[k], level_fraction_at_argmax=float(uv[k] / C),
         probe_count=int(len(pts)), clipped_rays=int(clipped))
 
@@ -554,7 +557,9 @@ def det_barrier_probe(f, delta, Rprime, coarse=None, rounds=6):
                                 worst=worst, Rprime=Rprime)
 
     def invrho(points):
-        sign, logdet = np.linalg.slogdet(f.hessian(points))
+        logdet = invariants(f.hessian(points), None, PRIMAL)["logdet"]
+        if not np.all(np.isfinite(logdet)):
+            raise PreconditionError("Hessian not positive definite on the ball")
         return np.exp(logdet / (n + 2.0))
 
     best_pts = pts
@@ -587,12 +592,10 @@ def _det_barrier_grid(fu, delta, Rprime):
         raise PreconditionError("grid does not cover the ball")
     if float(np.abs(fu.values[live]).max()) > Rprime:
         raise PreconditionError("|f| exceeds the stated bound on the ball")
-    H = fu.hessian_field()
-    flat = H[in_ball & (grid.mask == INTERIOR)]
-    ok = np.all(np.isfinite(flat.reshape(len(flat), -1)), axis=1)
-    sign, logdet = np.linalg.slogdet(flat[ok])
-    vals = np.exp(logdet / (n + 2.0))
-    nodes = pts[in_ball & (grid.mask == INTERIOR)][ok]
+    logdet = grid_invariants(fu, PRIMAL)["logdet"]
+    live = in_ball & (grid.mask == INTERIOR) & np.isfinite(logdet)
+    vals = np.exp(logdet[live] / (n + 2.0))
+    nodes = pts[live]
     k = int(np.argmin(vals))
     if vals[k] >= d5:
         raise CounterexampleError("no node beats the determinant barrier",

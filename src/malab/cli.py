@@ -160,14 +160,7 @@ def _run_geometry(cfg):
     oracle = _fixture(cfg)
     side = cfg.get("side", oracle.side)
     pts = _probe_points(cfg, oracle)
-    threads = int(cfg.get("threads", 1))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(lambda x: geometry_sample(oracle, x, side), pts))
-    else:
-        samples = [geometry_sample(oracle, x, side) for x in pts]
+    samples = [geometry_sample(oracle, x, side) for x in pts]
     lines = "".join(json.dumps(s.to_json(), sort_keys=True) + "\n" for s in samples)
     out = _out_dir(cfg)
     _atomic_write(os.path.join(out, "geometry.jsonl"), lines)
@@ -264,7 +257,6 @@ def main(argv=None):
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config entry (JSON-parsed value)")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--threads", type=int, help="worker threads (opt-in)")
     args = parser.parse_args(argv)
 
     try:
@@ -280,8 +272,6 @@ def main(argv=None):
             _apply_set(cfg, key, value)
         if args.out:
             cfg["out"] = args.out
-        if args.threads:
-            cfg["threads"] = args.threads
         cfg.setdefault("seed", 0)
         _validate_config(cfg)
         runner = {"solve": _run_solve, "geometry": _run_geometry,

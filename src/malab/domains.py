@@ -260,13 +260,6 @@ class Ellipsoid:
         """Semi-axis lengths, largest first."""
         return np.sort(1.0 / np.sqrt(np.linalg.eigvalsh(self.shape)))[::-1]
 
-    def volume(self):
-        from math import gamma, pi
-
-        n = self.dim
-        unit = pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
-        return unit / np.sqrt(np.linalg.det(self.shape))
-
     def to_json(self):
         return {"center": self.center.tolist(), "shape": self.shape.tolist()}
 
@@ -311,10 +304,6 @@ class AffineMap:
 
     def to_json(self):
         return {"linear": self.linear.tolist(), "offset": self.offset.tolist()}
-
-
-def affine_map_from_json(obj):
-    return AffineMap(np.asarray(obj["linear"]), np.asarray(obj["offset"]))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegeneracyError, StencilError
 from .grids import GridFunction, INTERIOR, gradient_field, hessian_field
-from .oracles import DUAL, PRIMAL, FieldOracle
+from .oracles import PRIMAL
 from .stencils import fd_gradient, fd_hessian, richardson
 
 DEFAULT_FD_SCALE = 1e-3  # outer FD step = scale * local length unit
@@ -49,63 +49,58 @@ def _require_spd(H, x):
 
 
 # ---------------------------------------------------------------------------
-# exact pointwise pieces from (H, T)
+# the invariant kernel: rho, grad log rho and Phi from (H, T)
 
 
-def _core(H, T, side):
+def invariants(H, T, side):
+    """Pointwise invariants from Hessians H (..., n, n) and third derivatives
+    T (..., n, n, n), broadcast over the leading axes.
+
+    Returns a dict of
+        logdet       log det H
+        logrho       log rho = rho_sign(side)/(n+2) * logdet
+        rho          exp(logrho)
+        Ginv         H^{-1}, the inverse metric
+        grad_logrho  rho_sign(side)/(n+2) * tr(H^{-1} T_i)   (None if T is None)
+        Phi          |grad log rho|^2_G                     (None if T is None)
+    A row whose H (or T) is not finite, or whose H is not positive definite,
+    is NaN in every output. Grid callers pass T = None and difference the
+    log rho field instead.
+    """
+    H = np.asarray(H, dtype=float)
     n = H.shape[-1]
-    Hi = np.linalg.inv(H)
-    Gamma = 0.5 * np.einsum("kl,ijl->kij", Hi, T)
-    A = -0.5 * T
-    J = np.einsum("il,jm,kn,ijk,lmn->", Hi, Hi, Hi, T, T) / (4.0 * n * (n - 1))
-    Ricci = (np.einsum("mh,lj,iml,hjk->ik", Hi, Hi, A, A)
-             - np.einsum("mh,lj,imk,hlj->ik", Hi, Hi, A, A))
+    lead = H.shape[:-2]
+    flat = H.reshape(-1, n, n)
+    ok = np.all(np.isfinite(flat), axis=(1, 2))
+    if T is not None:
+        ok &= np.all(np.isfinite(T), axis=(-3, -2, -1)).reshape(-1)
+    ok[ok] = np.linalg.eigvalsh(flat[ok])[:, 0] > 0
+    good = flat[ok]
+    logdet = np.full(len(flat), np.nan)
+    Ginv = np.full_like(flat, np.nan)
+    logdet[ok] = np.linalg.slogdet(good)[1]
+    Ginv[ok] = np.linalg.inv(good)
     s = rho_sign(side) / (n + 2.0)
-    logdet = float(np.linalg.slogdet(H)[1])
-    rho = float(np.exp(s * logdet))
-    grad_logrho = s * np.einsum("ab,abi->i", Hi, T)
-    phi = float(np.einsum("ij,i,j->", Hi, grad_logrho, grad_logrho))
-    return {
-        "Ginv": Hi, "Gamma": Gamma, "A": A, "J": float(J), "Ricci": Ricci,
-        "rho": rho, "grad_logrho": grad_logrho, "grad_rho": rho * grad_logrho,
-        "Phi": phi,
-    }
+    logrho = s * logdet.reshape(lead)
+    out = {"logdet": logdet.reshape(lead), "logrho": logrho, "rho": np.exp(logrho),
+           "Ginv": Ginv.reshape(H.shape), "grad_logrho": None, "Phi": None}
+    if T is not None:
+        g = s * np.einsum("...ab,...abi->...i", out["Ginv"], T)
+        out["grad_logrho"] = g
+        out["Phi"] = np.einsum("...ij,...i,...j->...", out["Ginv"], g, g)
+    return out
 
 
 def grad_logrho_rule(oracle, side):
-    n = oracle.n
-    s = rho_sign(side) / (n + 2.0)
-
-    def rule(x):
-        H = oracle.hessian(x)
-        T = oracle.third(x)
-        return s * np.einsum("...ab,...abi->...i", np.linalg.inv(H), T)
-
-    return rule
+    return lambda x: invariants(oracle.hessian(x), oracle.third(x), side)["grad_logrho"]
 
 
 def phi_rule(oracle, side):
-    n = oracle.n
-    s = rho_sign(side) / (n + 2.0)
-
-    def rule(x):
-        H = oracle.hessian(x)
-        Hi = np.linalg.inv(H)
-        g = s * np.einsum("...ab,...abi->...i", Hi, oracle.third(x))
-        return np.einsum("...ij,...i,...j->...", Hi, g, g)
-
-    return rule
+    return lambda x: invariants(oracle.hessian(x), oracle.third(x), side)["Phi"]
 
 
 def rho_value_rule(oracle, side):
-    n = oracle.n
-    s = rho_sign(side) / (n + 2.0)
-
-    def rule(x):
-        sign, logdet = np.linalg.slogdet(oracle.hessian(x))
-        return np.exp(s * logdet)
-
-    return rule
+    return lambda x: invariants(oracle.hessian(x), None, side)["rho"]
 
 
 def fd_step(oracle, x, h=None):
@@ -195,54 +190,50 @@ class GeometrySample:
         }
 
 
+def _node(grid, x):
+    """A tuple of integers is a node index; any other point snaps to the
+    nearest node."""
+    if isinstance(x, tuple) and all(isinstance(k, (int, np.integer)) for k in x):
+        return x
+    return grid.nearest_node(x)
+
+
 def geometry_sample(potential, x, side=None, h=None):
     """All pointwise tensors at x (oracle) or at the node nearest x (grid)."""
-    if isinstance(potential, GridFunction):
-        return _geometry_sample_grid(potential, x, side)
-    side = side or potential.side
-    x = np.asarray(x, dtype=float)
     n = potential.n
-    H = potential.hessian(x)
+    on_grid = isinstance(potential, GridFunction)
+    if on_grid:
+        side = side or PRIMAL
+        grid = potential.grid
+        at = _node(grid, x)
+        if grid.mask[at] != INTERIOR:
+            raise StencilError("geometry sample needs an interior node",
+                               node=[int(k) for k in at])
+        x = grid.point(at)
+    else:
+        side = side or potential.side
+        x = at = np.asarray(x, dtype=float)
+    H = potential.hessian(at)
     _require_spd(H, x)
-    T = potential.third(x)
-    core = _core(H, T, side)
-    KR = (n + 2.0) * xx_hessian_logrho(potential, x, side, h)
+    T = potential.third(at)
+    inv = invariants(H, T, side)
+    Hi = inv["Ginv"]
+    A = -0.5 * T
+    KR = (n + 2.0) * (grid_xx_hessian_logrho(potential, side)[at] if on_grid
+                      else xx_hessian_logrho(potential, x, side, h))
     # scalar: -1/2 sum f^{ij} d_i d_j logdet f; f^{ij} at the graph point is
     # Ginv on the primal side and the dual Hessian itself on the dual side
-    fij = core["Ginv"] if side == PRIMAL else H
-    KS = 0.5 * float(np.einsum("ij,ij->", fij, KR))
-    grad = potential.gradient(x)
+    fij = Hi if side == PRIMAL else H
+    rho = float(inv["rho"])
     return GeometrySample(
-        x=x, side=side, G=H, Ginv=core["Ginv"], Gamma=core["Gamma"], A=core["A"],
-        B=np.zeros((n, n)), J=core["J"], Ricci=core["Ricci"],
-        KahlerRicci=KR, KahlerScalar=KS, rho=core["rho"],
-        grad_rho=core["grad_rho"], Phi=core["Phi"],
-        conormal=np.r_[-grad, 1.0],
-    )
-
-
-def _geometry_sample_grid(fu, x, side):
-    side = side or PRIMAL
-    grid = fu.grid
-    node = grid.nearest_node(x) if not isinstance(x, tuple) else x
-    if grid.mask[node] != INTERIOR:
-        raise StencilError("geometry sample needs an interior node",
-                           node=[int(k) for k in node])
-    n = grid.dim
-    H = fu.hessian(node)
-    _require_spd(H, grid.point(node))
-    T = fu.third(node)
-    core = _core(H, T, side)
-    KR = (n + 2.0) * grid_xx_hessian_logrho(fu, side)[node]
-    fij = core["Ginv"] if side == PRIMAL else H
-    KS = 0.5 * float(np.einsum("ij,ij->", fij, KR))
-    grad = fu.gradient(node)
-    return GeometrySample(
-        x=grid.point(node), side=side, G=H, Ginv=core["Ginv"], Gamma=core["Gamma"],
-        A=core["A"], B=np.zeros((n, n)), J=core["J"], Ricci=core["Ricci"],
-        KahlerRicci=KR, KahlerScalar=KS, rho=core["rho"],
-        grad_rho=core["grad_rho"], Phi=core["Phi"],
-        conormal=np.r_[-grad, 1.0],
+        x=x, side=side, G=H, Ginv=Hi, Gamma=0.5 * np.einsum("kl,ijl->kij", Hi, T), A=A,
+        B=np.zeros((n, n)),
+        J=float(np.einsum("il,jm,kn,ijk,lmn->", Hi, Hi, Hi, T, T) / (4.0 * n * (n - 1))),
+        Ricci=(np.einsum("mh,lj,iml,hjk->ik", Hi, Hi, A, A)
+               - np.einsum("mh,lj,imk,hlj->ik", Hi, Hi, A, A)),
+        KahlerRicci=KR, KahlerScalar=0.5 * float(np.einsum("ij,ij->", fij, KR)),
+        rho=rho, grad_rho=rho * inv["grad_logrho"], Phi=float(inv["Phi"]),
+        conormal=np.r_[-potential.gradient(at), 1.0],
     )
 
 
@@ -279,7 +270,7 @@ def calabi_laplacian(potential, field, x, side=None, h=None, use_richardson=True
     """
     if isinstance(potential, GridFunction):
         grid = potential.grid
-        node = grid.nearest_node(x) if not isinstance(x, tuple) else x
+        node = _node(grid, x)
         values = field if isinstance(field, np.ndarray) else \
             np.vectorize(lambda *c: field(np.array(c)))(*np.meshgrid(
                 *grid.coords, indexing="ij"))
@@ -295,8 +286,8 @@ def calabi_laplacian(potential, field, x, side=None, h=None, use_richardson=True
         field = ScalarRule(field)
     H = potential.hessian(x)
     _require_spd(H, x)
-    Hi = np.linalg.inv(H)
-    glr = grad_logrho_rule(potential, side)(x)
+    inv = invariants(H, potential.third(x), side)
+    Hi, glr = inv["Ginv"], inv["grad_logrho"]
     hstep = fd_step(potential, x, h)
     grad_f = field.gradient(x, hstep, use_richardson)
     hess_f = field.hessian(x, hstep, use_richardson)
@@ -304,17 +295,6 @@ def calabi_laplacian(potential, field, x, side=None, h=None, use_richardson=True
     drift = lap_drift_sign(side) * (n + 2.0) / 2.0
     return float(np.einsum("ij,ij->", Hi, hess_f)
                  + drift * np.einsum("ij,j,i->", Hi, glr, grad_f))
-
-
-class CalabiOperator:
-    """The metric Laplacian of a fixed potential, applied to scalar rules."""
-
-    def __init__(self, potential, side=None):
-        self.potential = potential
-        self.side = side or potential.side
-
-    def apply(self, field, x, h=None):
-        return calabi_laplacian(self.potential, field, x, self.side, h)
 
 
 # ---------------------------------------------------------------------------
@@ -423,51 +403,21 @@ def structure_residuals(potential, x, h=1e-3):
 # whole-grid chains (NaN marks nodes whose stencils do not fit)
 
 
-def grid_hessian_stack(fu):
-    return fu.hessian_field()
-
-
-def grid_inv_hessian(fu):
-    def build():
-        H = fu.hessian_field()
-        flat = H.reshape(-1, fu.n, fu.n)
-        ok = np.all(np.isfinite(flat.reshape(len(flat), -1)), axis=1)
-        eigs = np.full(len(flat), -np.inf)
-        if ok.any():
-            eigs[ok] = np.linalg.eigvalsh(flat[ok])[:, 0]
-        out = np.full_like(flat, np.nan)
-        good = ok & (eigs > 0)
-        if good.any():
-            out[good] = np.linalg.inv(flat[good])
-        return out.reshape(H.shape)
-
-    return fu.field("hess_inv", build)
-
-
-def grid_logrho(fu, side):
-    def build():
-        H = fu.hessian_field()
-        flat = H.reshape(-1, fu.n, fu.n)
-        ok = np.all(np.isfinite(flat.reshape(len(flat), -1)), axis=1)
-        out = np.full(len(flat), np.nan)
-        if ok.any():
-            sign, logdet = np.linalg.slogdet(flat[ok])
-            logdet[sign <= 0] = np.nan
-            out[ok] = logdet
-        s = rho_sign(side) / (fu.n + 2.0)
-        return s * out.reshape(fu.grid.shape)
-
-    return fu.field(("logrho", side), build)
+def grid_invariants(fu, side):
+    """The invariant kernel over the grid Hessian field (no third
+    derivatives: grad log rho is the FD gradient of the log rho field)."""
+    return fu.field(("invariants", side),
+                    lambda: invariants(fu.hessian_field(), None, side))
 
 
 def grid_grad_logrho(fu, side):
-    return fu.field(("grad_logrho", side),
-                    lambda: gradient_field(grid_logrho(fu, side), fu.grid.spacing))
+    return fu.field(("grad_logrho", side), lambda: gradient_field(
+        grid_invariants(fu, side)["logrho"], fu.grid.spacing))
 
 
 def grid_phi(fu, side):
     def build():
-        Hi = grid_inv_hessian(fu)
+        Hi = grid_invariants(fu, side)["Ginv"]
         g = grid_grad_logrho(fu, side)
         return np.einsum("...ij,...i,...j->...", Hi, g, g)
 
@@ -477,7 +427,7 @@ def grid_phi(fu, side):
 def grid_laplacian_of(fu, side, values):
     """Metric Laplacian of a node field, by FD chains at grid spacing."""
     sp = fu.grid.spacing
-    Hi = grid_inv_hessian(fu)
+    Hi = grid_invariants(fu, side)["Ginv"]
     glr = grid_grad_logrho(fu, side)
     gv = gradient_field(values, sp)
     hv = hessian_field(values, sp)
@@ -492,7 +442,7 @@ def grid_phi_inequality_fields(fu, side):
     inequality, by FD chains."""
     n = fu.n
     sp = fu.grid.spacing
-    Hi = grid_inv_hessian(fu)
+    Hi = grid_invariants(fu, side)["Ginv"]
     glr = grid_grad_logrho(fu, side)
     phi = grid_phi(fu, side)
     gphi = gradient_field(phi, sp)
@@ -516,10 +466,10 @@ def grid_xx_hessian_logrho(fu, side):
 
     def build():
         sp = fu.grid.spacing
-        phi_f = grid_logrho(fu, side)
+        phi_f = grid_invariants(fu, side)["logrho"]
         if side == PRIMAL:
             return hessian_field(phi_f, sp)
-        Hi = grid_inv_hessian(fu)
+        Hi = grid_invariants(fu, side)["Ginv"]
         dphi = gradient_field(phi_f, sp)        # phi_a
         ddphi = hessian_field(phi_f, sp)        # phi_ab
         T = fu.third_field()                    # u_pqc

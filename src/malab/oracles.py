@@ -87,11 +87,6 @@ class FieldOracle:
         return "all of R^n"
 
 
-def _sym3(T):
-    return (T + T.transpose(0, 2, 1) + T.transpose(1, 0, 2)
-            + T.transpose(1, 2, 0) + T.transpose(2, 0, 1) + T.transpose(2, 1, 0)) / 6.0
-
-
 class Quadratic(FieldOracle):
     """f(x) = 1/2 x^T A x + b.x + c with A symmetric positive definite."""
 

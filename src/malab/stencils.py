@@ -56,16 +56,3 @@ def fd_hessian(fn, x, h, use_richardson=True):
                 d = richardson(d, central_second(fn, x, i, j, h / 2.0))
             out[i, j] = out[j, i] = d
     return out
-
-
-def directional_first(fn, x, v, h, use_richardson=True):
-    """Derivative of fn along the (non-unit) direction v by centered steps."""
-
-    def line(t):
-        return fn(x + t * v)
-
-    d = (line(h) - line(-h)) / (2.0 * h)
-    if use_richardson:
-        d2 = (line(h / 2.0) - line(-h / 2.0)) / h
-        d = richardson(d, d2)
-    return d

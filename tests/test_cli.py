@@ -133,6 +133,14 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert err["error"] == "UsageError"
 
 
+def test_threads_option_removed(capsys):
+    assert run_cli(["geometry", "--set", "fixture=expsolution", "--set", "threads=2"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["geometry", "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_bad_suite_rejected(capsys):
     assert run_cli(["verify", "--set", "suite=nope"]) == 2
 

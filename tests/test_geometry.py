@@ -3,11 +3,11 @@ import pytest
 
 from malab.domains import Ball, Box
 from malab.errors import DegeneracyError
-from malab.geometry import (CalabiOperator, ScalarRule, calabi_laplacian,
-                            geometry_sample, grad_logrho_rule,
-                            grid_kahler_ricci, grid_phi, phi_rule,
+from malab.geometry import (ScalarRule, calabi_laplacian,
+                            geometry_sample, grad_logrho_rule, grid_invariants,
+                            grid_kahler_ricci, grid_phi, invariants, phi_rule,
                             rho_value_rule, structure_residuals)
-from malab.grids import Grid, INTERIOR, sample_oracle
+from malab.grids import Grid, GridFunction, INTERIOR, sample_oracle
 from malab.oracles import (DriftCoefficients, DualLog, ExpSolution,
                            FieldOracle, Quadratic)
 from malab.solver import newton_solve
@@ -123,8 +123,8 @@ def test_degenerate_hessian_raises():
 
 class TestCalabiLaplacian:
     def test_annihilates_constants(self):
-        op = CalabiOperator(ExpSolution(2))
-        val = op.apply(ScalarRule(lambda x: 3.25), np.array([0.2, -0.4]))
+        val = calabi_laplacian(ExpSolution(2), ScalarRule(lambda x: 3.25),
+                               np.array([0.2, -0.4]))
         assert abs(val) <= 1e-10
 
     def test_laplacian_of_potential_quadratic(self):
@@ -265,3 +265,58 @@ class TestGridGeometry:
             np.einsum("ij,i,j->", s.Ginv, s.grad_rho, ex.gradient(np.zeros(2))))
         got = calabi_laplacian(fe, fe.values, (16, 16), side="primal")
         assert got == pytest.approx(want, abs=5 * g.spacing[0] ** 2)
+
+    def test_float_tuple_snaps_like_an_array(self):
+        ex = ExpSolution(2)
+        g = Grid.build(Box([-1, -1], [1, 1]), 33)
+        fu = sample_oracle(ex, g)
+        by_tuple = geometry_sample(fu, (0.5, 0.25))
+        by_array = geometry_sample(fu, np.array([0.5, 0.25]))
+        assert by_tuple.to_json() == by_array.to_json()
+        assert calabi_laplacian(fu, fu.values, (0.5, 0.25)) \
+            == calabi_laplacian(fu, fu.values, np.array([0.5, 0.25]))
+
+    def test_concave_field_has_no_invariants(self):
+        """-|x|^2/2 has det D^2 = 1 > 0 but is not convex: log rho, Phi and
+        the flat-direction curvature are NaN, not finite."""
+        g = Grid.build(Box([-1, -1], [1, 1]), 17)
+        pts = g.points()
+        fu = GridFunction(g, -0.5 * np.sum(pts**2, axis=-1))
+        inner = g.mask == INTERIOR
+        for side in ("primal", "dual"):
+            assert np.isnan(grid_invariants(fu, side)["logrho"][inner]).all()
+            assert np.isnan(grid_phi(fu, side)[inner]).all()
+            assert np.isnan(grid_kahler_ricci(fu, side)[inner]).all()
+
+
+class TestInvariantKernel:
+    ORACLES = [Quadratic(np.array([[2.0, 0.4], [0.4, 1.0]]), b=[0.3, -0.1]),
+               ExpSolution(2), DualLog(2)]
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    @pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.name)
+    def test_batch_equals_geometry_sample(self, oracle, side, rng):
+        pts = np.c_[rng.uniform(0.5, 2.0, 8), rng.uniform(-1.0, 1.0, 8)]
+        inv = invariants(oracle.hessian(pts), oracle.third(pts), side)
+        for k, x in enumerate(pts):
+            s = geometry_sample(oracle, x, side)
+            assert inv["rho"][k] == s.rho
+            assert np.array_equal(inv["rho"][k] * inv["grad_logrho"][k], s.grad_rho)
+            assert inv["Phi"][k] == s.Phi
+        if isinstance(oracle, Quadratic):
+            assert np.all(inv["Phi"] == 0.0)
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    @pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.name)
+    def test_invalid_rows_are_nan(self, oracle, side):
+        pts = np.array([[0.6, 0.2], [0.8, -0.4], [1.2, 0.6], [1.7, 0.8]])
+        H, T = oracle.hessian(pts), oracle.third(pts)
+        H[1] = -np.eye(2)               # det > 0, not positive definite
+        H[2] = 0.0                      # singular
+        T[3, 0, 0, 0] = np.nan          # non-finite third derivatives
+        inv = invariants(H, T, side)
+        bad = np.array([False, True, True, True])
+        for key, value in inv.items():
+            rows = value.reshape(len(pts), -1)
+            assert np.isnan(rows[bad]).all(), key
+            assert np.isfinite(rows[~bad]).all(), key
