@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DegeneracyError, StencilError
 from .grids import GridFunction, INTERIOR, gradient_field, hessian_field
 from .oracles import PRIMAL
-from .stencils import fd_gradient, fd_hessian, richardson
+from .stencils import fd_directional, fd_gradient, fd_hessian
 
 DEFAULT_FD_SCALE = 1e-3  # outer FD step = scale * local length unit
 
@@ -127,29 +127,13 @@ def xx_hessian_logrho(oracle, x, side=None, h=None, use_richardson=True):
     h = fd_step(oracle, x, h)
     glr = grad_logrho_rule(oracle, side)
     if side == PRIMAL:
-        def columns(step):
-            out = np.empty((n, n))
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = step
-                out[:, j] = (glr(x + e) - glr(x - e)) / (2.0 * step)
-            return out
+        D = fd_directional(glr, x, np.eye(n), h, use_richardson)
     else:
-        Hi = np.linalg.inv(oracle.hessian(x))
-
         def s_of(xi):
             return np.linalg.inv(oracle.hessian(xi)) @ glr(xi)
 
-        def columns(step):
-            out = np.empty((n, n))
-            for j in range(n):
-                w = Hi[:, j]
-                out[:, j] = (s_of(x + step * w) - s_of(x - step * w)) / (2.0 * step)
-            return out
-    D = columns(h)
-    if use_richardson:
-        D = richardson(D, columns(h / 2.0))
-    return 0.5 * (D + D.T)
+        D = fd_directional(s_of, x, np.linalg.inv(oracle.hessian(x)).T, h, use_richardson)
+    return 0.5 * (D + D.T)  # D[j] is the difference along direction j
 
 
 # ---------------------------------------------------------------------------
@@ -301,45 +285,12 @@ def calabi_laplacian(potential, field, x, side=None, h=None, use_richardson=True
 # structure-equation self-checks
 
 
-def _fourth_by_fd(oracle, x, h, use_richardson=True):
-    """F4[i,j,k,l] ~ d_l of the third-derivative rule."""
-    n = oracle.n
-
-    def cols(step):
-        out = np.empty((n, n, n, n))
-        for l in range(n):
-            e = np.zeros(n)
-            e[l] = step
-            out[..., l] = (oracle.third(x + e) - oracle.third(x - e)) / (2.0 * step)
-        return out
-
-    D = cols(h)
-    if use_richardson:
-        D = richardson(D, cols(h / 2.0))
-    return D
-
-
 def _gamma_rule(oracle):
     def rule(x):
         H = oracle.hessian(x)
         return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(H), oracle.third(x))
 
     return rule
-
-
-def _dgamma_by_fd(gamma, x, n, h, use_richardson=True):
-    def cols(step):
-        out = np.empty((n, n, n, n))
-        for l in range(n):
-            e = np.zeros(n)
-            e[l] = step
-            out[l] = (gamma(x + e) - gamma(x - e)) / (2.0 * step)
-        return out
-
-    D = cols(h)
-    if use_richardson:
-        D = richardson(D, cols(h / 2.0))
-    return D  # D[l, k, i, j] = d_l Gamma^k_ij
 
 
 @dataclass(frozen=True)
@@ -380,8 +331,7 @@ def structure_residuals(potential, x, h=1e-3):
     gauss = float(np.abs(resid).max())
 
     # covariant derivative of the cubic form, antisymmetry in last two slots
-    F4 = _fourth_by_fd(potential, x, h)
-    dA = -0.5 * F4.transpose(3, 0, 1, 2)                    # [l, i, j, k]
+    dA = -0.5 * fd_directional(potential.third, x, np.eye(n), h)  # [l, i, j, k]
     A_cov = (dA
              - np.einsum("mli,mjk->lijk", Gamma, A)
              - np.einsum("mlj,imk->lijk", Gamma, A)
@@ -389,7 +339,7 @@ def structure_residuals(potential, x, h=1e-3):
     codazzi = float(np.abs(A_cov - A_cov.transpose(3, 1, 2, 0)).max())
 
     # Ricci from the connection vs the cubic-form contraction
-    dG = _dgamma_by_fd(_gamma_rule(potential), x, n, h)
+    dG = fd_directional(_gamma_rule(potential), x, np.eye(n), h)  # d_l Gamma^k_ij at [l, k, i, j]
     ricci_gamma = (np.einsum("mmvs->sv", dG) - np.einsum("vmms->sv", dG)
                    + np.einsum("mml,lvs->sv", Gamma, Gamma)
                    - np.einsum("mvl,lms->sv", Gamma, Gamma))
@@ -412,7 +362,7 @@ def grid_invariants(fu, side):
 
 def grid_grad_logrho(fu, side):
     return fu.field(("grad_logrho", side), lambda: gradient_field(
-        grid_invariants(fu, side)["logrho"], fu.grid.spacing))
+        grid_invariants(fu, side)["logrho"], fu.grid))
 
 
 def grid_phi(fu, side):
@@ -426,11 +376,10 @@ def grid_phi(fu, side):
 
 def grid_laplacian_of(fu, side, values):
     """Metric Laplacian of a node field, by FD chains at grid spacing."""
-    sp = fu.grid.spacing
     Hi = grid_invariants(fu, side)["Ginv"]
     glr = grid_grad_logrho(fu, side)
-    gv = gradient_field(values, sp)
-    hv = hessian_field(values, sp)
+    gv = gradient_field(values, fu.grid)
+    hv = hessian_field(values, fu.grid)
     n = fu.n
     drift = lap_drift_sign(side) * (n + 2.0) / 2.0
     return (np.einsum("...ij,...ij->...", Hi, hv)
@@ -441,11 +390,10 @@ def grid_phi_inequality_fields(fu, side):
     """(residual field, Phi field) of the gradient-of-Phi differential
     inequality, by FD chains."""
     n = fu.n
-    sp = fu.grid.spacing
     Hi = grid_invariants(fu, side)["Ginv"]
     glr = grid_grad_logrho(fu, side)
     phi = grid_phi(fu, side)
-    gphi = gradient_field(phi, sp)
+    gphi = gradient_field(phi, fu.grid)
     lap_phi = grid_laplacian_of(fu, side, phi)
     norm_gphi = np.einsum("...ij,...i,...j->...", Hi, gphi, gphi)
     inner = np.einsum("...ij,...i,...j->...", Hi, gphi, glr)
@@ -465,13 +413,12 @@ def grid_xx_hessian_logrho(fu, side):
     key = ("xxlogrho", side)
 
     def build():
-        sp = fu.grid.spacing
         phi_f = grid_invariants(fu, side)["logrho"]
         if side == PRIMAL:
-            return hessian_field(phi_f, sp)
+            return hessian_field(phi_f, fu.grid)
         Hi = grid_invariants(fu, side)["Ginv"]
-        dphi = gradient_field(phi_f, sp)        # phi_a
-        ddphi = hessian_field(phi_f, sp)        # phi_ab
+        dphi = gradient_field(phi_f, fu.grid)   # phi_a
+        ddphi = hessian_field(phi_f, fu.grid)   # phi_ab
         T = fu.third_field()                    # u_pqc
         term1 = np.einsum("...ia,...jb,...ab->...ij", Hi, Hi, ddphi)
         term2 = np.einsum("...ip,...qa,...a,...pqc,...cj->...ij", Hi, Hi, dphi, T, Hi)

@@ -2,27 +2,32 @@
 
 Nodes are classified outside / boundary / interior against a convex domain.
 Interior nodes keep a full two-node margin of in-domain neighbors, so every
-stencil used here (up to third derivatives) fits without one-sided formulas;
-boundary nodes carry prescribed values and are never differentiated.
+arm of the one difference table, `stencils.TABLE` (up to third derivatives),
+fits without one-sided formulas; boundary nodes carry prescribed values and
+are never differentiated.
 
-Derivative fields are computed on whole arrays with NaN standing for
-"unavailable", which lets chained differences track their own validity.
+Derivative fields apply that table through the grid's `GridStencil` on whole
+arrays, with NaN standing for "unavailable", which lets chained differences
+track their own validity.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .domains import Box, domain_from_json
 from .errors import DomainError, StencilError
+from .stencils import REACH, GridStencil
 
 OUTSIDE, BOUNDARY, INTERIOR = 0, 1, 2
-MASK_MARGIN = 2  # in-domain neighbors required around an interior node
+MASK_MARGIN = REACH  # in-domain neighbors required around an interior node
 
 
 @dataclass(frozen=True)
@@ -49,14 +54,21 @@ class Grid:
         spacing = np.array([(hi[i] - lo[i]) / (shape[i] - 1) for i in range(n)])
         pts = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
         inside = domain.contains(pts.reshape(-1, n)).reshape(shape)
+        erode = GridStencil(shape, spacing)
+        padded = erode.pad(inside, False)
         interior = inside.copy()
-        for off in _cube_offsets(n, MASK_MARGIN):
-            interior &= _shift_bool(inside, off)
+        for off in itertools.product(range(-MASK_MARGIN, MASK_MARGIN + 1), repeat=n):
+            interior &= erode.arm(padded, off)
         mask = np.where(interior, INTERIOR, np.where(inside, BOUNDARY, OUTSIDE)).astype(np.int8)
         if not interior.any():
             raise DomainError("grid resolves no interior nodes", shape=shape)
         return Grid(np.asarray(lo, float), np.asarray(hi, float), shape, spacing, mask,
                     domain, coords)
+
+    @cached_property
+    def stencil(self):
+        """The difference table applied to this grid's node arrays."""
+        return GridStencil(self.shape, self.spacing, self.mask == INTERIOR)
 
     @property
     def dim(self):
@@ -67,6 +79,10 @@ class Grid:
 
     def point(self, node):
         return np.array([self.coords[i][node[i]] for i in range(self.dim)])
+
+    @cached_property
+    def interior_points(self):
+        return self.points()[self.mask == INTERIOR]
 
     def interior_nodes(self):
         return np.argwhere(self.mask == INTERIOR)
@@ -90,97 +106,36 @@ class Grid:
         }
 
 
-def _cube_offsets(n, radius):
-    grids = np.meshgrid(*[np.arange(-radius, radius + 1)] * n, indexing="ij")
-    offs = np.stack(grids, axis=-1).reshape(-1, n)
-    return [tuple(o) for o in offs if any(o)]
+def gradient_field(values, grid):
+    return grid.stencil.gradient(grid.stencil.pad(values))
 
 
-def _shift_bool(arr, offset):
-    out = np.zeros_like(arr)
-    src = tuple(slice(max(0, -o), arr.shape[i] - max(0, o)) for i, o in enumerate(offset))
-    dst = tuple(slice(max(0, o), arr.shape[i] - max(0, -o)) for i, o in enumerate(offset))
-    out[src] = arr[dst]
-    return out
+def hessian_field(values, grid):
+    return grid.stencil.hessian(grid.stencil.pad(values))
 
 
-def shift(values, offset):
-    """Shifted copy of an array with NaN fill at the swept-in border."""
-    out = np.full_like(values, np.nan)
-    src = tuple(slice(max(0, -o), values.shape[i] - max(0, o)) for i, o in enumerate(offset))
-    dst = tuple(slice(max(0, o), values.shape[i] - max(0, -o)) for i, o in enumerate(offset))
-    out[src] = values[dst]
-    return out
-
-
-def _ei(n, i, k=1):
-    o = [0] * n
-    o[i] = k
-    return tuple(o)
-
-
-def diff1(values, spacing, i):
-    n = values.ndim
-    return (shift(values, _ei(n, i, 1)) - shift(values, _ei(n, i, -1))) / (2.0 * spacing[i])
-
-
-def diff2(values, spacing, i, j):
-    n = values.ndim
-    if i == j:
-        return (shift(values, _ei(n, i, 1)) - 2.0 * values + shift(values, _ei(n, i, -1))) \
-            / spacing[i] ** 2
-    oij = [0] * n
-    hij = spacing[i] * spacing[j]
-    def s(a, b):
-        o = list(oij)
-        o[i], o[j] = a, b
-        return shift(values, tuple(o))
-    return (s(1, 1) - s(1, -1) - s(-1, 1) + s(-1, -1)) / (4.0 * hij)
-
-
-def diff3_pure(values, spacing, i):
-    """Width-5 centered stencil for the third derivative along one axis."""
-    n = values.ndim
-    h3 = spacing[i] ** 3
-    return (-shift(values, _ei(n, i, -2)) + 2.0 * shift(values, _ei(n, i, -1))
-            - 2.0 * shift(values, _ei(n, i, 1)) + shift(values, _ei(n, i, 2))) / (2.0 * h3)
-
-
-def gradient_field(values, spacing):
-    return np.stack([diff1(values, spacing, i) for i in range(values.ndim)], axis=-1)
-
-
-def hessian_field(values, spacing):
-    n = values.ndim
-    H = np.empty(values.shape + (n, n))
-    for i in range(n):
-        for j in range(i, n):
-            d = diff2(values, spacing, i, j)
-            H[..., i, j] = d
-            H[..., j, i] = d
-    return H
-
-
-def third_field(values, spacing):
+def third_field(values, grid):
     """Fully symmetric third-derivative tensor field.
 
     Pure components use the width-5 stencil; mixed components compose
     centered first/second differences, which keeps everything O(h^2).
     """
+    st = grid.stencil
     n = values.ndim
     T = np.empty(values.shape + (n, n, n))
-    firsts = [diff1(values, spacing, k) for k in range(n)]
+    padded = st.pad(values)
+    firsts = [st.pad(st.diff(padded, (k,))) for k in range(n)]
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
                 if i == j == k:
-                    d = diff3_pure(values, spacing, i)
+                    d = st.diff(padded, (i, i, i))
                 elif i == j:
-                    d = diff2(firsts[k], spacing, i, i)
+                    d = st.diff(firsts[k], (i, i))
                 elif j == k:
-                    d = diff2(firsts[i], spacing, j, j)
+                    d = st.diff(firsts[i], (j, j))
                 else:
-                    d = diff1(diff1(firsts[k], spacing, j), spacing, i)
+                    d = st.diff(st.pad(st.diff(firsts[k], (j,))), (i,))
                 for p in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
                     T[(...,) + p] = d
     return T
@@ -193,15 +148,26 @@ class GridFunction:
     """
 
     def __init__(self, grid, values):
+        self._setup(grid, values, grid.mask != OUTSIDE, "in-domain")
+
+    @classmethod
+    def on_interior(cls, grid, values):
+        """A field defined on interior nodes only, such as a PDE residual:
+        finite there, NaN on boundary and outside nodes."""
+        fu = cls.__new__(cls)
+        fu._setup(grid, values, grid.mask == INTERIOR, "interior")
+        return fu
+
+    def _setup(self, grid, values, live, where):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise DomainError("values shape does not match grid", shape=values.shape)
-        bad = ~np.isfinite(values) & (grid.mask != OUTSIDE)
+        bad = ~np.isfinite(values) & live
         if bad.any():
             node = tuple(int(v) for v in np.argwhere(bad)[0])
-            raise DomainError("non-finite value on an in-domain node", node=node)
+            raise DomainError(f"non-finite value on an {where} node", node=node)
         self.grid = grid
-        self.values = np.where(grid.mask == OUTSIDE, np.nan, values)
+        self.values = np.where(live, values, np.nan)
         self.values.setflags(write=False)
         self._cache = {}
 
@@ -215,22 +181,20 @@ class GridFunction:
         return self._cache[key]
 
     def _interior_only(self, arr):
-        # boundary nodes carry prescribed values and are never differentiated
-        out = arr.copy()
-        out[self.grid.mask != INTERIOR] = np.nan
-        return out
+        arr[self.grid.mask != INTERIOR] = np.nan  # boundary nodes are never differentiated
+        return arr
 
     def gradient_field(self):
         return self.field("grad", lambda: self._interior_only(
-            gradient_field(self.values, self.grid.spacing)))
+            gradient_field(self.values, self.grid)))
 
     def hessian_field(self):
         return self.field("hess", lambda: self._interior_only(
-            hessian_field(self.values, self.grid.spacing)))
+            hessian_field(self.values, self.grid)))
 
     def third_field(self):
         return self.field("third", lambda: self._interior_only(
-            third_field(self.values, self.grid.spacing)))
+            third_field(self.values, self.grid)))
 
     def _take(self, arr, node, what):
         node = tuple(node)

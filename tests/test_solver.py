@@ -8,8 +8,8 @@ from malab.errors import ConvergenceError, ConvexityError
 from malab.grids import Grid, INTERIOR, GridFunction, sample_oracle
 from malab.oracles import (DUAL, AffineImageOracle, DriftCoefficients, DualLog, ExpSolution,
                            Quadratic)
-from malab.solver import (SolverConfig, _assemble_jacobian, _factor, _Stencil, newton_solve,
-                          residual_field)
+from malab.solver import (SolverConfig, _assemble_jacobian, _factor, _log_residual,
+                          newton_solve, residual_field)
 
 BOX = Box([1, -1], [2, 1])
 DL = DualLog(2)
@@ -50,6 +50,7 @@ class TestResidualField:
         fu = sample_oracle(Quadratic.unit(2), g)
         r = residual_field(fu, DriftCoefficients.zero(2), "dual")
         assert np.nanmax(np.abs(r.values)) < 1e-13
+        assert np.array_equal(np.isfinite(r.values), g.mask == INTERIOR)
 
     def test_expsolution_primal_residual(self):
         ex = ExpSolution(2)
@@ -187,6 +188,31 @@ class TestHarmonicLiftStart:
         assert nodal_error(u, ex) <= 4.0 * g.spacing.max() ** 2
 
 
+class TestJacobian:
+    @pytest.mark.parametrize("side", ["dual", "primal"])
+    def test_matches_residual_difference(self, side, rng):
+        """J @ delta equals the centered difference of the log residual along
+        a random interior direction delta: a wrong drift sign or mixed weight
+        in the Jacobian shows here."""
+        g = Grid.build(Ball(np.zeros(2), 1.0), 33)
+        x = g.points()
+        u = 0.5 * (x**2).sum(axis=-1) + 0.25 * x[..., 0] * x[..., 1] + 0.1 * np.exp(x[..., 0])
+        angle = np.pi / 8 + np.pi
+        drift = DriftCoefficients(-0.075, 1.4375 * np.array([np.cos(angle), np.sin(angle)]))
+        interior = g.mask == INTERIOR
+        delta = rng.standard_normal(int(interior.sum()))
+
+        def residual(t):
+            v = u.copy()
+            v[interior] += t * delta
+            return _log_residual(g, v, drift, side, 0.0)[0]
+
+        eps = 1e-7
+        fd = (residual(eps) - residual(-eps)) / (2 * eps)
+        J = _assemble_jacobian(g, _log_residual(g, u, drift, side, 0.0)[1], drift, side)
+        assert np.linalg.norm(J @ delta - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
 class TestFactor:
     def test_fill_of_a_drifted_ball_jacobian(self):
         """The ordering is pinned by a count, the LU fill, not by a time: on a
@@ -194,12 +220,11 @@ class TestFactor:
         on A + A^T in symmetric mode stores at most 0.7x the factors of
         SuperLU's default ordering, and still solves to rounding."""
         g = Grid.build(Ball(np.zeros(2), 1.0), 97)
-        st = _Stencil(g)
         x = g.points()
         u = 0.5 * (x**2).sum(axis=-1) + 0.25 * x[..., 0] * x[..., 1] + 0.1 * np.exp(x[..., 0])
         angle = np.pi / 8 + 3 * np.pi / 2
         drift = DriftCoefficients(-0.225, 1.8125 * np.array([np.cos(angle), np.sin(angle)]))
-        J = _assemble_jacobian(st, st.hessian(u), drift, DUAL)
+        J = _assemble_jacobian(g, g.stencil.hessian(g.stencil.pad(u), interior=True), drift, DUAL)
         assert abs(J - J.T).max() > 1.0  # the drift makes J nonsymmetric
         lu, default = _factor(J), splu(J)
         assert lu.L.nnz + lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
