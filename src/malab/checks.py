@@ -17,7 +17,8 @@ import numpy as np
 from .errors import CounterexampleError, PreconditionError, WindowError
 from .geometry import (ScalarRule, calabi_laplacian, fd_step, grad_logrho_rule,
                        grid_invariants, grid_phi_inequality_fields, invariants,
-                       phi_rule, rho_value_rule, xx_hessian_logrho)
+                       metric_laplacian, phi_inequality_residual, phi_rule,
+                       rho_value_rule, xx_hessian_logrho)
 from .grids import GridFunction, INTERIOR, atomic_write, csv_text
 from .oracles import DUAL, PRIMAL, ScaledOracle, pde_residual
 from .solver import residual_field
@@ -66,16 +67,16 @@ def _stats(arrs):
     return out
 
 
-def _gate(potential, probes, drift, side):
+def _gate(potential, probes, drift, side, tol):
     if drift is None:
         drift = potential.drift(side)
     if drift is None:
         raise PreconditionError("no drift constants available for the PDE gate")
     r = pde_residual(potential, probes, drift, side)
     worst = float(np.abs(r).max())
-    if worst > PDE_GATE_TOL:
+    if worst > tol:
         raise PreconditionError("potential fails the PDE residual gate",
-                                worst=worst, tol=PDE_GATE_TOL)
+                                worst=worst, tol=tol)
     return drift
 
 
@@ -94,57 +95,37 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
     """
     side = side or potential.side
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    drift = _gate(potential, probes, drift, side)
+    _gate(potential, probes, drift, side, PDE_GATE_TOL)
     n = potential.n
 
-    res = {k: np.empty(len(probes)) for k in
-           ("logrho_flat", "rho_laplacian", "primal_value_laplacian",
-            "dual_value_laplacian", "phi_scaling_rel")}
-    Hs, Ts = potential.hessian(probes), potential.third(probes)
-    inv = invariants(Hs, Ts, side)
+    H, T = potential.hessian(probes), potential.third(probes)
+    inv = invariants(H, T, side)
+    Hi, glr, rho, phi = inv["Ginv"], inv["grad_logrho"], inv["rho"], inv["Phi"]
     scaled = ScaledOracle(potential, scale_factor)
-    phi_scaled = invariants(scaled.hessian(probes), scaled.third(probes), side)["Phi"]
-
+    phi_new = invariants(scaled.hessian(probes), scaled.third(probes), side)["Phi"]
     rho_r = rho_value_rule(potential, side)
     glr_r = grad_logrho_rule(potential, side)
-    rho_rule = ScalarRule(rho_r, gradient=lambda y: rho_r(y) * glr_r(y))
+    rho_rule = ScalarRule(rho_r, gradient=lambda y: rho_r(y)[..., None] * glr_r(y))
 
-    for k, x in enumerate(probes):
-        H, Hi, glr = Hs[k], inv["Ginv"][k], inv["grad_logrho"][k]
-        rho = float(inv["rho"][k])
-        phi = float(inv["Phi"][k])
-
-        res["logrho_flat"][k] = np.abs(xx_hessian_logrho(potential, x, side)).max()
-
-        lap_rho = calabi_laplacian(potential, rho_rule, x, side)
-        res["rho_laplacian"][k] = lap_rho - (n + 4.0) / 2.0 * phi * rho
-
-        # scalars f and u as functions on the evaluation side
-        if side == PRIMAL:
-            f_grad, f_hess = potential.gradient(x), H
-            u_grad = x @ H  # d_i u = sum_k x_k f_ki
-            u_hess = H + np.einsum("k,kij->ij", x, Ts[k])
-        else:
-            u_grad, u_hess = potential.gradient(x), H
-            f_grad = x @ H
-            f_hess = H + np.einsum("k,kij->ij", x, Ts[k])
-
-        drift_term = (n + 2.0) / (2.0 * rho)
-
-        def metric_lap(grad_s, hess_s):
-            sgn = 1.0 if side == PRIMAL else -1.0
-            return (np.einsum("ij,ij->", Hi, hess_s)
-                    + sgn * drift_term * rho * np.einsum("ij,j,i->", Hi, glr, grad_s))
-
-        inner_f = drift_term * rho * np.einsum("ij,i,j->", Hi, glr, f_grad)
-        inner_u = drift_term * rho * np.einsum("ij,i,j->", Hi, glr, u_grad)
-        res["primal_value_laplacian"][k] = metric_lap(f_grad, f_hess) - (n + inner_f)
-        res["dual_value_laplacian"][k] = metric_lap(u_grad, u_hess) - (n - inner_u)
-
-        phi_new = float(phi_scaled[k])
-        want = scale_factor * phi
-        res["phi_scaling_rel"][k] = abs(phi_new - want) / max(abs(want), 1e-300) if want else abs(phi_new)
-
+    # the scalars f and u on the evaluation side: the potential itself, and
+    # its partner with gradient x @ H and Hessian H + x . T
+    own = (potential.gradient(probes), H)
+    other = (np.einsum("...k,...ki->...i", probes, H),
+             H + np.einsum("...k,...kij->...ij", probes, T))
+    (f_grad, f_hess), (u_grad, u_hess) = (own, other) if side == PRIMAL else (other, own)
+    half = (n + 2.0) / 2.0
+    inner_f = half * np.einsum("...ij,...i,...j->...", Hi, glr, f_grad)
+    inner_u = half * np.einsum("...ij,...i,...j->...", Hi, glr, u_grad)
+    want = scale_factor * phi
+    res = {
+        "logrho_flat": np.abs(xx_hessian_logrho(potential, probes, side)).max(axis=(-2, -1)),
+        "rho_laplacian": (calabi_laplacian(potential, rho_rule, probes, side)
+                          - (n + 4.0) / 2.0 * phi * rho),
+        "primal_value_laplacian": metric_laplacian(Hi, glr, f_grad, f_hess, side) - (n + inner_f),
+        "dual_value_laplacian": metric_laplacian(Hi, glr, u_grad, u_hess, side) - (n - inner_u),
+        "phi_scaling_rel": np.where(want != 0, np.abs(phi_new - want)
+                                    / np.maximum(np.abs(want), 1e-300), np.abs(phi_new)),
+    }
     tols = {"logrho_flat": 1e-6, "rho_laplacian": 1e-6,
             "primal_value_laplacian": 1e-6, "dual_value_laplacian": 1e-6,
             "phi_scaling_rel": 1e-8}
@@ -176,27 +157,17 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
                                     phi_floor, gate_tol, probe_predicate)
     side = side or potential.side
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    _gate(potential, probes, drift, side)
-    n = potential.n
+    _gate(potential, probes, drift, side, gate_tol)
 
     phi_r = phi_rule(potential, side)
     inv = invariants(potential.hessian(probes), potential.third(probes), side)
     live = inv["Phi"] > phi_floor
-    residuals = np.empty(int(live.sum()))
-    for j, k in enumerate(np.flatnonzero(live)):
-        x, phi0, Hi, glr = probes[k], inv["Phi"][k], inv["Ginv"][k], inv["grad_logrho"][k]
-        hstep = fd_step(potential, x)
-        gphi = fd_gradient(phi_r, x, hstep)
-        hphi = fd_hessian(phi_r, x, hstep)
-        sgn = 1.0 if side == PRIMAL else -1.0
-        lap = (np.einsum("ij,ij->", Hi, hphi)
-               + sgn * (n + 2.0) / 2.0 * np.einsum("ij,j,i->", Hi, glr, gphi))
-        rhs = (n / (n - 1.0) * np.einsum("ij,i,j->", Hi, gphi, gphi) / phi0
-               + (n * n - 3.0 * n - 10.0) / (2.0 * (n - 1.0))
-               * np.einsum("ij,i,j->", Hi, gphi, glr)
-               + (n + 2.0) ** 2 / (n - 1.0) * phi0**2)
-        residuals[j] = lap - rhs
-    return _phi_inequality_report("phi_inequality", probes[live], residuals,
+    x = probes[live]
+    hstep = fd_step(potential, x)
+    residuals = phi_inequality_residual(inv["Ginv"][live], inv["grad_logrho"][live],
+                                        inv["Phi"][live], fd_gradient(phi_r, x, hstep),
+                                        fd_hessian(phi_r, x, hstep), side)
+    return _phi_inequality_report("phi_inequality", x, residuals,
                                   inv["Phi"][live], int((~live).sum()), tol_scale)
 
 

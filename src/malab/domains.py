@@ -295,9 +295,6 @@ class AffineMap:
     def apply_inverse(self, y):
         return (np.asarray(y, dtype=float) - self.offset) @ self._inv_linear.T
 
-    def inverse(self):
-        return AffineMap(self._inv_linear, -self._inv_linear @ self.offset)
-
     def roundtrip_defect(self):
         n = self.dim
         return np.abs(self.linear @ self._inv_linear - np.eye(n)).max()

@@ -37,7 +37,35 @@ def rho_sign(side):
 
 
 def lap_drift_sign(side):
+    """The sign of the metric Laplacian's drift term: + primal, - dual."""
     return 1.0 if side == PRIMAL else -1.0
+
+
+def metric_laplacian(Ginv, glr, grad, hess, side):
+    """G^ij s_ij + lap_drift_sign(side) (n+2)/2 G^ij (log rho)_j s_i for a
+    scalar s with gradients `grad` and Hessians `hess`, broadcast over the
+    leading axes; the one metric-Laplacian contraction for oracles and
+    grids."""
+    n = np.shape(Ginv)[-1]
+    drift = lap_drift_sign(side) * (n + 2.0) / 2.0
+    return (np.einsum("...ij,...ij->...", Ginv, hess)
+            + drift * np.einsum("...ij,...j,...i->...", Ginv, glr, grad))
+
+
+def phi_inequality_residual(Ginv, glr, phi, gphi, hphi, side):
+    """Lap Phi minus the right-hand side of the gradient-of-Phi inequality
+
+        n/(n-1) |grad Phi|^2/Phi + (n^2-3n-10)/(2(n-1)) <grad Phi, grad log rho>
+        + (n+2)^2/(n-1) Phi^2,
+
+    from Phi, its gradients and Hessians, broadcast over the leading axes."""
+    n = np.shape(Ginv)[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = (n / (n - 1.0) * np.einsum("...ij,...i,...j->...", Ginv, gphi, gphi) / phi
+               + (n * n - 3.0 * n - 10.0) / (2.0 * (n - 1.0))
+               * np.einsum("...ij,...i,...j->...", Ginv, gphi, glr)
+               + (n + 2.0) ** 2 / (n - 1.0) * phi**2)
+    return metric_laplacian(Ginv, glr, gphi, hphi, side) - rhs
 
 
 def _require_spd(H, x):
@@ -104,9 +132,10 @@ def rho_value_rule(oracle, side):
 
 
 def fd_step(oracle, x, h=None):
+    """h, or the default outer step of each point x (..., n)."""
     if h is not None:
         return h
-    return DEFAULT_FD_SCALE * max(1.0, float(np.abs(np.asarray(x)).max()))
+    return DEFAULT_FD_SCALE * np.maximum(1.0, np.abs(np.asarray(x)).max(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +144,8 @@ def fd_step(oracle, x, h=None):
 
 
 def xx_hessian_logrho(oracle, x, side=None, h=None, use_richardson=True):
-    """Second derivatives of log rho with respect to the primal coordinates.
+    """Second derivatives of log rho with respect to the primal coordinates,
+    at points x (..., n).
 
     On the dual side d/dx_j is the directional derivative along the columns
     of (D^2 u)^{-1}; centered differencing along those straight lines agrees
@@ -123,17 +153,17 @@ def xx_hessian_logrho(oracle, x, side=None, h=None, use_richardson=True):
     """
     side = side or oracle.side
     x = np.asarray(x, dtype=float)
-    n = oracle.n
     h = fd_step(oracle, x, h)
     glr = grad_logrho_rule(oracle, side)
     if side == PRIMAL:
-        D = fd_directional(glr, x, np.eye(n), h, use_richardson)
+        D = fd_directional(glr, x, np.eye(oracle.n), h, use_richardson)
     else:
         def s_of(xi):
-            return np.linalg.inv(oracle.hessian(xi)) @ glr(xi)
+            return (np.linalg.inv(oracle.hessian(xi)) @ glr(xi)[..., None])[..., 0]
 
-        D = fd_directional(s_of, x, np.linalg.inv(oracle.hessian(x)).T, h, use_richardson)
-    return 0.5 * (D + D.T)  # D[j] is the difference along direction j
+        basis = np.swapaxes(np.linalg.inv(oracle.hessian(x)), -1, -2)
+        D = fd_directional(s_of, x, basis, h, use_richardson)
+    return 0.5 * (D + np.swapaxes(D, -1, -2))  # D[..., j, :] is along direction j
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +212,15 @@ def _node(grid, x):
     return grid.nearest_node(x)
 
 
+def _connection(Hi, T):
+    """The Levi-Civita connection Gamma^k_ij = 1/2 G^kl d3_ijl and the Ricci
+    tensor contracted from the cubic form A = -1/2 d3."""
+    A = -0.5 * T
+    return (0.5 * np.einsum("kl,ijl->kij", Hi, T),
+            np.einsum("mh,lj,iml,hjk->ik", Hi, Hi, A, A)
+            - np.einsum("mh,lj,imk,hlj->ik", Hi, Hi, A, A))
+
+
 def geometry_sample(potential, x, side=None, h=None):
     """All pointwise tensors at x (oracle) or at the node nearest x (grid)."""
     n = potential.n
@@ -202,7 +241,7 @@ def geometry_sample(potential, x, side=None, h=None):
     T = potential.third(at)
     inv = invariants(H, T, side)
     Hi = inv["Ginv"]
-    A = -0.5 * T
+    Gamma, ricci = _connection(Hi, T)
     KR = (n + 2.0) * (grid_xx_hessian_logrho(potential, side)[at] if on_grid
                       else xx_hessian_logrho(potential, x, side, h))
     # scalar: -1/2 sum f^{ij} d_i d_j logdet f; f^{ij} at the graph point is
@@ -210,11 +249,9 @@ def geometry_sample(potential, x, side=None, h=None):
     fij = Hi if side == PRIMAL else H
     rho = float(inv["rho"])
     return GeometrySample(
-        x=x, side=side, G=H, Ginv=Hi, Gamma=0.5 * np.einsum("kl,ijl->kij", Hi, T), A=A,
-        B=np.zeros((n, n)),
+        x=x, side=side, G=H, Ginv=Hi, Gamma=Gamma, A=-0.5 * T, B=np.zeros((n, n)),
         J=float(np.einsum("il,jm,kn,ijk,lmn->", Hi, Hi, Hi, T, T) / (4.0 * n * (n - 1))),
-        Ricci=(np.einsum("mh,lj,iml,hjk->ik", Hi, Hi, A, A)
-               - np.einsum("mh,lj,imk,hlj->ik", Hi, Hi, A, A)),
+        Ricci=ricci,
         KahlerRicci=KR, KahlerScalar=0.5 * float(np.einsum("ij,ij->", fij, KR)),
         rho=rho, grad_rho=rho * inv["grad_logrho"], Phi=float(inv["Phi"]),
         conormal=np.r_[-potential.gradient(at), 1.0],
@@ -247,19 +284,16 @@ class ScalarRule:
 def calabi_laplacian(potential, field, x, side=None, h=None, use_richardson=True):
     """Metric Laplacian of a scalar field.
 
-    For an analytic potential, x is any point and missing field derivatives
-    use Richardson-extrapolated differences. For a grid potential, x snaps
-    to the nearest node and the field (callable or node array) is chained
-    through grid differences.
+    For an analytic potential, x is a point or a batch of points (..., n)
+    and missing field derivatives use Richardson-extrapolated differences.
+    For a grid potential, x snaps to the nearest node and the field
+    (callable on points, or node array) is chained through grid differences.
     """
     if isinstance(potential, GridFunction):
         grid = potential.grid
         node = _node(grid, x)
-        values = field if isinstance(field, np.ndarray) else \
-            np.vectorize(lambda *c: field(np.array(c)))(*np.meshgrid(
-                *grid.coords, indexing="ij"))
-        lap = grid_laplacian_of(potential, side or PRIMAL, values)
-        out = lap[node]
+        values = field if isinstance(field, np.ndarray) else field(grid.points())
+        out = grid_laplacian_of(potential, side or PRIMAL, values)[node]
         if not np.isfinite(out):
             raise StencilError("laplacian stencil does not fit at the node",
                                node=[int(k) for k in node])
@@ -271,26 +305,15 @@ def calabi_laplacian(potential, field, x, side=None, h=None, use_richardson=True
     H = potential.hessian(x)
     _require_spd(H, x)
     inv = invariants(H, potential.third(x), side)
-    Hi, glr = inv["Ginv"], inv["grad_logrho"]
     hstep = fd_step(potential, x, h)
-    grad_f = field.gradient(x, hstep, use_richardson)
-    hess_f = field.hessian(x, hstep, use_richardson)
-    n = potential.n
-    drift = lap_drift_sign(side) * (n + 2.0) / 2.0
-    return float(np.einsum("ij,ij->", Hi, hess_f)
-                 + drift * np.einsum("ij,j,i->", Hi, glr, grad_f))
+    lap = metric_laplacian(inv["Ginv"], inv["grad_logrho"],
+                           field.gradient(x, hstep, use_richardson),
+                           field.hessian(x, hstep, use_richardson), side)
+    return float(lap) if x.ndim == 1 else lap
 
 
 # ---------------------------------------------------------------------------
 # structure-equation self-checks
-
-
-def _gamma_rule(oracle):
-    def rule(x):
-        H = oracle.hessian(x)
-        return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(H), oracle.third(x))
-
-    return rule
 
 
 @dataclass(frozen=True)
@@ -315,9 +338,9 @@ def structure_residuals(potential, x, h=1e-3):
     _require_spd(H, x)
     T = potential.third(x)
     Hi = np.linalg.inv(H)
-    Gamma = 0.5 * np.einsum("kl,ijl->kij", Hi, T)
+    Gamma, ricci_cubic = _connection(Hi, T)
     A = -0.5 * T
-    A_up = np.einsum("kl,ijl->kij", Hi, A)
+    A_up = -Gamma  # G^kl A_ijl
 
     # graph structure equation: dd y - Gamma.dy = A.dy + H Y
     grad = potential.gradient(x)
@@ -339,12 +362,13 @@ def structure_residuals(potential, x, h=1e-3):
     codazzi = float(np.abs(A_cov - A_cov.transpose(3, 1, 2, 0)).max())
 
     # Ricci from the connection vs the cubic-form contraction
-    dG = fd_directional(_gamma_rule(potential), x, np.eye(n), h)  # d_l Gamma^k_ij at [l, k, i, j]
+    def gamma(y):
+        return _connection(np.linalg.inv(potential.hessian(y)), potential.third(y))[0]
+
+    dG = fd_directional(gamma, x, np.eye(n), h)  # d_l Gamma^k_ij at [l, k, i, j]
     ricci_gamma = (np.einsum("mmvs->sv", dG) - np.einsum("vmms->sv", dG)
                    + np.einsum("mml,lvs->sv", Gamma, Gamma)
                    - np.einsum("mvl,lms->sv", Gamma, Gamma))
-    ricci_cubic = (np.einsum("mh,lj,iml,hjk->ik", Hi, Hi, A, A)
-                   - np.einsum("mh,lj,imk,hlj->ik", Hi, Hi, A, A))
     ricci = float(np.abs(ricci_gamma - ricci_cubic).max())
     return StructureResiduals(gauss, codazzi, ricci)
 
@@ -376,32 +400,18 @@ def grid_phi(fu, side):
 
 def grid_laplacian_of(fu, side, values):
     """Metric Laplacian of a node field, by FD chains at grid spacing."""
-    Hi = grid_invariants(fu, side)["Ginv"]
-    glr = grid_grad_logrho(fu, side)
-    gv = gradient_field(values, fu.grid)
-    hv = hessian_field(values, fu.grid)
-    n = fu.n
-    drift = lap_drift_sign(side) * (n + 2.0) / 2.0
-    return (np.einsum("...ij,...ij->...", Hi, hv)
-            + drift * np.einsum("...ij,...j,...i->...", Hi, glr, gv))
+    return metric_laplacian(grid_invariants(fu, side)["Ginv"], grid_grad_logrho(fu, side),
+                            gradient_field(values, fu.grid), hessian_field(values, fu.grid),
+                            side)
 
 
 def grid_phi_inequality_fields(fu, side):
     """(residual field, Phi field) of the gradient-of-Phi differential
     inequality, by FD chains."""
-    n = fu.n
-    Hi = grid_invariants(fu, side)["Ginv"]
-    glr = grid_grad_logrho(fu, side)
     phi = grid_phi(fu, side)
-    gphi = gradient_field(phi, fu.grid)
-    lap_phi = grid_laplacian_of(fu, side, phi)
-    norm_gphi = np.einsum("...ij,...i,...j->...", Hi, gphi, gphi)
-    inner = np.einsum("...ij,...i,...j->...", Hi, gphi, glr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = (n / (n - 1.0) * norm_gphi / phi
-               + (n * n - 3.0 * n - 10.0) / (2.0 * (n - 1.0)) * inner
-               + (n + 2.0) ** 2 / (n - 1.0) * phi**2)
-    return lap_phi - rhs, phi
+    return phi_inequality_residual(grid_invariants(fu, side)["Ginv"], grid_grad_logrho(fu, side),
+                                   phi, gradient_field(phi, fu.grid),
+                                   hessian_field(phi, fu.grid), side), phi
 
 
 def grid_xx_hessian_logrho(fu, side):

@@ -6,8 +6,9 @@ and the width-5 pure d_iii. Each is a list of arms, an integer node offset
 with an integer coefficient, over a spacing denominator. `GridStencil` applies
 the arms to node arrays of one grid shape; `central` evaluates a callable at
 x + h * offset, and `fd_directional`, `fd_gradient` and `fd_hessian` build on
-it. All differences are second order; one Richardson level lifts the
-callable ones to fourth order on smooth inputs.
+it; they take a batch of points (..., n) with per-point steps (...). All
+differences are second order; one Richardson level lifts the callable ones
+to fourth order on smooth inputs.
 """
 
 from __future__ import annotations
@@ -94,13 +95,19 @@ class GridStencil:
 
 
 def central(fn, x, axes, h, basis=None):
-    """The difference along `axes` of a callable at x: the arms evaluated at
-    x + h * offset @ basis (the coordinate axes by default), each point on
-    its own."""
-    basis = np.eye(len(x)) if basis is None else basis
-    arms, den = difference(axes, len(basis))
-    return functools.reduce(operator.add, (c * fn(x + h * (np.asarray(o) @ basis))
-                                           for o, c in arms)) / den((h,) * len(basis))
+    """The difference along `axes` of a callable at points x (..., n): the
+    arms evaluated at x + h * offset @ basis, with per-point steps h (...)
+    and bases (..., k, n) (the coordinate axes by default). Each arm is one
+    call of fn on the whole batch."""
+    x = np.asarray(x, dtype=float)
+    basis = np.eye(x.shape[-1]) if basis is None else basis
+    h = np.asarray(h, dtype=float)
+    k = np.shape(basis)[-2]
+    arms, den = difference(axes, k)
+    total = functools.reduce(operator.add, (c * fn(x + h[..., None] * (np.asarray(o) @ basis))
+                                            for o, c in arms))
+    d = den((h,) * k)  # per point; broadcast over the value axes of fn
+    return total / np.reshape(d, d.shape + (1,) * (np.ndim(total) - d.ndim))
 
 
 def richardson(coarse, fine):
@@ -109,27 +116,34 @@ def richardson(coarse, fine):
 
 
 def fd_directional(fn, x, directions, h, use_richardson=True):
-    """Centered first differences of a scalar- or array-valued callable at x
-    along each row of `directions`, stacked on the first axis, with one
-    Richardson level unless `use_richardson` is False."""
+    """Centered first differences of a scalar- or array-valued callable at
+    points x (..., n) along each row of `directions` (k, n), or of a
+    per-point basis (..., k, n); the k differences are stacked on the axis
+    after the point axes. One Richardson level unless `use_richardson` is
+    False."""
+    x = np.asarray(x, dtype=float)
+
     def level(step):
-        return np.stack([central(fn, x, (0,), step, w[None, :]) for w in directions])
+        return np.stack([central(fn, x, (0,), step, directions[..., j:j + 1, :])
+                         for j in range(np.shape(directions)[-2])], axis=x.ndim - 1)
 
     D = level(h)
     return richardson(D, level(h / 2.0)) if use_richardson else D
 
 
 def fd_gradient(fn, x, h, use_richardson=True):
-    return fd_directional(fn, x, np.eye(len(x)), h, use_richardson)
+    return fd_directional(fn, x, np.eye(np.shape(x)[-1]), h, use_richardson)
 
 
 def fd_hessian(fn, x, h, use_richardson=True):
-    n = len(x)
-    out = np.empty((n, n))
+    """Hessians (..., n, n) of a scalar callable at points x (..., n)."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    out = np.empty(x.shape[:-1] + (n, n))
     for i in range(n):
         for j in range(i, n):
             d = central(fn, x, (i, j), h)
             if use_richardson:
                 d = richardson(d, central(fn, x, (i, j), h / 2.0))
-            out[i, j] = out[j, i] = d
+            out[..., i, j] = out[..., j, i] = d
     return out

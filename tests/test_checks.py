@@ -7,7 +7,8 @@ from malab.checks import (BarrierConstants, choose_shift_constant,
                           section_probes, trace_ray)
 from malab.domains import Ball
 from malab.errors import (CounterexampleError, PreconditionError, WindowError)
-from malab.grids import Grid
+from malab.geometry import grid_phi_inequality_fields
+from malab.grids import INTERIOR, Grid, box_grid, sample_oracle
 from malab.oracles import (DriftCoefficients, DualLog, ExpSolution, Quadratic,
                            normalize_at)
 from malab.solver import newton_solve
@@ -63,11 +64,37 @@ class TestPhiInequality:
         pts = np.c_[rng.uniform(0.5, 2, 50), rng.uniform(-1, 1, 50)]
         rep = phi_inequality_check(DualLog(2), pts)
         assert rep.passed
+        assert np.abs(rep.residuals["residual"]).max() <= 1e-6
 
     def test_quadratic_vacuous(self, rng):
         rep = phi_inequality_check(Quadratic.unit(2), rng.uniform(-1, 1, (10, 2)))
         assert rep.passed
         assert rep.stats["skipped_zero_phi"] == 10
+
+    # on the fixtures the inequality holds with equality, so the residual
+    # itself is small, not only its negative part (test_duallog asserts the
+    # same on the dual side)
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_equality_on_expsolution(self, n, rng):
+        rep = phi_inequality_check(ExpSolution(n), rng.uniform(-1, 1, (50, n)))
+        assert np.abs(rep.residuals["residual"]).max() <= 1e-6
+
+    def test_grid_equality_residual_falls_under_refinement(self):
+        worst = []
+        for res in (33, 65):
+            fu = sample_oracle(ExpSolution(2), box_grid([-1, -1], [1, 1], res))
+            r, _ = grid_phi_inequality_fields(fu, "primal")
+            live = np.isfinite(r) & (fu.grid.mask == INTERIOR)
+            worst.append(np.abs(r[live]).max())
+        assert worst[1] * 2.5 <= worst[0]
+
+    def test_gate_tol_applies_to_oracles(self, rng):
+        dl = DualLog(2)
+        off = DriftCoefficients(dl.drift().d0 + 1e-9, dl.drift().d)
+        pts = np.c_[rng.uniform(0.5, 2, 10), rng.uniform(-1, 1, 10)]
+        assert phi_inequality_check(dl, pts, drift=off).passed
+        with pytest.raises(PreconditionError):
+            phi_inequality_check(dl, pts, drift=off, gate_tol=1e-10)
 
     def test_solver_output_grid_route(self):
         ball = Ball(np.zeros(2), 1.0)
