@@ -16,15 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .checks import (BarrierConstants, barrier_functionals, choose_epsilon,
-                     choose_shift_constant, gradient_ratio, require_normalized,
-                     trace_ray)
+from .checks import (SECTION_RAYS, BarrierConstants, barrier_functionals,
+                     choose_epsilon, choose_shift_constant, gradient_ratio,
+                     require_normalized, trace_ray)
 from .domains import Polytope, direction_fan, normalize_domain
 from .errors import PreconditionError, UnboundedSectionError
 from .geometry import invariants, phi_rule
 from .oracles import AffineImageOracle
-
-DEFAULT_DIRECTIONS = {2: 128, 3: 512}
 
 
 @dataclass
@@ -52,17 +50,12 @@ def extract_section(u, p, C, directions=None, mvee_tol=1e-9):
     before reaching the level.
     """
     p = require_normalized(u, p)
-    n = u.n
-    directions = directions or DEFAULT_DIRECTIONS.get(n, 512)
-    dirs = direction_fan(n, directions)
-    pts = np.empty((directions, n))
-    for k, d in enumerate(dirs):
-        x, kind = trace_ray(u, p, d, C, window=None, rel_tol=1e-9)
-        if kind != "level":
-            raise UnboundedSectionError(
-                "section ray leaves the domain before the level",
-                direction=d.tolist(), level=C)
-        pts[k] = x
+    dirs = direction_fan(u.n, directions or SECTION_RAYS[u.n])
+    pts, kinds = trace_ray(u, p, dirs, C, window=None, rel_tol=1e-9)
+    if (kinds != "level").any():
+        raise UnboundedSectionError(
+            "section ray leaves the domain before the level",
+            direction=dirs[np.argmax(kinds != "level")].tolist(), level=C)
     defect = float(np.abs(u.value(pts) - C).max())
     if defect > 1e-6 * max(C, 1e-12):
         raise PreconditionError("section boundary located too coarsely",
@@ -152,15 +145,10 @@ def _normal_map_coverage(pts, vals, directions_count, margin=1e-3):
     circ = float(np.linalg.norm(hpts, axis=1).max())
     R = 2.0 * circ
     r = 1.0 / (2.0 * R)
-    n = pts.shape[1]
-    dirs = direction_fan(n, directions_count)
-    covered = 0
-    for th in dirs:
-        score = hvals - hpts @ (r * th)
-        k = int(np.argmin(score))
-        if hvals[k] < 0.5 - margin:
-            covered += 1
-    return r, covered, len(dirs), circ
+    dirs = direction_fan(pts.shape[1], directions_count)
+    # the probe minimizing w - <x, r th> for each direction th (rows)
+    k = np.argmin(hvals - (r * dirs) @ hpts.T, axis=1)
+    return r, int((hvals[k] < 0.5 - margin).sum()), len(dirs), circ
 
 
 def run_blowup(u, p, ladder, probes_per_axis=161, directions=None,

@@ -10,10 +10,12 @@ precondition gates (callers and tests decide what a report means).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domains import direction_fan
 from .errors import CounterexampleError, PreconditionError, WindowError
 from .geometry import (ScalarRule, calabi_laplacian, fd_step, grad_logrho_rule,
                        grid_invariants, grid_phi_inequality_fields, invariants,
@@ -25,6 +27,8 @@ from .solver import residual_field
 from .stencils import fd_gradient, fd_hessian
 
 PDE_GATE_TOL = 1e-8
+# rays traced from the base point to locate a section boundary, by dimension
+SECTION_RAYS = defaultdict(lambda: 512, {2: 128})
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +96,9 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
     primal_value_laplacian  Lap f = n + (n+2)/(2 rho) <grad rho, grad f>;
     dual_value_laplacian    Lap u = n - (n+2)/(2 rho) <grad rho, grad u>;
     phi_scaling_rel         Phi of (potential/scale) = scale * Phi pointwise.
+
+    Only logrho_flat, rho_laplacian and the PDE gate test the equation;
+    the other three columns hold for every convex potential.
     """
     side = side or potential.side
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
@@ -256,77 +263,81 @@ def require_normalized(u, p):
     return p
 
 
-def trace_ray(u, p, direction, C, window=None, rel_tol=1e-8):
-    """Walk a ray from p until the potential reaches level C.
+def trace_ray(u, p, directions, C, window=None, rel_tol=1e-8):
+    """Walk rays from p until the potential reaches level C.
 
-    Returns (point, kind): kind is 'level' when u hits C on the ray,
-    'window' when the ray leaves the window box with u still below C, and
-    'domain' when it leaves the oracle's domain below C.
+    `directions` is a batch (k, n); all rays bisect together, and a ray
+    leaves the active set at the step where it is decided. Returns
+    (points, kinds): kind is 'level' when u hits C on the ray, 'window' when
+    the ray leaves the window box with u still below C, and 'domain' when it
+    leaves the oracle's domain below C. One direction (n,) gives
+    (point, kind).
     """
     p = np.asarray(p, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    n = len(p)
-    t_cap = np.inf
+    D = np.asarray(directions, dtype=float)
+    if D.ndim == 1:
+        x, kind = trace_ray(u, p, D[None, :], C, window, rel_tol)
+        return x[0], str(kind[0])
+
+    def below(t, rows):
+        """Whether u < C at p + t d on the given rays, and u there (NaN
+        outside the domain)."""
+        x = p + t[:, None] * D[rows]
+        inside = u.contains(x)
+        v = np.full(len(rows), np.nan)
+        v[inside] = u.value(x[inside])
+        return inside & (v < C), v
+
+    kinds = np.full(len(D), "", dtype="<U6")
+    t_cap = np.full(len(D), np.inf)
     if window is not None:
-        lo_w, hi_w = np.asarray(window[0], float), np.asarray(window[1], float)
-        for i in range(n):
-            if d[i] > 0:
-                t_cap = min(t_cap, (hi_w[i] - p[i]) / d[i])
-            elif d[i] < 0:
-                t_cap = min(t_cap, (lo_w[i] - p[i]) / d[i])
-    if not np.isfinite(t_cap):
-        t_cap = 1.0
-        while u.contains(p + t_cap * d) and float(u.value(p + t_cap * d)) < C:
-            t_cap *= 2.0
-            if t_cap > 1e12:
-                return p + t_cap * d, "window"
+        bound = np.where(D > 0, np.asarray(window[1], float), np.asarray(window[0], float))
+        t_cap = np.divide(bound - p, D, out=np.full(D.shape, np.inf), where=D != 0).min(axis=1)
+    rows = np.flatnonzero(~np.isfinite(t_cap))
+    t_cap[rows] = 1.0
+    while len(rows):                        # double the unbounded rays
+        rows = rows[below(t_cap[rows], rows)[0]]
+        t_cap[rows] *= 2.0
+        far = t_cap[rows] > 1e12
+        kinds[rows[far]] = "window"
+        rows = rows[~far]
 
-    def below(t):
-        x = p + t * d
-        return bool(u.contains(x)) and float(u.value(x)) < C
+    rows = np.flatnonzero(kinds == "")    # still below C at the cap: clipped
+    kinds[rows[below(t_cap[rows], rows)[0]]] = "window"
+    t_lo, t_hi = np.zeros(len(D)), t_cap.copy()
+    width = 1e-14 * np.maximum(1.0, t_cap)
+    rows = np.flatnonzero(kinds == "")
+    # bisect; a ray ends at its first lower end within rel_tol of the level
+    while len(rows := rows[t_hi[rows] - t_lo[rows] > width[rows]]):
+        t_mid = 0.5 * (t_lo[rows] + t_hi[rows])
+        hit, v = below(t_mid, rows)
+        t_lo[rows[hit]] = t_mid[hit]
+        t_hi[rows[~hit]] = t_mid[~hit]
+        level = hit & (np.abs(v - C) <= rel_tol * max(C, 1e-12))
+        kinds[rows[level]] = "level"
+        rows = rows[~level]
 
-    if below(t_cap):
-        return p + t_cap * d, "window"
-    t_lo, t_hi = 0.0, t_cap
-    while (t_hi - t_lo) > 1e-14 * max(1.0, t_cap):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if below(t_mid):
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-        x_lo = p + t_lo * d
-        if t_lo > 0 and abs(float(u.value(x_lo)) - C) <= rel_tol * max(C, 1e-12):
-            return x_lo, "level"
-    x_lo = p + t_lo * d
-    if abs(float(u.value(x_lo)) - C) <= 1e-6 * max(C, 1e-12):
-        return x_lo, "level"
-    return x_lo, "domain"
+    rows = np.flatnonzero(kinds == "")
+    near = np.abs(u.value(p + t_lo[rows, None] * D[rows]) - C) <= 1e-6 * max(C, 1e-12)
+    kinds[rows] = np.where(near, "level", "domain")
+    t = np.where(kinds == "window", t_cap, t_lo)
+    return p + t[:, None] * D, kinds
 
 
-def section_probes(u, p, C, window, probes_per_axis=201, ray_count=None,
-                   allow_clipped=False):
+def section_probes(u, p, C, window, probes_per_axis=201, allow_clipped=False):
     """Dense probe set of the sublevel section {u < C}.
 
     Rays from p locate the section boundary by bisection; rays that leave
     the window or the oracle domain before the level mark the section as
     clipped (an error unless allow_clipped). Returns (points, clipped_rays).
     """
-    from .domains import direction_fan
-
     p = require_normalized(u, p)
     n = u.n
-    ray_count = ray_count or (128 if n == 2 else 512)
-    dirs = direction_fan(n, ray_count)
-    hits, clipped = [], 0
-    for d in dirs:
-        x, kind = trace_ray(u, p, d, C, window)
-        if kind != "level":
-            clipped += 1
-        hits.append(x)
+    hits, kinds = trace_ray(u, p, direction_fan(n, SECTION_RAYS[n]), C, window)
+    clipped = int((kinds != "level").sum())
     if clipped and not allow_clipped:
         raise WindowError("section is not compactly contained in the window",
-                          clipped_rays=clipped, rays=ray_count)
-    hits = np.asarray(hits)
+                          clipped_rays=clipped, rays=len(hits))
     lo_w, hi_w = np.asarray(window[0], float), np.asarray(window[1], float)
     lo = np.maximum(hits.min(axis=0), lo_w)
     hi = np.minimum(hits.max(axis=0), hi_w)

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 computational error (JSON on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,13 +37,24 @@ def _schema(name):
         return json.load(fh)
 
 
-def _validate_config(cfg):
-    import jsonschema
+@functools.cache
+def _config_validator():
+    """Validator of the run-config schema, checked against its metaschema
+    once per process."""
+    from jsonschema.validators import validator_for
 
-    try:
-        jsonschema.validate(cfg, _schema("runconfig.schema.json"))
-    except jsonschema.ValidationError as e:
-        raise UsageError("config failed schema validation", detail=e.message) from None
+    schema = _schema("runconfig.schema.json")
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate_config(cfg):
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_config_validator().iter_errors(cfg))
+    if error is not None:
+        raise UsageError("config failed schema validation", detail=error.message)
 
 
 def _dump_json(obj):

@@ -3,8 +3,8 @@ affine normalization that sends the ellipsoid to the unit ball.
 
 Supported domains are boxes, balls and halfspace polytopes. The centered
 MVEE is computed by a fixed-center multiplicative-weights ascent with away
-steps over a finite support set (vertices for boxes/polytopes, a dense
-direction fan for balls).
+steps over the vertices of a box or polytope; a ball is its own MVEE.
+Support points take a batch of directions (..., n).
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class Ball:
 
     def support_point(self, direction):
         d = np.asarray(direction, dtype=float)
-        return self.center + self.radius * d / np.linalg.norm(d)
+        return self.center + self.radius * d / np.linalg.norm(d, axis=-1, keepdims=True)
 
     def centroid(self):
         return self.center.copy()
@@ -167,7 +167,7 @@ class Polytope:
 
     def support_point(self, direction):
         v = self.vertices()
-        return v[np.argmax(v @ np.asarray(direction, dtype=float))]
+        return v[np.argmax(np.asarray(direction, dtype=float) @ v.T, axis=-1)]
 
     def centroid(self):
         """Exact centroid by fan decomposition from an interior point (n<=3)."""
@@ -324,19 +324,6 @@ def direction_fan(n, count, seed=None):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-DEFAULT_FAN = {2: 256, 3: 2048}
-
-
-def support_points(domain, count=None):
-    """Finite support set whose MVEE equals the domain's MVEE for polyhedra."""
-    n = domain.dim
-    if isinstance(domain, (Box, Polytope)):
-        return domain.vertices()
-    count = count or DEFAULT_FAN.get(n, 4096)
-    dirs = direction_fan(n, count)
-    return np.array([domain.support_point(d) for d in dirs])
-
-
 # ---------------------------------------------------------------------------
 # centered MVEE
 
@@ -345,19 +332,17 @@ def centered_mvee(domain, tol=1e-9, max_iters=200_000):
     """Minimum-volume ellipsoid containing `domain`, centered at its centroid.
 
     Fixed-center multiplicative-weights ascent (Khachiyan-type) with away
-    steps over the domain's support points; the returned ellipsoid is
-    rescaled to contain every support point exactly.
+    steps over the vertices of a box or polytope (Todd & Yildirim, Discrete
+    Appl. Math. 2007); the returned ellipsoid is rescaled to contain every
+    vertex exactly. A ball is its own centered MVEE.
     """
     if not (0.0 < tol <= 1e-3):
         raise DomainError("tol must lie in (0, 1e-3]", tol=tol)
     c = domain.centroid()
-    pts = support_points(domain)
-    q = pts - c
-    m, n = q.shape
     if isinstance(domain, Ball):
-        # a ball is its own centered MVEE
-        M = np.eye(n) / domain.radius**2
-        return Ellipsoid(c, M)
+        return Ellipsoid(c, np.eye(domain.dim) / domain.radius**2)
+    q = domain.vertices() - c
+    m, n = q.shape
 
     u = np.full(m, 1.0 / m)
     eye = 1e-14 * np.eye(n)
@@ -373,14 +358,9 @@ def centered_mvee(domain, tol=1e-9, max_iters=200_000):
         gap = kmax / n - 1.0
         if gap <= tol:
             break
-        do_away = (1.0 - kmin / n) > (kmax / n - 1.0)
-        if do_away:
-            # dropping the point entirely must keep the support full-rank
-            trial = u.copy()
-            trial[gmin_idx] = 0.0
-            if np.linalg.matrix_rank(q[trial > 1e-16], tol=1e-10) < n:
-                do_away = False
-        if do_away:
+        # an away step may drop the point entirely, which must keep V
+        # nonsingular: det(V - u_j q_j q_j^T) = det V (1 - u_j g_j)
+        if (1.0 - kmin / n) > (kmax / n - 1.0) and u[gmin_idx] * kmin < 1.0 - 1e-8:
             clip = -u[gmin_idx] / (1.0 - u[gmin_idx])
             if kmin > 1.0:
                 lam = max((kmin - n) / (n * (kmin - 1.0)), clip)
@@ -400,7 +380,7 @@ def centered_mvee(domain, tol=1e-9, max_iters=200_000):
 
     V = (q * u[:, None]).T @ q
     M = np.linalg.inv(V) / n
-    # rescale for exact containment of the support set
+    # rescale for exact containment of the vertices
     s = np.einsum("ij,jk,ik->i", q, M, q).max()
     M = M / s
     ell = Ellipsoid(c, M)
@@ -444,8 +424,9 @@ def normalize_domain(domain, tol=1e-9, check_directions=1024):
     image = _affine_image_domain(domain, T)
     n = domain.dim
     dirs = direction_fan(n, max(check_directions, 2 * n))
-    sup = np.array([image.support_point(d) @ d for d in dirs])
-    outer = np.array([np.linalg.norm(image.support_point(d)) for d in dirs])
+    far = image.support_point(dirs)
+    sup = np.einsum("ki,ki->k", far, dirs)
+    outer = np.linalg.norm(far, axis=-1)
     slack = 1e-6
     if outer.max() > 1.0 + slack:
         raise DomainError("normalized image escapes the unit ball",

@@ -342,12 +342,13 @@ def structure_residuals(potential, x, h=1e-3):
     A = -0.5 * T
     A_up = -Gamma  # G^kl A_ijl
 
-    # graph structure equation: dd y - Gamma.dy = A.dy + H Y
+    # graph structure equation: dd y - Gamma.dy = A.dy + H Y, with the
+    # second derivatives of the graph taken by differencing the gradient
     grad = potential.gradient(x)
     y_k = np.c_[np.eye(n), grad].reshape(n, n + 1)          # tangent vectors
     Y = np.r_[np.zeros(n), 1.0]
     ddy = np.zeros((n, n, n + 1))
-    ddy[..., n] = H
+    ddy[..., n] = fd_directional(potential.gradient, x, np.eye(n), h)
     resid = (ddy - np.einsum("kij,ka->ija", Gamma, y_k)
              - np.einsum("kij,ka->ija", A_up, y_k)
              - np.einsum("ij,a->ija", H, Y))

@@ -5,7 +5,7 @@ from malab.checks import (BarrierConstants, choose_shift_constant,
                           identity_suite, det_barrier_constant, det_barrier_probe,
                           section_functionals, phi_inequality_check, phi_barrier_ladder,
                           section_probes, trace_ray)
-from malab.domains import Ball
+from malab.domains import Ball, direction_fan
 from malab.errors import (CounterexampleError, PreconditionError, WindowError)
 from malab.geometry import grid_phi_inequality_fields
 from malab.grids import INTERIOR, Grid, box_grid, sample_oracle
@@ -18,6 +18,40 @@ WINDOW = (np.array([1e-3, -8.0]), np.array([25.0, 8.0]))
 
 def duallog_normalized():
     return normalize_at(DualLog(2), np.array([1.0, 0.0]))
+
+
+def trace_ray_loop(u, p, d, C, window=None, rel_tol=1e-8):
+    """One ray at a time: the scalar reference for the batched trace_ray."""
+    p, d = np.asarray(p, dtype=float), np.asarray(d, dtype=float)
+    t_cap = np.inf
+    if window is not None:
+        for i in range(len(p)):
+            if d[i] != 0:
+                t_cap = min(t_cap, ((window[1] if d[i] > 0 else window[0])[i] - p[i]) / d[i])
+
+    def below(t):
+        x = p + t * d
+        return bool(u.contains(x)) and float(u.value(x)) < C
+
+    if not np.isfinite(t_cap):
+        t_cap = 1.0
+        while below(t_cap):
+            t_cap *= 2.0
+            if t_cap > 1e12:
+                return p + t_cap * d, "window"
+    if below(t_cap):
+        return p + t_cap * d, "window"
+    t_lo, t_hi = 0.0, t_cap
+    while (t_hi - t_lo) > 1e-14 * max(1.0, t_cap):
+        t_mid = 0.5 * (t_lo + t_hi)
+        if below(t_mid):
+            t_lo = t_mid
+            if abs(float(u.value(p + t_lo * d)) - C) <= rel_tol * max(C, 1e-12):
+                return p + t_lo * d, "level"
+        else:
+            t_hi = t_mid
+    near = abs(float(u.value(p + t_lo * d)) - C) <= 1e-6 * max(C, 1e-12)
+    return p + t_lo * d, "level" if near else "domain"
 
 
 class TestIdentitySuite:
@@ -116,6 +150,24 @@ class TestSectionMachinery:
         assert u.value(x) == pytest.approx(0.3, abs=1e-6)
         x, kind = trace_ray(u, [1, 0], np.array([-1.0, 0.0]), 10.0, WINDOW)
         assert kind == "window"
+
+    @pytest.mark.parametrize("u, C, window, expected", [
+        (duallog_normalized(), 0.3, WINDOW, {"level"}),
+        (duallog_normalized(), 10.0, WINDOW, {"level", "window"}),
+        (duallog_normalized(), 10.0, None, {"level", "domain"}),     # doubling
+        (DualLog(2), 0.5, None, {"level", "domain"}),   # u -> 0 as s1 -> 0
+        (Quadratic.unit(2), 1e30, None, {"window"}),    # doubling past 1e12
+    ])
+    def test_batched_trace_ray_matches_single_rays(self, u, C, window, expected):
+        """All rays bisected together give, bit for bit, what one ray at a
+        time gives: through the batched code and through the scalar loop."""
+        dirs = direction_fan(2, 32)
+        pts, kinds = trace_ray(u, [1, 0], dirs, C, window)
+        assert set(kinds) == expected
+        for ref in (trace_ray, trace_ray_loop):
+            single = [ref(u, [1, 0], d, C, window) for d in dirs]
+            assert np.array_equal(pts, np.array([x for x, _ in single]))
+            assert np.array_equal(kinds, [kind for _, kind in single])
 
     def test_section_probes_compact_level(self):
         u = duallog_normalized()

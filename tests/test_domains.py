@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from malab.domains import (AffineMap, Ball, Box, Ellipsoid, Polytope,
                            box_as_polytope, centered_mvee, domain_from_json,
-                           direction_fan, normalize_domain, support_points)
+                           direction_fan, normalize_domain)
 from malab.errors import DomainError
 
 from conftest import random_polytope
@@ -48,7 +49,7 @@ class TestMVEE:
         for _ in range(10):
             P = random_polytope(rng)
             e = centered_mvee(P, tol=1e-9)
-            q = e.quadratic(support_points(P))
+            q = e.quadratic(P.vertices())
             assert q.max() <= 1.0 + 1e-6
 
     def test_affine_equivariance(self, rng):
@@ -117,6 +118,17 @@ class TestNormalize:
             assert np.array([np.linalg.norm(img.support_point(d)) for d in dirs]).max() \
                 <= 1.0 + 1e-6
             assert sup.min() >= 3.0 ** (-1.5) * (1 - 1e-6)
+
+
+class TestSupportPoints:
+    def test_batched_directions_match_single_calls(self, rng):
+        hull = ConvexHull(rng.normal(size=(20, 2)))
+        domains = (Box([-1, -2], [3, 1]), Ball(np.array([0.3, -0.2]), 2.0),
+                   Polytope(hull.equations[:, :-1], -hull.equations[:, -1]))
+        dirs = direction_fan(2, 64)
+        for dom in domains:
+            single = np.array([dom.support_point(d) for d in dirs])
+            assert np.array_equal(dom.support_point(dirs), single)
 
 
 class TestDomainTypes:

@@ -202,6 +202,17 @@ class TestStructure:
             assert sr.codazzi <= 1e-4
             assert sr.ricci_consistency <= 1e-4
 
+    def test_planted_hessian_error_shows_in_gauss(self):
+        """The structure equation differences the oracle's gradient, so a
+        Hessian 1% off the gradient's derivative cannot pass."""
+
+        class OffHessian(Quadratic):
+            def hessian(self, x):
+                return 1.01 * super().hessian(x)
+
+        sr = structure_residuals(OffHessian(np.eye(3)), np.array([0.2, 0.1, -0.3]))
+        assert sr.gauss > 1e-3
+
 
 class TestGridGeometry:
     def test_grid_sample_matches_oracle(self):
