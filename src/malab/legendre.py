@@ -2,8 +2,12 @@
 
 The discrete conjugate runs dimension by dimension (one 1-D conjugation per
 axis), which equals the full max over the sampled lattice; a brute-force
-double loop is kept as the test oracle. Dual evaluations outside the sampled
-gradient hull are reported, never extrapolated.
+double loop is kept as the test oracle. Each 1-D pass is an exact
+monotone-argmax search (Lucet, Numer. Algorithms 16, 1997) over N samples
+onto M dual nodes: O(lines (M + N) log M) work and O(lines (M + N)) memory,
+evaluating the full max's own scores only where its argmax can be. Dual
+evaluations outside the sampled gradient hull are reported, never
+extrapolated.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .errors import DegeneracyError, ExtrapolationError
-from .grids import INTERIOR, OUTSIDE, GridFunction, box_grid
+from .errors import ConvexityError, DegeneracyError, ExtrapolationError
+from .grids import INTERIOR, OUTSIDE, GridFunction, box_grid, check_convex
 
 _HULL_TOL = 1e-9
 
@@ -51,13 +55,49 @@ class LegendrePair:
 
 
 def _conjugate_1d(xs, vals, xis):
-    """1-D discrete conjugate of samples (xs, vals) onto dual nodes xis.
+    """1-D discrete conjugate max_j [xis_i xs_j - vals_j] of every line.
 
-    vals has shape (lines, len(xs)); +inf marks missing samples.
+    vals has shape (lines, len(xs)); +inf marks missing samples, whose
+    scores are -inf. xs and xis are increasing and xi x has increasing
+    differences, so each line's leftmost argmax is nondecreasing in i. The
+    end rows are solved over the whole line, then each level solves the
+    midpoints between known rows over [arg[left], arg[right]] as one flat
+    pass over all (line, row) windows. The scores are the full max's own
+    floats; only a near-tie within rounding of xi x could sit outside a
+    window, and then by no more than that rounding.
     """
-    score = xis[None, :, None] * xs[None, None, :] - vals[:, None, :]
-    score = np.where(np.isfinite(score), score, -np.inf)
-    return score.max(axis=-1)
+    lines, n = vals.shape
+    m = len(xis)
+    flat_vals, flat_xs = vals.ravel(), np.tile(xs, lines)
+    line_start = np.arange(lines)[:, None] * n
+    out = np.empty((lines, m))
+    arg = np.empty((lines, m), dtype=np.intp)
+
+    def solve(rows, lo, hi):
+        # every window [lo, hi] of one level, laid end to end
+        counts = (hi - lo + 1).ravel()
+        starts = np.cumsum(counts) - counts
+        flat = np.arange(starts[-1] + counts[-1]) + np.repeat(
+            (line_start + lo).ravel() - starts, counts)
+        xi = np.repeat(np.tile(xis[rows], lines), counts)
+        score = xi * flat_xs[flat] - flat_vals[flat]
+        best = np.maximum.reduceat(score, starts)
+        at_best = np.where(score == np.repeat(best, counts), flat, flat_vals.size)
+        out[:, rows] = best.reshape(lo.shape)
+        arg[:, rows] = np.minimum.reduceat(at_best, starts).reshape(lo.shape) - line_start
+
+    known = np.unique([0, m - 1])
+    first = np.zeros((lines, len(known)), dtype=np.intp)
+    solve(known, first, first + n - 1)
+    while True:
+        left, right = known[:-1], known[1:]
+        gap = right - left > 1
+        if not gap.any():
+            return out
+        left, right = left[gap], right[gap]
+        mids = (left + right) // 2
+        solve(mids, arg[:, left], arg[:, right])
+        known = np.union1d(known, mids)
 
 
 def conjugate_brute(field, dual_grid):
@@ -125,9 +165,6 @@ def points_in_hull(hull, pts):
 
 
 def _require_weakly_convex(field, what):
-    from .errors import ConvexityError
-    from .grids import check_convex
-
     rep = check_convex(field)
     if rep.min_eigenvalue < -1e-8:
         raise ConvexityError(f"{what} needs a convex input field",

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from malab.errors import ExtrapolationError
 from malab.grids import GridFunction, box_grid, check_convex, sample_oracle
-from malab.legendre import (LegendrePair, conjugate_brute, conjugate_factorized,
-                            involution_residual, legendre_grid, legendre_point)
+from malab.legendre import (LegendrePair, _conjugate_1d, conjugate_brute,
+                            conjugate_factorized, involution_residual, legendre_grid,
+                            legendre_point)
 from malab.oracles import DualLog, ExpSolution, Quadratic
 
 
@@ -31,6 +34,64 @@ def test_factorized_equals_brute(rng):
     fast = conjugate_factorized(fu, dg)
     slow = conjugate_brute(fu, dg)
     assert np.nanmax(np.abs(fast.values - slow.values)) < 1e-12
+
+
+def test_factorized_equals_brute_in_3d():
+    fu = sample_oracle(ExpSolution(3), box_grid([-1, -1, -1], [1, 1, 1], 9))
+    dg = box_grid([0.5, -1.5, -1.5], [2.5, 1.5, 1.5], 8)
+    fast = conjugate_factorized(fu, dg)
+    slow = conjugate_brute(fu, dg)
+    assert np.max(np.abs(fast.values - slow.values)) < 1e-12
+
+
+def dense_conjugate_1d(xs, vals, xis):
+    """The full (lines, M, N) score max the monotone-argmax pass must equal."""
+    return (xis[:, None] * xs[None, :] - vals[:, None, :]).max(-1)
+
+
+def test_conjugate_1d_equals_dense_max_on_nonconvex_lines_with_holes(rng):
+    for _ in range(200):
+        n, m, lines = rng.integers(1, 40), rng.integers(1, 40), rng.integers(1, 6)
+        xs = np.sort(rng.uniform(-2, 2, n))
+        xis = np.sort(rng.uniform(-3, 3, m))
+        vals = rng.normal(size=(lines, n)) * rng.uniform(0.0, 3.0)
+        vals[rng.random((lines, n)) < 0.3] = np.inf
+        assert np.array_equal(_conjugate_1d(xs, vals, xis),
+                              dense_conjugate_1d(xs, vals, xis))
+
+
+def test_conjugate_1d_missing_line_and_degenerate_sizes(rng):
+    xs, xis = np.linspace(-1, 1, 7), np.linspace(-2, 2, 5)
+    vals = np.vstack([np.full(7, np.inf), xs**2])
+    out = _conjugate_1d(xs, vals, xis)
+    assert np.all(out[0] == -np.inf)
+    assert np.array_equal(out, dense_conjugate_1d(xs, vals, xis))
+    for n, m in ((1, 1), (1, 6), (6, 1), (3, 11), (11, 3)):
+        xs, xis = np.sort(rng.normal(size=n)), np.sort(rng.normal(size=m))
+        vals = rng.normal(size=(4, n))
+        out = _conjugate_1d(xs, vals, xis)
+        assert out.shape == (4, m)
+        assert np.array_equal(out, dense_conjugate_1d(xs, vals, xis))
+
+
+def test_conjugate_1d_exact_ties(rng):
+    # xis holds 0.5, the slope of the first line, where every sample ties
+    xs, xis = np.linspace(-1, 1, 33), np.linspace(-1, 1, 17)
+    lines = [0.5 * xs, np.full_like(xs, 2.0), np.abs(xs), 0.5 * xs**2,
+             0.5 * xs**2 + 1e-17 * rng.normal(size=xs.size)]
+    vals = np.vstack(lines + [line[::-1] for line in lines])
+    assert np.array_equal(_conjugate_1d(xs, vals, xis), dense_conjugate_1d(xs, vals, xis))
+
+
+def test_involution_residual_memory_at_257():
+    fu = sample_oracle(ExpSolution(2), box_grid([-1, -1], [1, 1], 257))
+    tracemalloc.start()
+    try:
+        involution_residual(fu)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 20.0
 
 
 def test_conjugate_of_sampled_quadratic():
