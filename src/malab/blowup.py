@@ -24,6 +24,9 @@ from .errors import PreconditionError, UnboundedSectionError
 from .geometry import invariants, phi_rule
 from .oracles import AffineImageOracle
 
+NORMAL_DIRECTIONS = 64   # directions of the normal-mapping coverage check
+COVERAGE_MARGIN = 1e-3   # a covered direction's probe sits this far below 1/2
+
 
 @dataclass
 class SectionData:
@@ -43,7 +46,7 @@ class SectionData:
                 "level_defect": self.level_defect}
 
 
-def extract_section(u, p, C, directions=None, mvee_tol=1e-9):
+def extract_section(u, p, C, directions=None):
     """Boundary of {u < C} by ray bisection, plus its John normalization.
 
     Raises UnboundedSectionError when a ray leaves the oracle's domain
@@ -62,7 +65,7 @@ def extract_section(u, p, C, directions=None, mvee_tol=1e-9):
                                 defect=defect)
     hull = ConvexHull(pts)
     poly = Polytope(hull.equations[:, :-1], -hull.equations[:, -1])
-    T, image = normalize_domain(poly, tol=mvee_tol)
+    T, image = normalize_domain(poly)
     w = AffineImageOracle(u, T, scale=C, name=f"{u.name}_section_{C:g}")
     return SectionData(p=p, C=float(C), support_points=pts, map=T,
                        normalized_domain=image, normalized_potential=w,
@@ -137,7 +140,7 @@ def _normalized_probes(w, probes_per_axis):
     return pts, vals
 
 
-def _normal_map_coverage(pts, vals, directions_count, margin=1e-3):
+def _normal_map_coverage(pts, vals):
     """Check the gradient image of {w < 1/2} covers the sphere of radius
     1/(2R), where {w < 1/2} sits inside the ball of radius R/2 about 0."""
     half = vals < 0.5
@@ -145,14 +148,13 @@ def _normal_map_coverage(pts, vals, directions_count, margin=1e-3):
     circ = float(np.linalg.norm(hpts, axis=1).max())
     R = 2.0 * circ
     r = 1.0 / (2.0 * R)
-    dirs = direction_fan(pts.shape[1], directions_count)
+    dirs = direction_fan(pts.shape[1], NORMAL_DIRECTIONS)
     # the probe minimizing w - <x, r th> for each direction th (rows)
     k = np.argmin(hvals - (r * dirs) @ hpts.T, axis=1)
-    return r, int((hvals[k] < 0.5 - margin).sum()), len(dirs), circ
+    return r, int((hvals[k] < 0.5 - COVERAGE_MARGIN).sum()), len(dirs), circ
 
 
-def run_blowup(u, p, ladder, probes_per_axis=161, directions=None,
-               normal_directions=64, mvee_tol=1e-9):
+def run_blowup(u, p, ladder, probes_per_axis=161, directions=None):
     """Blow-up ladder: per level, the normalized potential's invariant Phi at
     the image of the base point (with the exact C_k * Phi(p) scaling law),
     suprema of the barrier functionals over the half-section, and the
@@ -162,7 +164,7 @@ def run_blowup(u, p, ladder, probes_per_axis=161, directions=None,
     ladder = sorted(float(C) for C in ladder)
     phi_base = float(phi_rule(u, u.side)(np.asarray(p, dtype=float)))
 
-    sections = [extract_section(u, p, C, directions, mvee_tol) for C in ladder]
+    sections = [extract_section(u, p, C, directions) for C in ladder]
     probe_sets = []
     d_needed = 2.0
     ratio_peak = 0.0
@@ -197,7 +199,7 @@ def run_blowup(u, p, ladder, probes_per_axis=161, directions=None,
         weights = barrier_functionals(params, vals, grads, fvals, rho, phis, trace)
         half = vals < 0.5
 
-        r_nm, covered, ndirs, circ = _normal_map_coverage(pts, vals, normal_directions)
+        r_nm, covered, ndirs, circ = _normal_map_coverage(pts, vals)
         report.records.append(BlowupRecord(
             C=sec.C, map=sec.map,
             phi_at_base=phi_at_base, phi_at_base_expected=expected,

@@ -15,18 +15,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import direction_fan
+from .domains import AffineMap, direction_fan
 from .errors import CounterexampleError, PreconditionError, WindowError
 from .geometry import (ScalarRule, calabi_laplacian, fd_step, grad_logrho_rule,
                        grid_invariants, grid_phi_inequality_fields, invariants,
                        metric_laplacian, phi_inequality_residual, phi_rule,
                        rho_value_rule, xx_hessian_logrho)
 from .grids import GridFunction, INTERIOR, atomic_write, csv_text
-from .oracles import DUAL, PRIMAL, ScaledOracle, pde_residual
+from .oracles import DUAL, PRIMAL, AffineImageOracle, pde_residual
 from .solver import residual_field
 from .stencils import fd_gradient, fd_hessian
 
 PDE_GATE_TOL = 1e-8
+PHI_TOL_SCALE = 1e-4   # a Phi-inequality margin may fall this far below 0, times max(1, Phi^2)
+PHI_FLOOR = 1e-10      # probes with Phi at most this are on the vacuous zero branch
+DET_BARRIER_ROUNDS = 6  # coarse-to-fine descent rounds of det_barrier_probe
 # rays traced from the base point to locate a section boundary, by dimension
 SECTION_RAYS = defaultdict(lambda: 512, {2: 128})
 
@@ -108,7 +111,7 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
     H, T = potential.hessian(probes), potential.third(probes)
     inv = invariants(H, T, side)
     Hi, glr, rho, phi = inv["Ginv"], inv["grad_logrho"], inv["rho"], inv["Phi"]
-    scaled = ScaledOracle(potential, scale_factor)
+    scaled = AffineImageOracle(potential, AffineMap(np.eye(n), np.zeros(n)), scale=scale_factor)
     phi_new = invariants(scaled.hessian(probes), scaled.third(probes), side)["Phi"]
     rho_r = rho_value_rule(potential, side)
     glr_r = grad_logrho_rule(potential, side)
@@ -146,7 +149,6 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
 
 
 def phi_inequality_check(potential, probes=None, side=None, drift=None,
-                         tol_scale=1e-4, phi_floor=1e-10,
                          gate_tol=PDE_GATE_TOL, probe_predicate=None):
     """Pointwise residual of
 
@@ -154,32 +156,30 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
                    + (n^2-3n-10)/(2(n-1)) <grad Phi, grad log rho>
                    + (n+2)^2/(n-1) Phi^2
 
-    Probes where Phi <= phi_floor are skipped (the zero branch is vacuous).
+    Probes where Phi <= PHI_FLOOR are skipped (the zero branch is vacuous).
     For grid potentials the probes are interior nodes (optionally filtered
     by probe_predicate on node coordinates); FD chains near the prescribed
     collar are not trustworthy, so callers usually keep a margin.
     """
     if isinstance(potential, GridFunction):
-        return _phi_inequality_grid(potential, side, drift, tol_scale,
-                                    phi_floor, gate_tol, probe_predicate)
+        return _phi_inequality_grid(potential, side, drift, gate_tol, probe_predicate)
     side = side or potential.side
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     _gate(potential, probes, drift, side, gate_tol)
 
     phi_r = phi_rule(potential, side)
     inv = invariants(potential.hessian(probes), potential.third(probes), side)
-    live = inv["Phi"] > phi_floor
+    live = inv["Phi"] > PHI_FLOOR
     x = probes[live]
-    hstep = fd_step(potential, x)
+    hstep = fd_step(x)
     residuals = phi_inequality_residual(inv["Ginv"][live], inv["grad_logrho"][live],
                                         inv["Phi"][live], fd_gradient(phi_r, x, hstep),
                                         fd_hessian(phi_r, x, hstep), side)
     return _phi_inequality_report("phi_inequality", x, residuals,
-                                  inv["Phi"][live], int((~live).sum()), tol_scale)
+                                  inv["Phi"][live], int((~live).sum()))
 
 
-def _phi_inequality_grid(fu, side, drift, tol_scale, phi_floor, gate_tol,
-                         probe_predicate=None):
+def _phi_inequality_grid(fu, side, drift, gate_tol, probe_predicate):
     side = side or DUAL
     if drift is None:
         raise PreconditionError("grid potentials need explicit drift constants")
@@ -192,19 +192,19 @@ def _phi_inequality_grid(fu, side, drift, tol_scale, phi_floor, gate_tol,
     valid = np.isfinite(res_f) & np.isfinite(phi_f) & (fu.grid.mask == INTERIOR)
     if probe_predicate is not None:
         valid &= probe_predicate(fu.grid.points())
-    live = valid & (phi_f > phi_floor)
+    live = valid & (phi_f > PHI_FLOOR)
     return _phi_inequality_report("phi_inequality_grid", fu.grid.points()[live],
                                   res_f[live], phi_f[live],
-                                  int((valid & ~live).sum()), tol_scale)
+                                  int((valid & ~live).sum()))
 
 
-def _phi_inequality_report(name, points, residuals, phis, skipped, tol_scale):
-    margins = residuals + tol_scale * np.maximum(1.0, phis**2)
+def _phi_inequality_report(name, points, residuals, phis, skipped):
+    margins = residuals + PHI_TOL_SCALE * np.maximum(1.0, phis**2)
     passed = bool(len(margins) == 0 or margins.min() >= 0.0)
     arrs = {"residual": residuals, "phi": phis, "margin": margins}
     stats = _stats(arrs)
     stats["skipped_zero_phi"] = skipped
-    return CheckReport(name, passed, {"tol_scale": tol_scale}, stats,
+    return CheckReport(name, passed, {"tol_scale": PHI_TOL_SCALE}, stats,
                        points=points, residuals=arrs)
 
 
@@ -239,12 +239,6 @@ class BarrierConstants:
 
     def h(self, u):
         return self.m_weighted / (self.C - u) ** 2
-
-    def hprime(self, u):
-        return 2.0 * self.m_weighted / (self.C - u) ** 3
-
-    def hdoubleprime(self, u):
-        return 6.0 * self.m_weighted / (self.C - u) ** 4
 
     def to_json(self):
         return {"n": self.n, "C": self.C, "alpha": self.alpha,
@@ -511,7 +505,7 @@ def det_barrier_constant(n, Rprime, delta):
     return (4.0 * Rprime / delta**2) ** (n / (n + 2.0)) * 2.0 ** ((n + 1.0) / (n + 2.0))
 
 
-def det_barrier_probe(f, delta, Rprime, coarse=None, rounds=6):
+def det_barrier_probe(f, delta, Rprime):
     """Search the ball B_delta(0) for a point with det(D^2 f)^{1/(n+2)}
     below the closed-form barrier constant d5, by coarse-to-fine descent.
 
@@ -522,15 +516,15 @@ def det_barrier_probe(f, delta, Rprime, coarse=None, rounds=6):
         return _det_barrier_grid(f, delta, Rprime)
     n = f.n
     d5 = det_barrier_constant(n, Rprime, delta)
-    coarse = coarse or (21 if n <= 3 else 7)
+    per_axis = 21 if n <= 3 else 7
 
-    def lattice(center, radius, per_axis):
+    def lattice(center, radius):
         axes = [np.linspace(center[i] - radius, center[i] + radius, per_axis)
                 for i in range(n)]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
         return pts[np.sum(pts**2, axis=-1) <= delta**2]
 
-    pts = lattice(np.zeros(n), delta, coarse)
+    pts = lattice(np.zeros(n), delta)
     if not np.all(f.contains(pts)):
         raise PreconditionError("ball escapes the oracle domain")
     worst = float(np.abs(f.value(pts)).max())
@@ -547,12 +541,12 @@ def det_barrier_probe(f, delta, Rprime, coarse=None, rounds=6):
     best_pts = pts
     radius = delta
     center, best_val = np.zeros(n), float(invrho(np.zeros(n)[None, :])[0])
-    for _ in range(rounds):
+    for _ in range(DET_BARRIER_ROUNDS):
         v = invrho(best_pts)
         k = int(np.argmin(v))
         center, best_val = best_pts[k], float(v[k])
         radius *= 0.35
-        cand = lattice(center, radius, coarse)
+        cand = lattice(center, radius)
         if len(cand) == 0:
             break
         best_pts = np.vstack([cand, center[None, :]])

@@ -157,7 +157,7 @@ def _run_solve(cfg):
         boundary = lambda p: float(bspec["value"])
     solver_cfg = SolverConfig(**cfg.get("solver", {}))
     side = cfg.get("side", "dual")
-    u, report = newton_solve(domain, grid, drift, boundary, solver_cfg, side=side)
+    u, report = newton_solve(grid, drift, boundary, solver_cfg, side=side)
     out = _out_dir(cfg)
     write_gridfunction(u, os.path.join(out, "solution.csv"),
                        os.path.join(out, "solution.meta.json"))

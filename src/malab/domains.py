@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import ConvergenceError, DomainError
 
 _CONTAIN_TOL = 1e-12
 MAX_AXIS_RATIO = 1e6
+MVEE_MAX_ITERS = 200_000
+CHECK_DIRECTIONS = 1024  # support directions that check a normalized image
 
 
 # ---------------------------------------------------------------------------
@@ -42,10 +44,10 @@ class Box:
     def dim(self):
         return len(self.lo)
 
-    def contains(self, x, tol=_CONTAIN_TOL):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        scale = np.maximum(np.abs(self.lo), np.abs(self.hi)) + 1.0
-        return np.all((x >= self.lo - tol * scale) & (x <= self.hi + tol * scale), axis=-1)
+        tol = _CONTAIN_TOL * (np.maximum(np.abs(self.lo), np.abs(self.hi)) + 1.0)
+        return np.all((x >= self.lo - tol) & (x <= self.hi + tol), axis=-1)
 
     def support_point(self, direction):
         d = np.asarray(direction, dtype=float)
@@ -80,10 +82,10 @@ class Ball:
     def dim(self):
         return len(self.center)
 
-    def contains(self, x, tol=_CONTAIN_TOL):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
         r2 = np.sum((x - self.center) ** 2, axis=-1)
-        return r2 <= self.radius**2 * (1.0 + tol) + tol
+        return r2 <= self.radius**2 * (1.0 + _CONTAIN_TOL) + _CONTAIN_TOL
 
     def support_point(self, direction):
         d = np.asarray(direction, dtype=float)
@@ -112,6 +114,8 @@ class Polytope:
         b = np.asarray(self.offsets, dtype=float)
         if N.ndim != 2 or len(b) != len(N):
             raise DomainError("polytope needs matching normals and offsets")
+        if N.shape[1] < 2:
+            raise DomainError("polytopes need at least two dimensions", n=int(N.shape[1]))
         norms = np.linalg.norm(N, axis=1)
         if np.any(norms <= 0):
             raise DomainError("zero normal in polytope")
@@ -138,24 +142,22 @@ class Polytope:
         if not res.success or res.x[-1] <= 1e-12:
             raise DomainError("polytope has empty interior")
         self._cache["interior_point"] = res.x[:n]
-        self._cache["inradius"] = res.x[-1]
-        for i in range(n):
-            for sg in (1.0, -1.0):
-                c = np.zeros(n)
-                c[i] = sg
-                r = linprog(c=c, A_ub=self.normals, b_ub=self.offsets,
-                            bounds=[(None, None)] * n, method="highs")
-                if r.status == 3:
-                    raise DomainError("polytope is unbounded", axis=i)
+        # bounded iff 0 lies strictly inside the convex hull of the normals;
+        # normals that are not full-dimensional leave a direction unbounded
+        try:
+            inside = ConvexHull(self.normals).equations[:, -1].max() < -1e-12
+        except QhullError:
+            inside = False
+        if not inside:
+            raise DomainError("polytope is unbounded")
 
     def interior_point(self):
         return self._cache["interior_point"].copy()
 
-    def contains(self, x, tol=_CONTAIN_TOL):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
         slack = x @ self.normals.T - self.offsets
-        scale = np.abs(self.offsets) + 1.0
-        return np.all(slack <= tol * scale, axis=-1)
+        return np.all(slack <= _CONTAIN_TOL * (np.abs(self.offsets) + 1.0), axis=-1)
 
     def vertices(self):
         if "vertices" not in self._cache:
@@ -307,9 +309,9 @@ class AffineMap:
 # support sampling
 
 
-def direction_fan(n, count, seed=None):
+def direction_fan(n, count):
     """Deterministic spread of unit directions: uniform angles (n=2),
-    Fibonacci sphere (n=3), seeded Gaussian directions otherwise."""
+    Fibonacci sphere (n=3), Gaussian directions of a fixed seed otherwise."""
     if n == 2:
         th = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
         return np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -319,7 +321,7 @@ def direction_fan(n, count, seed=None):
         golden = np.pi * (1.0 + 5.0**0.5)
         th = golden * k
         return np.stack([np.cos(th) * np.sin(phi), np.sin(th) * np.sin(phi), np.cos(phi)], axis=1)
-    rng = np.random.default_rng(0 if seed is None else seed)
+    rng = np.random.default_rng(0)
     v = rng.normal(size=(count, n))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
@@ -328,7 +330,7 @@ def direction_fan(n, count, seed=None):
 # centered MVEE
 
 
-def centered_mvee(domain, tol=1e-9, max_iters=200_000):
+def centered_mvee(domain, tol=1e-9):
     """Minimum-volume ellipsoid containing `domain`, centered at its centroid.
 
     Fixed-center multiplicative-weights ascent (Khachiyan-type) with away
@@ -347,7 +349,7 @@ def centered_mvee(domain, tol=1e-9, max_iters=200_000):
     u = np.full(m, 1.0 / m)
     eye = 1e-14 * np.eye(n)
     gap = np.inf
-    for _ in range(max_iters):
+    for _ in range(MVEE_MAX_ITERS):
         V = (q * u[:, None]).T @ q + eye
         g = np.einsum("ij,jk,ik->i", q, np.linalg.inv(V), q)
         imax = int(np.argmax(g))
@@ -412,7 +414,7 @@ def _affine_image_domain(domain, T):
     return Polytope(NB, b)
 
 
-def normalize_domain(domain, tol=1e-9, check_directions=1024):
+def normalize_domain(domain, tol=1e-9):
     """Affine map sending the centered MVEE to the unit ball, plus the image.
 
     The image satisfies B(0, n^{-3/2}) within T(domain) within B(0,1); both
@@ -423,7 +425,7 @@ def normalize_domain(domain, tol=1e-9, check_directions=1024):
     T = AffineMap(W, -W @ ell.center)
     image = _affine_image_domain(domain, T)
     n = domain.dim
-    dirs = direction_fan(n, max(check_directions, 2 * n))
+    dirs = direction_fan(n, CHECK_DIRECTIONS)
     far = image.support_point(dirs)
     sup = np.einsum("ki,ki->k", far, dirs)
     outer = np.linalg.norm(far, axis=-1)

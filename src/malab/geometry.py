@@ -131,10 +131,8 @@ def rho_value_rule(oracle, side):
     return lambda x: invariants(oracle.hessian(x), None, side)["rho"]
 
 
-def fd_step(oracle, x, h=None):
-    """h, or the default outer step of each point x (..., n)."""
-    if h is not None:
-        return h
+def fd_step(x):
+    """The outer FD step of each point x (..., n)."""
     return DEFAULT_FD_SCALE * np.maximum(1.0, np.abs(np.asarray(x)).max(axis=-1))
 
 
@@ -143,7 +141,7 @@ def fd_step(oracle, x, h=None):
 # curvature and identity (a))
 
 
-def xx_hessian_logrho(oracle, x, side=None, h=None, use_richardson=True):
+def xx_hessian_logrho(oracle, x, side=None):
     """Second derivatives of log rho with respect to the primal coordinates,
     at points x (..., n).
 
@@ -153,16 +151,16 @@ def xx_hessian_logrho(oracle, x, side=None, h=None, use_richardson=True):
     """
     side = side or oracle.side
     x = np.asarray(x, dtype=float)
-    h = fd_step(oracle, x, h)
+    h = fd_step(x)
     glr = grad_logrho_rule(oracle, side)
     if side == PRIMAL:
-        D = fd_directional(glr, x, np.eye(oracle.n), h, use_richardson)
+        D = fd_directional(glr, x, np.eye(oracle.n), h)
     else:
         def s_of(xi):
             return (np.linalg.inv(oracle.hessian(xi)) @ glr(xi)[..., None])[..., 0]
 
         basis = np.swapaxes(np.linalg.inv(oracle.hessian(x)), -1, -2)
-        D = fd_directional(s_of, x, basis, h, use_richardson)
+        D = fd_directional(s_of, x, basis, h)
     return 0.5 * (D + np.swapaxes(D, -1, -2))  # D[..., j, :] is along direction j
 
 
@@ -221,7 +219,7 @@ def _connection(Hi, T):
             - np.einsum("mh,lj,imk,hlj->ik", Hi, Hi, A, A))
 
 
-def geometry_sample(potential, x, side=None, h=None):
+def geometry_sample(potential, x, side=None):
     """All pointwise tensors at x (oracle) or at the node nearest x (grid)."""
     n = potential.n
     on_grid = isinstance(potential, GridFunction)
@@ -243,7 +241,7 @@ def geometry_sample(potential, x, side=None, h=None):
     Hi = inv["Ginv"]
     Gamma, ricci = _connection(Hi, T)
     KR = (n + 2.0) * (grid_xx_hessian_logrho(potential, side)[at] if on_grid
-                      else xx_hessian_logrho(potential, x, side, h))
+                      else xx_hessian_logrho(potential, x, side))
     # scalar: -1/2 sum f^{ij} d_i d_j logdet f; f^{ij} at the graph point is
     # Ginv on the primal side and the dual Hessian itself on the dual side
     fij = Hi if side == PRIMAL else H
@@ -270,18 +268,18 @@ class ScalarRule:
         self._gradient = gradient
         self._hessian = hessian
 
-    def gradient(self, x, h, use_richardson=True):
+    def gradient(self, x, h):
         if self._gradient is not None:
             return self._gradient(x)
-        return fd_gradient(self.value, x, h, use_richardson)
+        return fd_gradient(self.value, x, h)
 
-    def hessian(self, x, h, use_richardson=True):
+    def hessian(self, x, h):
         if self._hessian is not None:
             return self._hessian(x)
-        return fd_hessian(self.value, x, h, use_richardson)
+        return fd_hessian(self.value, x, h)
 
 
-def calabi_laplacian(potential, field, x, side=None, h=None, use_richardson=True):
+def calabi_laplacian(potential, field, x, side=None):
     """Metric Laplacian of a scalar field.
 
     For an analytic potential, x is a point or a batch of points (..., n)
@@ -305,10 +303,9 @@ def calabi_laplacian(potential, field, x, side=None, h=None, use_richardson=True
     H = potential.hessian(x)
     _require_spd(H, x)
     inv = invariants(H, potential.third(x), side)
-    hstep = fd_step(potential, x, h)
+    hstep = fd_step(x)
     lap = metric_laplacian(inv["Ginv"], inv["grad_logrho"],
-                           field.gradient(x, hstep, use_richardson),
-                           field.hessian(x, hstep, use_richardson), side)
+                           field.gradient(x, hstep), field.hessian(x, hstep), side)
     return float(lap) if x.ndim == 1 else lap
 
 
@@ -327,11 +324,12 @@ class StructureResiduals:
                 "ricci_consistency": self.ricci_consistency}
 
 
-def structure_residuals(potential, x, h=1e-3):
+def structure_residuals(potential, x):
     """Numerical defects of the graph structure equation, the symmetry of the
     covariant-derivative cubic form, and Ricci-from-connection vs the cubic
     contraction. The potential is treated as the graph function over its own
-    coordinates."""
+    coordinates, differenced with the fixed step DEFAULT_FD_SCALE."""
+    h = DEFAULT_FD_SCALE
     x = np.asarray(x, dtype=float)
     n = potential.n
     H = potential.hessian(x)

@@ -218,17 +218,6 @@ class GridFunction:
         return float(self.values[tuple(node)])
 
 
-def differentiate(fu, node, order):
-    """Centered-difference derivative tensor of the given order at a node."""
-    if order == 1:
-        return fu.gradient(node)
-    if order == 2:
-        return fu.hessian(node)
-    if order == 3:
-        return fu.third(node)
-    raise StencilError("order must be 1, 2 or 3", order=order)
-
-
 def sample_oracle(oracle, grid):
     """GridFunction with the oracle's exact values at in-domain nodes."""
     pts = grid.points()
@@ -303,17 +292,16 @@ def csv_text(header, table, eol="\r\n"):
     return ",".join(header) + eol + (row * len(table)) % tuple(table.ravel().tolist())
 
 
-def write_gridfunction(fu, csv_path, meta_path=None):
-    """In-domain nodes as CSV rows `x1,...,xn,value` and, given `meta_path`,
-    the grid metadata as sidecar JSON; each file is written atomically."""
+def write_gridfunction(fu, csv_path, meta_path):
+    """In-domain nodes as CSV rows `x1,...,xn,value` and the grid metadata
+    as sidecar JSON; each file is written atomically."""
     grid = fu.grid
     live = grid.mask != OUTSIDE
     nodes = np.nonzero(live)
     table = np.column_stack([grid.coords[i][nodes[i]] for i in range(grid.dim)]
                             + [fu.values[live]])
     atomic_write(csv_path, csv_text([f"x{i+1}" for i in range(grid.dim)] + ["value"], table))
-    if meta_path:
-        atomic_write(meta_path, json.dumps(grid.meta_json(), indent=2, sort_keys=True) + "\n")
+    atomic_write(meta_path, json.dumps(grid.meta_json(), indent=2, sort_keys=True) + "\n")
 
 
 def read_gridfunction(csv_path, meta_path):

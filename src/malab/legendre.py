@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ConvexityError, DegeneracyError, ExtrapolationError
 from .grids import INTERIOR, OUTSIDE, GridFunction, box_grid, check_convex
@@ -133,8 +133,8 @@ def conjugate_factorized(field, dual_grid):
 def gradient_hull(field):
     """Convex hull of the FD gradients at interior nodes.
 
-    Degenerate gradient sets (a linear field collapses them to one point)
-    fall back to their bounding box, which is what the clipping check needs.
+    Raises DegeneracyError when the gradient set has empty interior (a
+    linear field collapses it to a point, x1^2/2 to a segment).
     """
     grads = field.gradient_field()[field.grid.mask == INTERIOR]
     grads = grads[np.all(np.isfinite(grads), axis=1)]
@@ -142,24 +142,12 @@ def gradient_hull(field):
         raise DegeneracyError("no interior gradients available for a hull")
     try:
         return ConvexHull(grads)
-    except Exception:
-        return _DegenerateHull(grads.min(axis=0), grads.max(axis=0))
-
-
-class _DegenerateHull:
-    def __init__(self, lo, hi):
-        self.lo, self.hi = lo, hi
-
-    def contains(self, pts):
-        scale = 1.0 + np.abs(self.lo) + np.abs(self.hi)
-        return np.all((pts >= self.lo - _HULL_TOL * scale)
-                      & (pts <= self.hi + _HULL_TOL * scale), axis=-1)
+    except QhullError:
+        raise DegeneracyError("interior gradients span a set with empty interior") from None
 
 
 def points_in_hull(hull, pts):
     pts = np.asarray(pts, dtype=float)
-    if isinstance(hull, _DegenerateHull):
-        return hull.contains(pts)
     A, b = hull.equations[:, :-1], hull.equations[:, -1]
     return (pts @ A.T + b[None, :]).max(axis=1) <= _HULL_TOL
 
@@ -179,10 +167,12 @@ def legendre_grid(field, dual_grid):
     conjugate of a window-restricted function is only valid there.
     """
     _require_weakly_convex(field, "legendre_grid")
-    hull = gradient_hull(field)
     dual_pts = dual_grid.points().reshape(-1, dual_grid.dim)
     live = dual_grid.mask.reshape(-1) != OUTSIDE
-    ok = points_in_hull(hull, dual_pts)
+    try:
+        ok = points_in_hull(gradient_hull(field), dual_pts)
+    except DegeneracyError:  # a hull with empty interior holds no dual grid
+        ok = np.zeros(len(dual_pts), dtype=bool)
     clipped = np.flatnonzero(live & ~ok)
     if len(clipped):
         nodes = [list(np.unravel_index(int(k), dual_grid.shape)) for k in clipped[:32]]
@@ -191,20 +181,23 @@ def legendre_grid(field, dual_grid):
     return conjugate_factorized(field, dual_grid)
 
 
-def _shrunk_dual_grid(field, resolution, margin=1.0):
+def _shrunk_dual_grid(field):
+    """Box grid of the field's resolution over the gradient hull's bounding
+    box, shrunk by one node spacing on every side."""
+    resolution = field.grid.shape
     hull = gradient_hull(field)
     verts = hull.points[hull.vertices]
     lo, hi = verts.min(axis=0), verts.max(axis=0)
-    pad = margin * (hi - lo) / (np.asarray(resolution) - 1)
-    return box_grid(lo + pad, hi - pad, resolution), hull
+    pad = (hi - lo) / (np.asarray(resolution) - 1)
+    return box_grid(lo + pad, hi - pad, resolution)
 
 
-def involution_residual(field, resolution=None):
-    """sup |(f*)* - f| over interior nodes where both conjugations are valid."""
+def involution_residual(field):
+    """sup |(f*)* - f| over interior nodes where both conjugations are valid,
+    through a dual grid of the field's own resolution."""
     _require_weakly_convex(field, "involution_residual")
     grid = field.grid
-    resolution = resolution or grid.shape
-    dual_grid, _ = _shrunk_dual_grid(field, resolution)
+    dual_grid = _shrunk_dual_grid(field)
     fstar = conjugate_factorized(field, dual_grid)
     back = conjugate_factorized(fstar, grid)
     hull2 = gradient_hull(fstar)

@@ -340,32 +340,6 @@ class AffineImageOracle(FieldOracle):
         return "affine image of " + self.base.domain_note()
 
 
-class ScaledOracle(FieldOracle):
-    """base / scale, in the same coordinates (the u -> u/C rescaling)."""
-
-    def __init__(self, base, scale):
-        self.base = base
-        self.scale = float(scale)
-        self.n = base.n
-        self.side = base.side
-        self.name = f"{base.name}_over_{scale:g}"
-
-    def value(self, x):
-        return self.base.value(x) / self.scale
-
-    def gradient(self, x):
-        return self.base.gradient(x) / self.scale
-
-    def hessian(self, x):
-        return self.base.hessian(x) / self.scale
-
-    def third(self, x):
-        return self.base.third(x) / self.scale
-
-    def contains(self, x):
-        return self.base.contains(x)
-
-
 # ---------------------------------------------------------------------------
 # catalog and exact PDE residuals
 

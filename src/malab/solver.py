@@ -27,6 +27,8 @@ from .stencils import difference
 __all__ = ["DriftCoefficients", "SolverConfig", "SolverReport",
            "residual_field", "newton_solve"]
 
+DET_FLOOR = 1e-14  # smallest FD Hessian determinant a Newton iterate may reach
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -34,8 +36,6 @@ class SolverConfig:
     residual_tol: float = 1e-10
     damping_factor: float = 0.5
     min_step: float = 2.0**-20
-    init: str = "quadratic"  # or "given"
-    det_floor: float = 1e-14
 
     def __post_init__(self):
         if self.residual_tol <= 0 or not (0.0 < self.damping_factor < 1.0):
@@ -182,7 +182,7 @@ class _InitialNotConvex(Exception):
 def _newton_core(grid, values, drift, side, config):
     """Damped Newton at fixed boundary values from the start iterate `values`.
     Returns (values, residual history, final residual, damping halvings)."""
-    r, H, mindet = _log_residual(grid, values, drift, side, config.det_floor)
+    r, H, mindet = _log_residual(grid, values, drift, side, DET_FLOOR)
     if r is None:
         raise _InitialNotConvex(mindet)
     rnorm = float(np.abs(r).max())
@@ -197,7 +197,7 @@ def _newton_core(grid, values, drift, side, config):
         while lam >= config.min_step:
             trial = values.copy()
             trial[grid.mask == INTERIOR] += lam * delta
-            r_try, H_try, mindet = _log_residual(grid, trial, drift, side, config.det_floor)
+            r_try, H_try, mindet = _log_residual(grid, trial, drift, side, DET_FLOOR)
             if r_try is not None:
                 r_try_norm = float(np.abs(r_try).max())
                 if r_try_norm < rnorm:
@@ -207,7 +207,7 @@ def _newton_core(grid, values, drift, side, config):
             lam *= config.damping_factor
             halvings += 1
         if not accepted:
-            if mindet < config.det_floor:
+            if mindet < DET_FLOOR:
                 raise ConvexityError("Newton step lost Hessian positivity at the damping floor",
                                      residual=rnorm, history=history)
             raise ConvergenceError("damping floor reached without residual decrease",
@@ -220,7 +220,7 @@ def _newton_core(grid, values, drift, side, config):
     return values, history, rnorm, halvings
 
 
-def newton_solve(domain, grid, drift, boundary, config=None, side=DUAL, initial=None):
+def newton_solve(grid, drift, boundary, config=None, side=DUAL, initial=None):
     """Solve the Dirichlet problem on the grid's interior nodes.
 
     boundary: callable(point) -> value, or an array aligned with
@@ -231,8 +231,9 @@ def newton_solve(domain, grid, drift, boundary, config=None, side=DUAL, initial=
     Newton legs run over t in (0, 1], each from the last converged iterate
     plus (t_try - t) * lift; the first tries t = 1, and the step in t halves
     only when a leg's start is not convex. The lift moves the interior with
-    the collar, so the legs do not grow in number with resolution. With
-    init="given", a start that is not convex raises ConvexityError.
+    the collar, so the legs do not grow in number with resolution. A given
+    `initial` GridFunction is the start instead: no lift and no
+    continuation, and a start that is not convex raises ConvexityError.
     """
     config = config or SolverConfig()
     interior = grid.interior_nodes()
@@ -250,17 +251,13 @@ def newton_solve(domain, grid, drift, boundary, config=None, side=DUAL, initial=
             raise DomainError("boundary array does not match boundary node count",
                               expected=int(len(bidx[0])))
 
-    if config.init == "given":
-        if initial is None:
-            raise DomainError("init='given' requires an initial GridFunction")
-        values = initial.values.copy()
-    else:
-        values = _quadratic_init(grid, bidx, bvals)
+    given = initial is not None
+    values = initial.values.copy() if given else _quadratic_init(grid, bidx, bvals)
     values[grid.mask == 0] = np.nan
     fit_trace = values[bidx].copy()
     delta_data = bvals - fit_trace
     # a given start keeps its interior; the paraboloid gets the lifted mismatch
-    lift = 0.0 if config.init == "given" else _harmonic_lift(grid, bidx, delta_data)
+    lift = 0.0 if given else _harmonic_lift(grid, bidx, delta_data)
 
     loose = replace(config, residual_tol=max(config.residual_tol, 1e-9))
     t, dt = 0.0, 1.0
@@ -273,7 +270,7 @@ def newton_solve(domain, grid, drift, boundary, config=None, side=DUAL, initial=
         try:
             values, history, rnorm, halvings = _newton_core(grid, start, drift, side, leg_cfg)
         except _InitialNotConvex as fail:
-            if config.init == "given":
+            if given:
                 raise ConvexityError("given initial iterate is not convex",
                                      min_det=float(fail.args[0])) from None
             dt *= 0.5

@@ -45,7 +45,7 @@ def test_criterion_01_manufactured_solve():
     for res in (17, 33, 65):
         g = Grid.build(BOX, (res, 2 * res - 1))
         t0 = time.time()
-        u, rep = newton_solve(BOX, g, DL.drift(), lambda p: float(DL.value(p)),
+        u, rep = newton_solve(g, DL.drift(), lambda p: float(DL.value(p)),
                               SolverConfig(residual_tol=1e-11))
         runtimes[res] = time.time() - t0
         exact = DL.value(g.points())
@@ -105,7 +105,7 @@ def test_criterion_04_phi_inequality():
         d = rng.uniform(-1.0, 1.0, 2)
         d *= rng.uniform(0.5, 2.0) / np.linalg.norm(d)
         drift = DriftCoefficients(float(rng.uniform(-0.3, 0.3)), d)
-        u, _ = newton_solve(ball, g, drift, lambda p: float(q.value(p)))
+        u, _ = newton_solve(g, drift, lambda p: float(q.value(p)))
         rep = phi_inequality_check(u, side="dual", drift=drift, probe_predicate=pred)
         margins.append(rep.stats["margin"]["min"])
     ok = min(margins) >= 0.0
@@ -141,7 +141,7 @@ def test_criterion_06_geometry_cross_checks():
         "KahlerRicci": np.abs(s.KahlerRicci).max(),
         "Ricci": np.abs(s.Ricci).max(),
     }
-    sr = structure_residuals(ExpSolution(2), np.zeros(2), h=1e-3)
+    sr = structure_residuals(ExpSolution(2), np.zeros(2))
     ok = max(checks.values()) <= 1e-8 and \
         max(sr.gauss, sr.codazzi, sr.ricci_consistency) <= 1e-5
     assert report(6, ok, f"worst tensor defect {max(checks.values()):.2e}, "
@@ -261,8 +261,8 @@ def test_criterion_11_legendre_round_trip():
     mono_ok = True
     for _ in range(10):
         gap = float(rng.uniform(0.05, 1.0))
-        u_hi, _ = newton_solve(ball, gb, drift, lambda p: float(q.value(p)) + gap)
-        u_lo, _ = newton_solve(ball, gb, drift, lambda p: float(q.value(p)))
+        u_hi, _ = newton_solve(gb, drift, lambda p: float(q.value(p)) + gap)
+        u_lo, _ = newton_solve(gb, drift, lambda p: float(q.value(p)))
         both = np.isfinite(u_hi.values)
         mono_ok &= bool(np.all(u_hi.values[both] >= u_lo.values[both] - 1e-8))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from malab.cli import main, _schema
+from malab.solver import SolverConfig
 
 
 def run_cli(args):
@@ -139,6 +141,12 @@ def test_threads_option_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["geometry", "--threads", "2"])
     assert exc.value.code == 2
+
+
+def test_solver_config_has_no_hidden_knobs():
+    # every SolverConfig field is settable from a run config, and nothing else
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert fields == set(_schema("runconfig.schema.json")["properties"]["solver"]["properties"])
 
 
 def test_bad_suite_rejected(capsys):

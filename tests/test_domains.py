@@ -144,6 +144,15 @@ class TestDomainTypes:
         with pytest.raises(DomainError):
             Polytope(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
 
+    def test_polytope_strip_rejected(self):
+        # {|x1| <= 1, x2 <= 1}: finite inradius, unbounded below in x2
+        with pytest.raises(DomainError, match="unbounded"):
+            Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0, 1.0]))
+
+    def test_polytope_in_one_dimension_rejected(self):
+        with pytest.raises(DomainError):
+            Polytope(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
+
     def test_polytope_empty_rejected(self):
         with pytest.raises(DomainError):
             Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),

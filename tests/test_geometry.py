@@ -157,7 +157,7 @@ class TestStructure:
         assert max(sr.gauss, sr.codazzi, sr.ricci_consistency) <= 1e-10
 
     def test_expsolution_structure(self):
-        sr = structure_residuals(ExpSolution(2), np.zeros(2), h=1e-3)
+        sr = structure_residuals(ExpSolution(2), np.zeros(2))
         assert sr.gauss <= 1e-5
         assert sr.codazzi <= 1e-5
         assert sr.ricci_consistency <= 1e-5
@@ -197,7 +197,7 @@ class TestStructure:
         c = Cubic()
         for _ in range(5):
             x = rng.uniform(-0.5, 0.5, 2)
-            sr = structure_residuals(c, x, h=1e-3)
+            sr = structure_residuals(c, x)
             assert sr.gauss <= 1e-4
             assert sr.codazzi <= 1e-4
             assert sr.ricci_consistency <= 1e-4
@@ -243,7 +243,7 @@ class TestGridGeometry:
         g = Grid.build(ball, 65)
         q = Quadratic.unit(2)
         drift = DriftCoefficients(0.2, np.array([0.8, -0.4]))
-        u, rep = newton_solve(ball, g, drift, lambda p: float(q.value(p)))
+        u, rep = newton_solve(g, drift, lambda p: float(q.value(p)))
         KR = grid_kahler_ricci(u, "dual")
         pts = g.points()
         deep = np.linalg.norm(pts, axis=-1) <= 0.6

@@ -8,8 +8,7 @@ import pytest
 from malab.domains import Ball, Box
 from malab.errors import DomainError, StencilError
 from malab.grids import (Grid, GridFunction, INTERIOR, OUTSIDE, box_grid, check_convex,
-                         differentiate, read_gridfunction, sample_oracle,
-                         write_gridfunction)
+                         read_gridfunction, sample_oracle, write_gridfunction)
 from malab.oracles import DualLog, ExpSolution, Quadratic
 
 
@@ -69,7 +68,7 @@ def test_third_derivative_example():
     # f111 of exp(x1) at the origin with h = 1e-2
     g = box_grid([-0.05, -0.05], [0.05, 0.05], 11)
     fu = sample_oracle(ExpSolution(2), g)
-    T = differentiate(fu, (5, 5), 3)
+    T = fu.third((5, 5))
     assert T[0, 0, 0] == pytest.approx(1.0, abs=1e-3)
 
 
@@ -115,7 +114,7 @@ def test_fd_consistency_order(oracle, x0, order):
         h = 1.0 / m
         g = box_grid(x0 - 4 * h, x0 + 4 * h, 9)
         fu = sample_oracle(oracle, g)
-        got = differentiate(fu, (4, 4), order)
+        got = {1: fu.gradient, 2: fu.hessian, 3: fu.third}[order]((4, 4))
         errs.append(np.abs(got - exact).max())
     assert np.log2(errs[0] / errs[1]) >= 1.8
 
@@ -126,7 +125,7 @@ def test_differentiate_rejects_boundary_node():
     with pytest.raises(StencilError):
         fu.hessian((0, 4))
     with pytest.raises(StencilError):
-        differentiate(fu, (1, 4), 3)
+        fu.third((1, 4))
 
 
 def test_check_convex_examples():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from malab.errors import ExtrapolationError
+from malab.errors import DegeneracyError, ExtrapolationError
 from malab.grids import GridFunction, box_grid, check_convex, sample_oracle
 from malab.legendre import (LegendrePair, _conjugate_1d, conjugate_brute,
                             conjugate_factorized, involution_residual, legendre_grid,
@@ -114,6 +114,15 @@ def test_linear_field_clips():
     assert err.value.details["clipped_count"] > 0
 
 
+@pytest.mark.parametrize("field", [lambda x: 0.3 * x[..., 0] - 0.2 * x[..., 1],
+                                   lambda x: 0.5 * x[..., 0] ** 2], ids=["linear", "half_square"])
+def test_involution_of_degenerate_gradient_set_rejected(field):
+    # a point and a segment of gradients: no dual grid with an interior fits
+    g = box_grid([-1, -1], [1, 1], 17)
+    with pytest.raises(DegeneracyError):
+        involution_residual(GridFunction(g, field(g.points())))
+
+
 def test_nonconvex_input_rejected():
     from malab.errors import ConvexityError
 
@@ -141,7 +150,7 @@ def test_involution_matches_brute_double_conjugation():
     fu = sample_oracle(ExpSolution(2), g)
     from malab.legendre import _shrunk_dual_grid, gradient_hull, points_in_hull
 
-    dual_grid, _ = _shrunk_dual_grid(fu, g.shape)
+    dual_grid = _shrunk_dual_grid(fu)
     fstar = conjugate_brute(fu, dual_grid)
     back = conjugate_brute(fstar, g)
     hull2 = gradient_hull(fstar)

@@ -72,7 +72,7 @@ class TestManufactured:
         errs = {}
         for res in (17, 33, 65):
             g = Grid.build(BOX, (res, 2 * res - 1))
-            u, rep = newton_solve(BOX, g, DL.drift(), duallog_trace,
+            u, rep = newton_solve(g, DL.drift(), duallog_trace,
                                   SolverConfig(residual_tol=1e-11))
             exact = DL.value(g.points())
             errs[res] = np.nanmax(np.abs(u.values - exact)[g.mask == INTERIOR])
@@ -86,7 +86,7 @@ class TestManufactured:
         ball = Ball(np.zeros(2), 1.0)
         g = Grid.build(ball, 65)
         q = Quadratic.unit(2)
-        u, rep = newton_solve(ball, g, DriftCoefficients.zero(2),
+        u, rep = newton_solve(g, DriftCoefficients.zero(2),
                               lambda p: float(q.value(p)))
         err = np.nanmax(np.abs(u.values - q.value(g.points()))[g.mask == INTERIOR])
         assert err <= 1e-8
@@ -110,7 +110,7 @@ class TestManufactured:
 
         ball = Ball(np.zeros(2), 1.0)
         g = Grid.build(ball, 129)
-        u, rep = newton_solve(ball, g, DriftCoefficients.zero(2),
+        u, rep = newton_solve(g, DriftCoefficients.zero(2),
                               lambda p: u_of_r(np.linalg.norm(p)) + shift)
         center = u.value(g.nearest_node([0.0, 0.0]))
         assert center == pytest.approx(oracle_center, abs=1e-3)
@@ -119,7 +119,7 @@ class TestManufactured:
 
     def test_report_history_strictly_decreasing(self):
         g = Grid.build(BOX, (17, 33))
-        u, rep = newton_solve(BOX, g, DL.drift(), duallog_trace)
+        u, rep = newton_solve(g, DL.drift(), duallog_trace)
         hist = rep.residual_history
         assert all(hist[i + 1] < hist[i] for i in range(len(hist) - 1))
         assert rep.min_hessian_eigenvalue > 0
@@ -133,7 +133,7 @@ class TestHarmonicLiftStart:
     @pytest.mark.parametrize("res", [17, 33, 65])
     def test_duallog_box_needs_no_continuation(self, res):
         g = Grid.build(BOX, (res, 2 * res - 1))
-        u, rep = newton_solve(BOX, g, DL.drift(), duallog_trace,
+        u, rep = newton_solve(g, DL.drift(), duallog_trace,
                               SolverConfig(residual_tol=1e-11))
         assert rep.continuation_steps == 0
         assert rep.total_iterations == rep.iterations
@@ -147,7 +147,7 @@ class TestHarmonicLiftStart:
         errs, steps = [], []
         for res in (17, 33, 65):
             g = Grid.build(BOX, (res, 2 * res - 1))
-            u, rep = newton_solve(BOX, g, drift, lambda p: float(rot.value(p)),
+            u, rep = newton_solve(g, drift, lambda p: float(rot.value(p)),
                                   SolverConfig(residual_tol=1e-11))
             assert rep.continuation_steps + 1 <= 3
             assert rep.final_residual <= 1e-11
@@ -169,7 +169,7 @@ class TestHarmonicLiftStart:
         errs = []
         for res in (33, 65, 129):
             g = Grid.build(BOX, (res, 2 * res - 1))
-            u, rep = newton_solve(BOX, g, drift, lambda p: float(rot.value(p)),
+            u, rep = newton_solve(g, drift, lambda p: float(rot.value(p)),
                                   SolverConfig(residual_tol=1e-11))
             assert rep.continuation_steps + 1 <= 3
             assert rep.final_residual <= 1e-11
@@ -182,7 +182,7 @@ class TestHarmonicLiftStart:
         ex = ExpSolution(2)
         box = Box([-1, -1], [1, 1])
         g = Grid.build(box, res)
-        u, rep = newton_solve(box, g, ex.drift(), lambda p: float(ex.value(p)),
+        u, rep = newton_solve(g, ex.drift(), lambda p: float(ex.value(p)),
                               SolverConfig(residual_tol=1e-11), side="primal")
         assert rep.final_residual <= 1e-11
         assert nodal_error(u, ex) <= 4.0 * g.spacing.max() ** 2
@@ -242,8 +242,8 @@ class TestProperties:
             gap = float(rng.uniform(0.05, 1.0))
             hi = lambda p: float(q.value(p)) + gap
             lo = lambda p: float(q.value(p))
-            u_hi, _ = newton_solve(ball, g, drift, hi)
-            u_lo, _ = newton_solve(ball, g, drift, lo)
+            u_hi, _ = newton_solve(g, drift, hi)
+            u_lo, _ = newton_solve(g, drift, lo)
             both = np.isfinite(u_hi.values)
             assert np.all(u_hi.values[both] >= u_lo.values[both] - 1e-8)
 
@@ -256,8 +256,8 @@ class TestProperties:
         g2 = Grid.build(box2, (33, 17))
         drift1 = DL.drift()
         drift2 = DriftCoefficients(drift1.d0, S @ drift1.d)
-        u1, _ = newton_solve(BOX, g1, drift1, duallog_trace)
-        u2, _ = newton_solve(box2, g2, drift2, lambda p: duallog_trace(S.T @ p))
+        u1, _ = newton_solve(g1, drift1, duallog_trace)
+        u2, _ = newton_solve(g2, drift2, lambda p: duallog_trace(S.T @ p))
         # u2(S xi) == u1(xi): node (i,j) of g1 maps to node (32-j, i) of g2
         v1 = u1.values
         v2 = np.flip(u2.values, axis=0).T
@@ -266,14 +266,14 @@ class TestProperties:
     def test_iteration_cap_raises(self):
         g = Grid.build(BOX, (17, 33))
         with pytest.raises(ConvergenceError):
-            newton_solve(BOX, g, DL.drift(), duallog_trace,
+            newton_solve(g, DL.drift(), duallog_trace,
                          SolverConfig(max_newton_iters=2))
 
     def test_given_init(self):
         g = Grid.build(BOX, (17, 33))
         start = sample_oracle(DL, g)
-        u, rep = newton_solve(BOX, g, DL.drift(), duallog_trace,
-                              SolverConfig(init="given"), initial=start)
+        u, rep = newton_solve(g, DL.drift(), duallog_trace,
+                              initial=start)
         assert rep.iterations <= 2
 
     def test_given_init_not_convex_raises(self):
@@ -282,21 +282,21 @@ class TestProperties:
         pts = g.points()
         saddle = GridFunction(g, 0.5 * (pts[..., 0] ** 2 - pts[..., 1] ** 2))
         with pytest.raises(ConvexityError, match="given initial iterate is not convex"):
-            newton_solve(BOX, g, DL.drift(), duallog_trace,
-                         SolverConfig(init="given"), initial=saddle)
+            newton_solve(g, DL.drift(), duallog_trace,
+                         initial=saddle)
 
     def test_under_resolved_grid_rejected(self):
         from malab.errors import DomainError
 
         g = Grid.build(BOX, (9, 33))  # only 5 interior nodes across
         with pytest.raises(DomainError):
-            newton_solve(BOX, g, DL.drift(), duallog_trace)
+            newton_solve(g, DL.drift(), duallog_trace)
 
     def test_three_dimensional_solve(self):
         box = Box([1, -1, -1], [2, 1, 1])
         dl3 = DualLog(3)
         g = Grid.build(box, (15, 15, 15))
-        u, rep = newton_solve(box, g, dl3.drift(), lambda p: float(dl3.value(p)))
+        u, rep = newton_solve(g, dl3.drift(), lambda p: float(dl3.value(p)))
         exact = dl3.value(g.points())
         err = np.nanmax(np.abs(u.values - exact)[g.mask == INTERIOR])
         assert err <= 4.0 * g.spacing.max() ** 2

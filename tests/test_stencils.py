@@ -18,7 +18,7 @@ def test_batch_equals_stacked_single_points(name, use_richardson, rng):
     bit, the single-point results stacked."""
     oracle, draw = RULES[name]
     x = draw(rng)
-    h = fd_step(oracle, x) * rng.uniform(0.5, 2.0, len(x))
+    h = fd_step(x) * rng.uniform(0.5, 2.0, len(x))
     basis = np.linalg.inv(oracle.hessian(x))
     phi, glr = phi_rule(oracle, oracle.side), grad_logrho_rule(oracle, oracle.side)
     cases = [
