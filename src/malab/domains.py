@@ -2,9 +2,9 @@
 affine normalization that sends the ellipsoid to the unit ball.
 
 Supported domains are boxes, balls and halfspace polytopes. The centered
-MVEE is computed by a fixed-center multiplicative-weights ascent with away
-steps over the vertices of a box or polytope; a ball is its own MVEE.
-Support points take a batch of directions (..., n).
+MVEE of a box or polytope follows a log-barrier Newton path over the
+n(n+1)/2 entries of its shape matrix (Boyd & Vandenberghe, sec. 8.4.1; Sun &
+Freund 2004); a ball is its own. Support points take batched directions.
 """
 
 from __future__ import annotations
@@ -19,7 +19,11 @@ from .errors import ConvergenceError, DomainError
 
 _CONTAIN_TOL = 1e-12
 MAX_AXIS_RATIO = 1e6
-MVEE_MAX_ITERS = 200_000
+BARRIER_FACTOR = 1000.0  # growth of t between centerings of the MVEE path
+CENTERED = 1e-6  # squared Newton decrement that ends a centering
+FULL_STEP = 1.0 / 16.0  # squared decrement below which Newton steps are full
+MVEE_MAX_STEPS = 500  # Newton steps over the whole MVEE path
+MAX_BARRIER_T = 1e14  # the Newton matrix's condition grows like t
 CHECK_DIRECTIONS = 1024  # support directions that check a normalized image
 
 
@@ -172,31 +176,13 @@ class Polytope:
         return v[np.argmax(np.asarray(direction, dtype=float) @ v.T, axis=-1)]
 
     def centroid(self):
-        """Exact centroid by fan decomposition from an interior point (n<=3)."""
+        """Exact centroid: the hull's facet simplices fanned from an interior
+        point, in one batched determinant (in 2-D, the shoelace sum)."""
         v = self.vertices()
-        n = self.dim
         p = self.interior_point()
-        if n == 2:
-            ang = np.arctan2(v[:, 1] - p[1], v[:, 0] - p[0])
-            v = v[np.argsort(ang)]
-            tot, acc = 0.0, np.zeros(2)
-            for i in range(len(v)):
-                a, b = v[i], v[(i + 1) % len(v)]
-                da, db = a - p, b - p
-                area = 0.5 * abs(da[0] * db[1] - da[1] * db[0])
-                tot += area
-                acc += area * (a + b + p) / 3.0
-            return acc / tot
-        if n == 3:
-            hull = ConvexHull(v)
-            tot, acc = 0.0, np.zeros(3)
-            for simplex in hull.simplices:
-                a, b, c = v[simplex]
-                vol = abs(np.linalg.det(np.stack([a - p, b - p, c - p]))) / 6.0
-                tot += vol
-                acc += vol * (a + b + c + p) / 4.0
-            return acc / tot
-        raise DomainError("exact polytope centroid implemented for n in {2,3}", n=n)
+        fan = v[ConvexHull(v).simplices] - p
+        vol = np.abs(np.linalg.det(fan))
+        return p + (vol @ fan.sum(axis=1)) / ((self.dim + 1) * vol.sum())
 
     def bounding_box(self):
         v = self.vertices()
@@ -333,10 +319,15 @@ def direction_fan(n, count):
 def centered_mvee(domain, tol=1e-9):
     """Minimum-volume ellipsoid containing `domain`, centered at its centroid.
 
-    Fixed-center multiplicative-weights ascent (Khachiyan-type) with away
-    steps over the vertices of a box or polytope (Todd & Yildirim, Discrete
-    Appl. Math. 2007); the returned ellipsoid is rescaled to contain every
-    vertex exactly. A ball is its own centered MVEE.
+    With the center c fixed, the shape of a box or polytope solves
+    min -log det M s.t. q_i^T M q_i <= 1 over the vertices q_i - c, a convex
+    problem in the n(n+1)/2 entries of M (Boyd & Vandenberghe, Convex
+    Optimization, 2004, sec. 8.4.1; Sun & Freund, Oper. Res. 52, 2004).
+    Newton steps follow its log-barrier path, in coordinates that whiten the
+    vertices, from the uniform-weight ellipsoid until the duality gap m/t is
+    at most `tol` (a `tol` below m / MAX_BARRIER_T raises ConvergenceError);
+    the result is rescaled to contain every vertex exactly. A ball is its
+    own centered MVEE.
     """
     if not (0.0 < tol <= 1e-3):
         raise DomainError("tol must lie in (0, 1e-3]", tol=tol)
@@ -345,46 +336,54 @@ def centered_mvee(domain, tol=1e-9):
         return Ellipsoid(c, np.eye(domain.dim) / domain.radius**2)
     q = domain.vertices() - c
     m, n = q.shape
+    w, Q = np.linalg.eigh(q.T @ q / m)
+    if w[0] <= 0.0:
+        raise DomainError("domain too flat for normalization")
+    S = (Q / np.sqrt(w)) @ Q.T
+    q = q @ S
+    # unknowns x: the upper triangle of M = x @ E; constraint rows A x = q^T M q
+    r, k = np.triu_indices(n)
+    E = np.zeros((len(r), n * n))
+    E[np.arange(len(r)), r * n + k] = E[np.arange(len(r)), k * n + r] = 1.0
+    A = q[:, r] * q[:, k] * np.where(r == k, 1.0, 2.0)
 
-    u = np.full(m, 1.0 / m)
-    eye = 1e-14 * np.eye(n)
-    gap = np.inf
-    for _ in range(MVEE_MAX_ITERS):
-        V = (q * u[:, None]).T @ q + eye
-        g = np.einsum("ij,jk,ik->i", q, np.linalg.inv(V), q)
-        imax = int(np.argmax(g))
-        kmax = g[imax]
-        support = u > 1e-16
-        gmin_idx = np.flatnonzero(support)[int(np.argmin(g[support]))]
-        kmin = g[gmin_idx]
-        gap = kmax / n - 1.0
-        if gap <= tol:
-            break
-        # an away step may drop the point entirely, which must keep V
-        # nonsingular: det(V - u_j q_j q_j^T) = det V (1 - u_j g_j)
-        if (1.0 - kmin / n) > (kmax / n - 1.0) and u[gmin_idx] * kmin < 1.0 - 1e-8:
-            clip = -u[gmin_idx] / (1.0 - u[gmin_idx])
-            if kmin > 1.0:
-                lam = max((kmin - n) / (n * (kmin - 1.0)), clip)
-            else:
-                # objective increases monotonically toward the full drop
-                lam = clip
-            u *= 1.0 - lam
-            u[gmin_idx] += lam
-            u[u < 0] = 0.0
+    def barrier(x):
+        lam = np.linalg.eigvalsh((x @ E).reshape(n, n))
+        s = 1.0 - A @ x
+        if lam[0] <= 0.0 or s.min() <= 0.0:
+            return np.inf
+        return -t * np.log(lam).sum() - np.log(s).sum()
+
+    x = np.where(r == k, 0.5 / np.einsum("ij,ij->i", q, q).max(), 0.0)
+    t, last = 1.0, np.inf
+    for _ in range(MVEE_MAX_STEPS):
+        W = np.linalg.inv((x @ E).reshape(n, n))
+        d = 1.0 / (1.0 - A @ x)
+        g = -t * (E @ W.ravel()) + A.T @ d
+        H = t * E @ np.kron(W, W) @ E.T + (A.T * d**2) @ A
+        dx = -np.linalg.solve(H, g)
+        dec2 = -g @ dx
+        # centered, or a full step no longer shrinks dec2 (rounding floor)
+        if dec2 < CENTERED or dec2 >= last:
+            if m / t <= tol:
+                break
+            t, last = min(BARRIER_FACTOR * t, MAX_BARRIER_T), np.inf
+            continue
+        if dec2 < FULL_STEP:
+            step, last = 1.0, dec2
         else:
-            lam = (kmax - n) / (n * (kmax - 1.0))
-            u *= 1.0 - lam
-            u[imax] += lam
-        u /= u.sum()
+            # keep a hundredth of every slack (slacks at rounding level make
+            # barrier values meaningless), then backtrack (Armijo)
+            step = 0.99 / max(0.99, (d * (A @ dx)).max())
+            f0 = barrier(x)
+            while barrier(x + step * dx) > f0 - 0.25 * step * dec2:
+                step *= 0.5
+        x = x + step * dx
     else:
-        raise ConvergenceError("centered MVEE did not converge", gap=float(gap), tol=tol)
+        raise ConvergenceError("centered MVEE did not converge", gap=m / t, tol=tol)
 
-    V = (q * u[:, None]).T @ q
-    M = np.linalg.inv(V) / n
     # rescale for exact containment of the vertices
-    s = np.einsum("ij,jk,ik->i", q, M, q).max()
-    M = M / s
+    M = S @ (x @ E).reshape(n, n) @ S / (A @ x).max()
     ell = Ellipsoid(c, M)
     axes = ell.semi_axes()
     if axes[0] / axes[-1] > MAX_AXIS_RATIO:

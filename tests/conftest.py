@@ -1,5 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run and machine, with no
+# per-example deadline (a loaded CI runner must not turn slowness into a
+# failure) and a bounded example count
+settings.register_profile("malab", derandomize=True, deadline=None, max_examples=30)
+settings.load_profile("malab")
 
 
 @pytest.fixture
@@ -19,3 +26,13 @@ def random_polytope(rng, n=2, max_halfspaces=12):
     normals = np.vstack([normals, np.eye(n), -np.eye(n)])
     offsets = np.r_[offsets, rng.uniform(1.0, 3.0, 2 * n)]
     return Polytope(normals, offsets)
+
+
+def random_hull(rng, n=2, max_points=40):
+    """Polytope of the convex hull of a random Gaussian point cloud."""
+    from scipy.spatial import ConvexHull
+
+    from malab.domains import Polytope
+
+    hull = ConvexHull(rng.normal(size=(int(rng.integers(n + 2, max_points + 1)), n)))
+    return Polytope(hull.equations[:, :-1], -hull.equations[:, -1])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from malab.domains import (AffineMap, Ball, Box, Ellipsoid, Polytope,
@@ -7,7 +9,7 @@ from malab.domains import (AffineMap, Ball, Box, Ellipsoid, Polytope,
                            direction_fan, normalize_domain)
 from malab.errors import DomainError
 
-from conftest import random_polytope
+from conftest import random_hull, random_polytope
 
 
 def mvee_axes_oracle(corner, steps=4001):
@@ -25,6 +27,47 @@ def mvee_axes_oracle(corner, steps=4001):
         if a * b < best[0]:
             best = (a * b, (a, b))
     return np.sort(np.array(best[1]))[::-1]
+
+
+def centroid_fan_loop(P):
+    """Polytope centroid by a per-triangle (n=2) or per-tetrahedron (n=3)
+    loop over the fan from the interior point: the reference that
+    `Polytope.centroid`'s batched determinant replaced."""
+    v, p = P.vertices(), P.interior_point()
+    if P.dim == 2:
+        v = v[np.argsort(np.arctan2(v[:, 1] - p[1], v[:, 0] - p[0]))]
+        tot, acc = 0.0, np.zeros(2)
+        for i in range(len(v)):
+            a, b = v[i], v[(i + 1) % len(v)]
+            da, db = a - p, b - p
+            area = 0.5 * abs(da[0] * db[1] - da[1] * db[0])
+            tot += area
+            acc += area * (a + b + p) / 3.0
+        return acc / tot
+    tot, acc = 0.0, np.zeros(3)
+    for simplex in ConvexHull(v).simplices:
+        a, b, c = v[simplex]
+        vol = abs(np.linalg.det(np.stack([a - p, b - p, c - p]))) / 6.0
+        tot += vol
+        acc += vol * (a + b + c + p) / 4.0
+    return acc / tot
+
+
+def affine_image(P, S, t):
+    """The polytope {S x + t : x in P}."""
+    NB = P.normals @ np.linalg.inv(S)
+    return Polytope(NB, P.offsets + NB @ t)
+
+
+def assert_equivariant(P, S, t, tol):
+    """MVEE(S P + t) is S MVEE(P) + t: center S c + t, shape S^-T M S^-1."""
+    e = centered_mvee(P, tol=1e-11)
+    e2 = centered_mvee(affine_image(P, S, t), tol=1e-11)
+    Si = np.linalg.inv(S)
+    want = Si.T @ e.shape @ Si
+    scale = 1.0 + np.abs(S @ e.center + t).max()
+    assert np.abs(e2.center - (S @ e.center + t)).max() <= tol * scale
+    assert np.abs(e2.shape - want).max() <= tol * np.abs(want).max()
 
 
 class TestMVEE:
@@ -53,22 +96,44 @@ class TestMVEE:
             assert q.max() <= 1.0 + 1e-6
 
     def test_affine_equivariance(self, rng):
-        for _ in range(5):
-            P = random_polytope(rng)
-            e = centered_mvee(P, tol=1e-11)
-            S = rng.normal(size=(2, 2))
-            while abs(np.linalg.det(S)) < 0.3:
-                S = rng.normal(size=(2, 2))
-            t = rng.normal(size=2)
-            T = AffineMap(S, t)
-            NB = P.normals @ T.inv_linear
-            imgP = Polytope(NB, P.offsets + NB @ t)
-            e2 = centered_mvee(imgP, tol=1e-11)
-            # shape transforms by congruence with S^{-1}
-            Si = np.linalg.inv(S)
-            want = Si.T @ e.shape @ Si
-            assert np.allclose(e2.center, T.apply(e.center), atol=1e-6)
-            assert np.abs(e2.shape - want).max() <= 1e-6 * np.abs(want).max()
+        for n in (2, 3):
+            for _ in range(5):
+                P = random_polytope(rng, n=n)
+                S = rng.normal(size=(n, n))
+                while abs(np.linalg.det(S)) < 0.3:
+                    S = rng.normal(size=(n, n))
+                assert_equivariant(P, S, rng.normal(size=n), 1e-8)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+           entries=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+           shift=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    def test_affine_equivariance_property(self, seed, n, entries, shift):
+        S = np.reshape(entries[:n * n], (n, n))
+        assume(np.linalg.cond(S) < 100.0)
+        P = random_polytope(np.random.default_rng(seed), n=n)
+        assert_equivariant(P, S, np.array(shift[:n]), 1e-8)
+
+    def test_box_3d_closed_form(self):
+        # centered MVEE of a box with half-widths a_i: diag(1 / (3 a_i^2))
+        lo, hi = np.array([-1.0, -0.5, 0.2]), np.array([3.0, 0.5, 0.7])
+        e = centered_mvee(Box(lo, hi))
+        want = np.diag(1.0 / (3.0 * (0.5 * (hi - lo)) ** 2))
+        assert np.array_equal(e.center, 0.5 * (lo + hi))
+        assert np.abs(e.shape - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_regular_polygon_image(self, rng):
+        # the near-ellipse case: a regular 128-gon inscribed in the unit
+        # circle, mapped by S, has the image of that circle as its MVEE
+        k = 128
+        mid = 2.0 * np.pi * (np.arange(k) + 0.5) / k
+        polygon = Polytope(np.stack([np.cos(mid), np.sin(mid)], axis=1),
+                           np.full(k, np.cos(np.pi / k)))
+        S = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
+        e = centered_mvee(affine_image(polygon, S, np.zeros(2)))
+        Si = np.linalg.inv(S)
+        want = Si.T @ Si
+        assert np.abs(e.center).max() <= 1e-12
+        assert np.abs(e.shape - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_tol_validation(self):
         with pytest.raises(DomainError):
@@ -77,6 +142,11 @@ class TestMVEE:
     def test_degenerate_domain_rejected(self):
         with pytest.raises(DomainError):
             centered_mvee(Box([-1, -1e-8], [1, 1e-8]))
+        # rotated and thinner: the vertex covariance is numerically singular
+        c, s = np.cos(0.5), np.sin(0.5)
+        normals = np.vstack([np.eye(2), -np.eye(2)]) @ np.array([[c, s], [-s, c]])
+        with pytest.raises(DomainError):
+            centered_mvee(Polytope(normals, np.array([1.0, 1e-11, 1.0, 1e-11])))
 
 
 class TestNormalize:
@@ -118,6 +188,16 @@ class TestNormalize:
             assert np.array([np.linalg.norm(img.support_point(d)) for d in dirs]).max() \
                 <= 1.0 + 1e-6
             assert sup.min() >= 3.0 ** (-1.5) * (1 - 1e-6)
+
+    def test_sandwich_on_random_hulls(self, rng):
+        # B(0, n^-3/2) in T(P) in B(0, 1), with the outer sphere touched:
+        # vertices from the image, the inner ball from its facet offsets
+        for n in (2, 3):
+            for _ in range(30):
+                T, img = normalize_domain(random_hull(rng, n))
+                outer = np.linalg.norm(img.vertices(), axis=1).max()
+                assert abs(outer - 1.0) <= 1e-9
+                assert img.offsets.min() >= n ** (-1.5)
 
 
 class TestSupportPoints:
@@ -162,6 +242,13 @@ class TestDomainTypes:
         B = Box([0, -1], [2, 1])
         P = box_as_polytope(B)
         assert np.allclose(P.centroid(), [1.0, 0.0], atol=1e-12)
+
+    def test_centroid_matches_fan_loop(self, rng):
+        for n in (2, 3):
+            for _ in range(20):
+                P = random_polytope(rng, n=n)
+                want = centroid_fan_loop(P)
+                assert np.abs(P.centroid() - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_centroid_3d_simplex(self):
         # simplex with vertices 0, e1, e2, e3: centroid = (1/4, 1/4, 1/4)
