@@ -6,14 +6,17 @@ dual side (r = log det D^2 f - d.x - d0 on the primal side), so the Newton
 linearization trace((D^2 u)^{-1} D^2 .) + d.grad(.) is elliptic as long as
 iterates stay convex. The residual applies the one difference table,
 `stencils.TABLE`, at interior nodes, and the Jacobian walks the same arms.
-Convexity is enforced by step rejection: a trial step must keep every
-interior FD Hessian positive definite and reduce the max residual, else it
-is halved down to a hard floor.
+One batched Cholesky kernel gives every interior FD Hessian its positive
+definiteness test, its log det and, for the Jacobian, its inverse. Each solve
+lays out the Jacobian's sparsity structure once and orders it by minimum
+degree at its first factorization only. Convexity is enforced by step
+rejection: a trial step must keep every interior FD Hessian positive definite
+and reduce the max residual, else it is halved down to a hard floor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +31,7 @@ __all__ = ["DriftCoefficients", "SolverConfig", "SolverReport",
            "residual_field", "newton_solve"]
 
 DET_FLOOR = 1e-14  # smallest FD Hessian determinant a Newton iterate may reach
+_LU_OPTIONS = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 
 
 @dataclass(frozen=True)
@@ -54,16 +58,28 @@ class SolverReport:
     rejected_steps: int = 0      # damping halvings plus halved continuation steps
 
     def to_json(self):
-        return {
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-            "residual_history": list(self.residual_history),
-            "min_hessian_eigenvalue": self.min_hessian_eigenvalue,
-            "converged": self.converged,
-            "continuation_steps": self.continuation_steps,
-            "total_iterations": self.total_iterations,
-            "rejected_steps": self.rejected_steps,
-        }
+        return asdict(self)
+
+
+def _cholesky(H, inverse=False):
+    """Batched Cholesky H = L L^T of symmetric (m, n, n), a loop over n vectorized
+    over m. Returns the pivots L_ii^2 (m, n), all > 0 exactly when H is positive
+    definite, with product det H; with `inverse`, also H^{-1} = L^{-T} L^{-1}.
+    From its first pivot that is not > 0, a matrix's pivots and inverse are NaN."""
+    n = H.shape[-1]
+    L, piv = np.zeros(H.shape), np.empty(H.shape[:-1])
+    for i in range(n):
+        for j in range(i):
+            L[:, i, j] = (H[:, i, j] - (L[:, i, :j] * L[:, j, :j]).sum(axis=1)) / L[:, j, j]
+        piv[:, i] = H[:, i, i] - (L[:, i, :i] * L[:, i, :i]).sum(axis=1)
+        L[:, i, i] = np.sqrt(np.where(piv[:, i] > 0.0, piv[:, i], np.nan))
+    if not inverse:
+        return piv
+    X = np.zeros(H.shape)  # L^{-1}, row by row by forward substitution
+    for i in range(n):
+        X[:, i, :i] = -np.einsum("mk,mkj->mj", L[:, i, :i], X[:, :i, :i]) / L[:, i, i, None]
+        X[:, i, i] = 1.0 / L[:, i, i]
+    return piv, np.einsum("mki,mkj->mij", X, X)
 
 
 def _log_residual(grid, values, drift, side, det_floor):
@@ -71,26 +87,27 @@ def _log_residual(grid, values, drift, side, det_floor):
     st = grid.stencil
     padded = st.pad(values)
     H = st.hessian(padded, interior=True)
-    eigs = np.linalg.eigvalsh(H)
-    det = np.prod(eigs, axis=-1)
-    if eigs[:, 0].min() <= 0.0 or det.min() < det_floor:
-        return None, H, float(det.min())
-    logdet = np.log(det)
+    piv = _cholesky(H)
+    mindet = float(np.where((piv > 0.0).all(axis=1), piv.prod(axis=1), 0.0).min())  # 0: not PD
+    if mindet <= 0.0 or mindet < det_floor:
+        return None, H, mindet
+    logdet = np.log(piv).sum(axis=1)
     if side == DUAL:
         r = logdet + st.gradient(padded, interior=True) @ drift.d + drift.d0
     else:
         r = logdet - grid.interior_points @ drift.d - drift.d0
-    return r, H, float(det.min())
+    return r, H, mindet
 
 
 def residual_field(u, drift, side=DUAL):
     """Pointwise PDE residual of a GridFunction on its interior nodes."""
     grid = u.grid
-    r, H, mindet = _log_residual(grid, u.values, drift, side, det_floor=0.0)
+    r, H, _ = _log_residual(grid, u.values, drift, side, det_floor=0.0)
     if r is None:
-        bad = int(np.argmin(np.linalg.eigvalsh(H)[:, 0]))
+        eigs = np.linalg.eigvalsh(H)
         raise ConvexityError("non-convex FD Hessian in residual",
-                             node=grid.interior_nodes()[bad].tolist(), min_det=mindet)
+                             node=grid.interior_nodes()[np.argmin(eigs[:, 0])].tolist(),
+                             min_det=float(eigs.prod(axis=1).min()))
     out = np.full(grid.shape, np.nan)
     out[grid.mask == INTERIOR] = r
     return GridFunction.on_interior(grid, out)
@@ -119,36 +136,60 @@ def _quadratic_init(grid, bidx, bvals):
             + pts_all @ lin + c0)
 
 
-def _assemble_jacobian(grid, H, drift, side):
-    """Sparse linearization trace(H^{-1} D^2 .) (+ drift gradient on the dual
-    side): the arms of d_ij weighted by Hi_ij (twice off the diagonal) and,
-    on the dual side, the arms of d_i weighted by d_i."""
-    st = grid.stencil
-    n = grid.dim
-    Hi = np.linalg.inv(H)
-    weights = {}  # node offset -> weight per interior row, summed in table order
-    terms = [((i, j), Hi[:, i, j] * (1.0 if i == j else 2.0))
-             for i in range(n) for j in range(i, n)]
-    if side == DUAL:
-        terms += [((i,), drift.d[i]) for i in range(n)]
-    for axes, a in terms:
-        arms, den = difference(axes, n)
-        a = a / den(grid.spacing)
-        for o, c in arms:
-            weights[o] = weights[o] + c * a if o in weights else c * a
-    M = len(H)
-    unknown = np.full(grid.shape, -1)
-    unknown[grid.mask == INTERIOR] = np.arange(M)
-    unknown = st.pad(unknown, -1)
-    rows, cols, vals = [], [], []
-    for o, w in sorted(weights.items(), reverse=True):  # rows come out sorted in each column
-        col = st.arm(unknown, o, interior=True)
-        keep = col >= 0
-        rows.append(np.flatnonzero(keep))
-        cols.append(col[keep])
-        vals.append(np.broadcast_to(w, (M,))[keep])
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(M, M)).tocsc()
+class _Jacobian:
+    """The Newton Jacobians of one solve. Each arm of d_ij and d_i links an
+    interior row to the interior column it reaches, no (row, col) pair twice,
+    so the CSC structure and the (arm, row) weight of each entry are laid out
+    once. The first factorization orders the unknowns by minimum degree
+    (`_factor`); every later Jacobian is laid out in that order, factored as is."""
+
+    def __init__(self, grid):
+        st, n = grid.stencil, grid.dim
+        self.grid, self.size = grid, int((grid.mask == INTERIOR).sum())
+        unknown = np.full(grid.shape, -1)
+        unknown[grid.mask == INTERIOR] = np.arange(self.size)
+        unknown = st.pad(unknown, -1)
+        self.arms = {o: k for k, o in enumerate(sorted({  # node offset -> arm number
+            o for i in range(n) for j in range(i, n)
+            for axes in ((i, j), (i,)) for o, _ in difference(axes, n)[0]}))}
+        cols = np.stack([st.arm(unknown, o, interior=True) for o in self.arms])
+        fill = np.flatnonzero(cols >= 0)  # flat (arm, row) of each entry
+        self.perm = None
+        self._lay_out(fill, fill % self.size, cols.ravel()[fill])
+
+    def _lay_out(self, fill, rows, cols):  # entries at (rows, cols) take weights[fill]
+        S = sp.csc_matrix((fill + 1, (rows, cols)), shape=(self.size,) * 2)
+        self.indices, self.indptr, self.fill = S.indices, S.indptr, S.data - 1
+
+    def assemble(self, H, drift, side):
+        """Sparse linearization trace(H^{-1} D^2 .) (+ drift gradient on the
+        dual side): the arms of d_ij weighted by Hi_ij (twice off the
+        diagonal) and, on the dual side, the arms of d_i weighted by d_i."""
+        n, Hi = self.grid.dim, _cholesky(H, inverse=True)[1]
+        terms = [((i, j), Hi[:, i, j] * (1.0 if i == j else 2.0))
+                 for i in range(n) for j in range(i, n)]
+        if side == DUAL:
+            terms += [((i,), drift.d[i]) for i in range(n)]
+        weights = np.zeros((len(self.arms), self.size))
+        for axes, a in terms:
+            arms, den = difference(axes, n)
+            a = a / den(self.grid.spacing)
+            for o, c in arms:
+                weights[self.arms[o]] += c * a
+        return sp.csc_matrix((weights.ravel()[self.fill], self.indices, self.indptr),
+                             shape=(self.size,) * 2)
+
+    def solve(self, J, rhs):
+        """Solve J x = rhs for an assembled Jacobian, with x and rhs in node order."""
+        if self.perm is None:  # the solve's first Jacobian fixes the order
+            lu = _factor(J)
+            x, self.perm = lu.solve(rhs), lu.perm_c.copy()  # perm_c is a view that holds lu
+            del lu  # freed first, so the new layout can reuse its memory
+            cols = self.perm.repeat(np.diff(self.indptr))
+            self._lay_out(self.fill, self.perm[self.indices], cols)
+            return x
+        lu = splu(J, permc_spec="NATURAL", **_LU_OPTIONS)
+        return lu.solve(rhs[np.argsort(self.perm)])[self.perm]
 
 
 def _factor(J):
@@ -157,19 +198,18 @@ def _factor(J):
     are ordered by minimum degree on A + A^T in SuperLU's symmetric mode;
     the pivot threshold keeps partial pivoting, since the dual-side drift
     term makes J nonsymmetric."""
-    return splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                options=dict(SymmetricMode=True))
+    return splu(J, permc_spec="MMD_AT_PLUS_A", **_LU_OPTIONS)
 
 
-def _harmonic_lift(grid, collar_idx, collar_vals):
+def _harmonic_lift(jacobian, collar_idx, collar_vals):
     """Discrete harmonic extension of collar data: the 5-point Laplacian
     vanishes at every interior node, and the collar holds the data."""
-    n = grid.dim
+    grid, n = jacobian.grid, jacobian.grid.dim
     lift = np.zeros(grid.shape)
     lift[collar_idx] = collar_vals
     H = grid.stencil.hessian(grid.stencil.pad(lift), interior=True)
-    laplace = _assemble_jacobian(grid, np.broadcast_to(np.eye(n), H.shape),
-                                 DriftCoefficients.zero(n), PRIMAL)
+    laplace = jacobian.assemble(np.broadcast_to(np.eye(n), H.shape),
+                                DriftCoefficients.zero(n), PRIMAL).copy()
     laplace.eliminate_zeros()  # mixed-stencil entries of an identity Hessian
     lift[grid.mask == INTERIOR] = _factor(laplace).solve(-np.trace(H, axis1=1, axis2=2))
     return lift
@@ -179,9 +219,10 @@ class _InitialNotConvex(Exception):
     pass
 
 
-def _newton_core(grid, values, drift, side, config):
+def _newton_core(jacobian, values, drift, side, config):
     """Damped Newton at fixed boundary values from the start iterate `values`.
-    Returns (values, residual history, final residual, damping halvings)."""
+    Returns (values, residual history, final residual, halvings, FD Hessians)."""
+    grid = jacobian.grid
     r, H, mindet = _log_residual(grid, values, drift, side, DET_FLOOR)
     if r is None:
         raise _InitialNotConvex(mindet)
@@ -190,8 +231,7 @@ def _newton_core(grid, values, drift, side, config):
     halvings = 0
     it = 0
     while rnorm > config.residual_tol and it < config.max_newton_iters:
-        J = _assemble_jacobian(grid, H, drift, side)
-        delta = _factor(J).solve(-r)
+        delta = jacobian.solve(jacobian.assemble(H, drift, side), -r)
         lam = 1.0
         accepted = False
         while lam >= config.min_step:
@@ -217,7 +257,7 @@ def _newton_core(grid, values, drift, side, config):
     if rnorm > config.residual_tol:
         raise ConvergenceError("Newton iteration cap reached",
                                residual=rnorm, history=history)
-    return values, history, rnorm, halvings
+    return values, history, rnorm, halvings, H
 
 
 def newton_solve(grid, drift, boundary, config=None, side=DUAL, initial=None):
@@ -256,8 +296,9 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL, initial=None):
     values[grid.mask == 0] = np.nan
     fit_trace = values[bidx].copy()
     delta_data = bvals - fit_trace
+    jac = _Jacobian(grid)
     # a given start keeps its interior; the paraboloid gets the lifted mismatch
-    lift = 0.0 if given else _harmonic_lift(grid, bidx, delta_data)
+    lift = 0.0 if given else _harmonic_lift(jac, bidx, delta_data)
 
     loose = replace(config, residual_tol=max(config.residual_tol, 1e-9))
     t, dt = 0.0, 1.0
@@ -268,7 +309,7 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL, initial=None):
         start[bidx] = bvals if t_try >= 1.0 else fit_trace + t_try * delta_data
         leg_cfg = config if t_try >= 1.0 else loose
         try:
-            values, history, rnorm, halvings = _newton_core(grid, start, drift, side, leg_cfg)
+            values, history, rnorm, halvings, H = _newton_core(jac, start, drift, side, leg_cfg)
         except _InitialNotConvex as fail:
             if given:
                 raise ConvexityError("given initial iterate is not convex",
@@ -286,7 +327,6 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL, initial=None):
         rejected_steps += halvings
 
     out = GridFunction(grid, np.where(grid.mask == 0, 0.0, values))
-    H = grid.stencil.hessian(grid.stencil.pad(values), interior=True)
     min_eig = float(np.linalg.eigvalsh(H)[:, 0].min())
     report = SolverReport(iterations=len(history) - 1, final_residual=rnorm,
                           residual_history=history, min_hessian_eigenvalue=min_eig,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -8,7 +10,8 @@ from malab.errors import ConvergenceError, ConvexityError
 from malab.grids import Grid, INTERIOR, GridFunction, sample_oracle
 from malab.oracles import (DUAL, AffineImageOracle, DriftCoefficients, DualLog, ExpSolution,
                            Quadratic)
-from malab.solver import (SolverConfig, _assemble_jacobian, _factor, _log_residual,
+import malab.solver
+from malab.solver import (SolverConfig, _cholesky, _factor, _Jacobian, _log_residual,
                           newton_solve, residual_field)
 
 BOX = Box([1, -1], [2, 1])
@@ -31,6 +34,67 @@ def rotated_duallog(degrees=30.0):
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     d = DL.drift()
     return AffineImageOracle(DL, AffineMap(R, np.zeros(2))), DriftCoefficients(d.d0, R @ d.d)
+
+
+# the four solve-ball drifts of seed 1, as (d0, d)
+BALL_DRIFTS = (
+    (0.07545046369632594, (0.6356561314866042, 0.2619733622535199)),
+    (0.2248118314520105, (-0.40656785837920073, 0.9826069365868477)),
+    (-0.07509080086363083, (-1.328545831100513, -0.5506877010937093)),
+    (-0.225, (0.6936137211617256, -1.6745316526767071)),
+)
+
+
+def ball_solve(grid, k):
+    d0, d = BALL_DRIFTS[k]
+    q = Quadratic.unit(2)
+    return newton_solve(grid, DriftCoefficients(d0, np.array(d)), lambda p: float(q.value(p)))
+
+
+def spd_stack(rng, n, m=200):
+    """Random SPD matrices with condition numbers up to about 1e3, followed
+    by semidefinite, indefinite and NaN rows."""
+    A = rng.standard_normal((m, n, n))
+    Q = np.linalg.qr(A)[0]
+    w = 10.0 ** rng.uniform(-1.5, 1.5, (m, n))
+    spd = np.einsum("mij,mj,mkj->mik", Q, w, Q)
+    spd = 0.5 * (spd + spd.transpose(0, 2, 1))
+    v = np.arange(1.0, n + 1.0)
+    semidefinite = [np.outer(v, v), np.diag(np.r_[1.0, np.zeros(n - 1)]), np.zeros((n, n))]
+    last_pivot = np.eye(n) + 0.5 * (1.0 - np.eye(n))  # only the last pivot is negative
+    last_pivot[-1, -1] = -0.5
+    indefinite = [np.diag(np.r_[-np.ones(n - 1), 2.0]), 2.0 * np.ones((n, n)) - np.eye(n),
+                  last_pivot]
+    with_nan = [np.eye(n), np.eye(n)]
+    with_nan[0][0, 0] = np.nan
+    with_nan[1][n - 1, 0] = with_nan[1][0, n - 1] = np.nan
+    return np.concatenate([spd, semidefinite, indefinite, with_nan]), m
+
+
+class TestCholesky:
+    """The batched SPD kernel against LAPACK, in two and three dimensions."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_against_lapack(self, n, rng):
+        H, m = spd_stack(rng, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            piv, Hi = _cholesky(H, inverse=True)
+            assert np.array_equal(_cholesky(H), piv, equal_nan=True)
+        pd = (piv > 0).all(axis=1)
+        finite = np.isfinite(H).all(axis=(1, 2))
+        want = np.zeros(len(H), dtype=bool)
+        want[finite] = np.linalg.eigvalsh(H[finite])[:, 0] > 0
+        assert np.array_equal(pd, want)
+        assert pd[:m].all() and not pd[m:].any()
+        sign, logdet = np.linalg.slogdet(H[:m])
+        assert (sign == 1).all()
+        np.testing.assert_allclose(np.log(piv[:m]).sum(axis=1), logdet, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(piv[:m].prod(axis=1), np.exp(logdet), rtol=1e-12)
+        inv = np.linalg.inv(H[:m])
+        err = np.linalg.norm(Hi[:m] - inv, axis=(1, 2)) / np.linalg.norm(inv, axis=(1, 2))
+        assert err.max() <= 1e-12
+        assert np.isnan(Hi[m:]).all(axis=(1, 2)).all()
 
 
 class TestResidualField:
@@ -209,11 +273,39 @@ class TestJacobian:
 
         eps = 1e-7
         fd = (residual(eps) - residual(-eps)) / (2 * eps)
-        J = _assemble_jacobian(g, _log_residual(g, u, drift, side, 0.0)[1], drift, side)
+        J = _Jacobian(g).assemble(_log_residual(g, u, drift, side, 0.0)[1], drift, side)
         assert np.linalg.norm(J @ delta - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 class TestFactor:
+    def test_later_jacobians_come_out_in_the_first_order(self):
+        """After the first factorization the unknowns are renumbered by its
+        column order: a later Jacobian is the first one permuted, entry for
+        entry, and in its natural order it factors with the same fill and
+        the same solution."""
+        g = Grid.build(Ball(np.zeros(2), 1.0), 33)
+        x = g.points()
+        u = 0.5 * (x**2).sum(axis=-1) + 0.25 * x[..., 0] * x[..., 1] + 0.1 * np.exp(x[..., 0])
+        d0, d = BALL_DRIFTS[3]
+        drift = DriftCoefficients(d0, np.array(d))
+        H = g.stencil.hessian(g.stencil.pad(u), interior=True)
+        jac = _Jacobian(g)
+        J = jac.assemble(H, drift, DUAL)
+        assert J.has_canonical_format
+        b = np.cos(np.arange(J.shape[0]))
+        x1 = jac.solve(J, b)
+        lu = _factor(J)
+        assert np.array_equal(jac.perm, lu.perm_c)
+        assert jac.perm.base is None  # a view of perm_c would keep the first LU alive
+        Jp = jac.assemble(H, drift, DUAL)
+        assert Jp.has_canonical_format and Jp.nnz == J.nnz
+        assert np.array_equal(Jp.toarray()[np.ix_(jac.perm, jac.perm)], J.toarray())
+        natural = splu(Jp, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                       options=dict(SymmetricMode=True))
+        assert natural.L.nnz + natural.U.nnz == lu.L.nnz + lu.U.nnz
+        x2 = jac.solve(Jp, b)
+        assert np.abs(x2 - x1).max() <= 1e-12 * np.abs(x1).max()
+
     def test_fill_of_a_drifted_ball_jacobian(self):
         """The ordering is pinned by a count, the LU fill, not by a time: on a
         ball Jacobian at 97 with the strongest benchmark drift, minimum degree
@@ -224,12 +316,54 @@ class TestFactor:
         u = 0.5 * (x**2).sum(axis=-1) + 0.25 * x[..., 0] * x[..., 1] + 0.1 * np.exp(x[..., 0])
         angle = np.pi / 8 + 3 * np.pi / 2
         drift = DriftCoefficients(-0.225, 1.8125 * np.array([np.cos(angle), np.sin(angle)]))
-        J = _assemble_jacobian(g, g.stencil.hessian(g.stencil.pad(u), interior=True), drift, DUAL)
+        J = _Jacobian(g).assemble(g.stencil.hessian(g.stencil.pad(u), interior=True), drift, DUAL)
         assert abs(J - J.T).max() > 1.0  # the drift makes J nonsymmetric
         lu, default = _factor(J), splu(J)
         assert lu.L.nnz + lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
         b = J @ np.cos(np.arange(J.shape[0]))
         assert np.linalg.norm(J @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+class TestOrderOncePerSolve:
+    """Each solve orders its Jacobian by minimum degree once; every other
+    Jacobian is factored in the order that one fixed. Pinned by counts."""
+
+    @pytest.fixture
+    def orders(self, monkeypatch):
+        seen = []
+
+        def recording(A, permc_spec=None, **kw):
+            seen.append(permc_spec)
+            return splu(A, permc_spec=permc_spec, **kw)
+
+        monkeypatch.setattr(malab.solver, "splu", recording)
+        return seen
+
+    @pytest.mark.parametrize("k, counts", [(0, (7, 5)), (1, (8, 5)), (2, (10, 13)),
+                                           (3, (14, 18))])
+    def test_ball_drifts(self, k, counts, orders):
+        u, rep = ball_solve(Grid.build(Ball(np.zeros(2), 1.0), 65), k)
+        assert (rep.total_iterations, rep.rejected_steps) == counts
+        # the lift's Laplace LU, then the first Jacobian
+        assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * (rep.total_iterations - 1)
+
+    def test_rotated_duallog_legs(self, orders):
+        rot, drift = rotated_duallog()
+        g = Grid.build(BOX, (33, 65))
+        u, rep = newton_solve(g, drift, lambda p: float(rot.value(p)),
+                              SolverConfig(residual_tol=1e-11))
+        assert (rep.continuation_steps, rep.total_iterations, rep.rejected_steps) == (1, 10, 2)
+        assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * (rep.total_iterations - 1)
+
+    def test_same_inputs_same_bytes(self):
+        """No order outlives its solve: a rerun on the same grid object and a
+        run on a fresh grid give the same bytes."""
+        ball = Ball(np.zeros(2), 1.0)
+        g = Grid.build(ball, 65)
+        runs = [ball_solve(g, 2), ball_solve(g, 2), ball_solve(Grid.build(ball, 65), 2)]
+        for u, rep in runs[1:]:
+            assert np.array_equal(u.values, runs[0][0].values, equal_nan=True)
+            assert rep.to_json() == runs[0][1].to_json()
 
 
 class TestProperties:
@@ -301,3 +435,4 @@ class TestProperties:
         err = np.nanmax(np.abs(u.values - exact)[g.mask == INTERIOR])
         assert err <= 4.0 * g.spacing.max() ** 2
         assert rep.final_residual <= 1e-10
+        assert (rep.total_iterations, rep.rejected_steps) == (4, 0)
