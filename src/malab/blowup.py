@@ -17,11 +17,10 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .checks import (SECTION_RAYS, BarrierConstants, barrier_functionals,
-                     choose_epsilon, choose_shift_constant, gradient_ratio,
-                     require_normalized, trace_ray)
+                     require_normalized, section_sample, trace_ray)
 from .domains import Polytope, direction_fan, normalize_domain
-from .errors import PreconditionError, UnboundedSectionError
-from .geometry import invariants, phi_rule
+from .errors import PreconditionError, Report, UnboundedSectionError
+from .geometry import phi_rule
 from .oracles import AffineImageOracle
 
 NORMAL_DIRECTIONS = 64   # directions of the normal-mapping coverage check
@@ -29,21 +28,14 @@ COVERAGE_MARGIN = 1e-3   # a covered direction's probe sits this far below 1/2
 
 
 @dataclass
-class SectionData:
+class SectionData(Report):
     p: np.ndarray
     C: float
     support_points: np.ndarray
     map: object                 # AffineMap sending the section MVEE to B(0,1)
     normalized_domain: object
-    normalized_potential: object
+    normalized_potential: object = field(repr=False)
     level_defect: float
-
-    def to_json(self):
-        return {"p": self.p.tolist(), "C": self.C,
-                "support_points": self.support_points.tolist(),
-                "map": self.map.to_json(),
-                "normalized_domain": self.normalized_domain.to_json(),
-                "level_defect": self.level_defect}
 
 
 def extract_section(u, p, C, directions=None):
@@ -73,7 +65,7 @@ def extract_section(u, p, C, directions=None):
 
 
 @dataclass
-class BlowupRecord:
+class BlowupRecord(Report):
     C: float
     map: object
     phi_at_base: float
@@ -95,38 +87,13 @@ class BlowupRecord:
     # `blowup --set dump_fields=true`; not serialized
     probes: tuple = field(default=None, repr=False)
 
-    def to_json(self):
-        return {
-            "C": self.C, "map": self.map.to_json(),
-            "phi_at_base": self.phi_at_base,
-            "phi_at_base_expected": self.phi_at_base_expected,
-            "scaling_rel_error": self.scaling_rel_error,
-            "sup_phi_half": self.sup_phi_half,
-            "sup_rho_half": self.sup_rho_half,
-            "sup_rho_alpha_phi_half": self.sup_rho_alpha_phi_half,
-            "sup_rho_alpha_trace_half": self.sup_rho_alpha_trace_half,
-            "sup_weighted_phi": self.sup_weighted_phi,
-            "sup_weighted_barrier": self.sup_weighted_barrier,
-            "sup_weighted_trace": self.sup_weighted_trace,
-            "sup_gradient_ratio": self.sup_gradient_ratio,
-            "half_section_radius": self.half_section_radius,
-            "normal_map_radius": self.normal_map_radius,
-            "normal_map_covered": self.normal_map_covered,
-            "normal_map_directions": self.normal_map_directions,
-        }
-
 
 @dataclass
-class BlowupReport:
+class BlowupReport(Report):
     base_point: np.ndarray
     phi_base: float
     params: BarrierConstants
     records: list = field(default_factory=list)
-
-    def to_json(self):
-        return {"base_point": self.base_point.tolist(), "phi_base": self.phi_base,
-                "params": self.params.to_json(),
-                "records": [r.to_json() for r in self.records]}
 
 
 def _normalized_probes(w, probes_per_axis):
@@ -165,26 +132,16 @@ def run_blowup(u, p, ladder, probes_per_axis=161, directions=None):
     phi_base = float(phi_rule(u, u.side)(np.asarray(p, dtype=float)))
 
     sections = [extract_section(u, p, C, directions) for C in ladder]
-    probe_sets = []
-    d_needed = 2.0
-    ratio_peak = 0.0
-    for sec in sections:
-        w = sec.normalized_potential
-        lattice = _normalized_probes(w, probes_per_axis)
-        inside = lattice[1] < 1.0
-        pts, vals = lattice[0][inside], lattice[1][inside]
-        grads = w.gradient(pts)
-        fvals = np.einsum("ki,ki->k", pts, grads) - vals
-        d_needed = max(d_needed, choose_shift_constant(vals, fvals))
-        probe_sets.append((pts, vals, grads, fvals, lattice))
-    for pts, vals, grads, fvals, _ in probe_sets:
-        ratio_peak = max(ratio_peak, float(gradient_ratio(grads, fvals, d_needed).max()))
-    params = BarrierConstants.defaults(n, 1.0, d_needed, choose_epsilon(ratio_peak))
+    lattices = [_normalized_probes(sec.normalized_potential, probes_per_axis)
+                for sec in sections]
+    samples = [section_sample(sec.normalized_potential, pts[vals < 1.0], vals[vals < 1.0])
+               for sec, (pts, vals) in zip(sections, lattices)]
+    params = BarrierConstants.fit(n, 1.0, samples)
 
     report = BlowupReport(base_point=np.asarray(p, float), phi_base=phi_base,
                           params=params)
     a = params.alpha
-    for sec, (pts, vals, grads, fvals, lattice) in zip(sections, probe_sets):
+    for sec, sample, lattice in zip(sections, samples, lattices):
         w = sec.normalized_potential
         q = sec.map.apply(p)
         phi_at_base = float(phi_rule(w, w.side)(q))
@@ -192,14 +149,11 @@ def run_blowup(u, p, ladder, probes_per_axis=161, directions=None):
         rel = abs(phi_at_base - expected) / max(abs(expected), 1e-300) \
             if expected else abs(phi_at_base)
 
-        H = w.hessian(pts)
-        inv = invariants(H, w.third(pts), w.side)
-        rho, phis = inv["rho"], inv["Phi"]
-        trace = np.einsum("kii->k", H)
-        weights = barrier_functionals(params, vals, grads, fvals, rho, phis, trace)
-        half = vals < 0.5
+        rho, phis, trace = sample["rho"], sample["phi"], sample["trace"]
+        weights = barrier_functionals(params, sample)
+        half = sample["u"] < 0.5
 
-        r_nm, covered, ndirs, circ = _normal_map_coverage(pts, vals)
+        r_nm, covered, ndirs, circ = _normal_map_coverage(sample["points"], sample["u"])
         report.records.append(BlowupRecord(
             C=sec.C, map=sec.map,
             phi_at_base=phi_at_base, phi_at_base_expected=expected,

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import AffineMap, direction_fan
-from .errors import CounterexampleError, PreconditionError, WindowError
-from .geometry import (ScalarRule, calabi_laplacian, fd_step, grad_logrho_rule,
-                       grid_invariants, grid_phi_inequality_fields, invariants,
+from .errors import CounterexampleError, PreconditionError, Report, WindowError
+from .geometry import (fd_step, grid_invariants, grid_phi_inequality_fields, invariants,
                        metric_laplacian, phi_inequality_residual, phi_rule,
                        rho_value_rule, xx_hessian_logrho)
 from .grids import GridFunction, INTERIOR, atomic_write, csv_text
@@ -39,17 +38,13 @@ SECTION_RAYS = defaultdict(lambda: 512, {2: 128})
 
 
 @dataclass
-class CheckReport:
+class CheckReport(Report):
     name: str
     passed: bool
     tolerances: dict
     stats: dict
     points: np.ndarray = field(default=None, repr=False)
     residuals: dict = field(default_factory=dict, repr=False)
-
-    def to_json(self):
-        return {"name": self.name, "passed": bool(self.passed),
-                "tolerances": self.tolerances, "stats": self.stats}
 
     def write_csv(self, path):
         keys = sorted(self.residuals)
@@ -113,9 +108,7 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
     Hi, glr, rho, phi = inv["Ginv"], inv["grad_logrho"], inv["rho"], inv["Phi"]
     scaled = AffineImageOracle(potential, AffineMap(np.eye(n), np.zeros(n)), scale=scale_factor)
     phi_new = invariants(scaled.hessian(probes), scaled.third(probes), side)["Phi"]
-    rho_r = rho_value_rule(potential, side)
-    glr_r = grad_logrho_rule(potential, side)
-    rho_rule = ScalarRule(rho_r, gradient=lambda y: rho_r(y)[..., None] * glr_r(y))
+    rho_hess = fd_hessian(rho_value_rule(potential, side), probes, fd_step(probes))
 
     # the scalars f and u on the evaluation side: the potential itself, and
     # its partner with gradient x @ H and Hessian H + x . T
@@ -129,7 +122,7 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
     want = scale_factor * phi
     res = {
         "logrho_flat": np.abs(xx_hessian_logrho(potential, probes, side)).max(axis=(-2, -1)),
-        "rho_laplacian": (calabi_laplacian(potential, rho_rule, probes, side)
+        "rho_laplacian": (metric_laplacian(Hi, glr, rho[..., None] * glr, rho_hess, side)
                           - (n + 4.0) / 2.0 * phi * rho),
         "primal_value_laplacian": metric_laplacian(Hi, glr, f_grad, f_hess, side) - (n + inner_f),
         "dual_value_laplacian": metric_laplacian(Hi, glr, u_grad, u_hess, side) - (n - inner_u),
@@ -149,7 +142,7 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
 
 
 def phi_inequality_check(potential, probes=None, side=None, drift=None,
-                         gate_tol=PDE_GATE_TOL, probe_predicate=None):
+                         probe_predicate=None):
     """Pointwise residual of
 
         Lap Phi >= n/(n-1) |grad Phi|^2/Phi
@@ -162,10 +155,10 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
     collar are not trustworthy, so callers usually keep a margin.
     """
     if isinstance(potential, GridFunction):
-        return _phi_inequality_grid(potential, side, drift, gate_tol, probe_predicate)
+        return _phi_inequality_grid(potential, side, drift, probe_predicate)
     side = side or potential.side
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    _gate(potential, probes, drift, side, gate_tol)
+    _gate(potential, probes, drift, side, PDE_GATE_TOL)
 
     phi_r = phi_rule(potential, side)
     inv = invariants(potential.hessian(probes), potential.third(probes), side)
@@ -179,15 +172,15 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
                                   inv["Phi"][live], int((~live).sum()))
 
 
-def _phi_inequality_grid(fu, side, drift, gate_tol, probe_predicate):
+def _phi_inequality_grid(fu, side, drift, probe_predicate):
     side = side or DUAL
     if drift is None:
         raise PreconditionError("grid potentials need explicit drift constants")
     r = residual_field(fu, drift, side)
     worst = float(np.nanmax(np.abs(r.values)))
-    if worst > gate_tol:
+    if worst > PDE_GATE_TOL:
         raise PreconditionError("grid potential fails the PDE residual gate",
-                                worst=worst, tol=gate_tol)
+                                worst=worst, tol=PDE_GATE_TOL)
     res_f, phi_f = grid_phi_inequality_fields(fu, side)
     valid = np.isfinite(res_f) & np.isfinite(phi_f) & (fu.grid.mask == INTERIOR)
     if probe_predicate is not None:
@@ -213,7 +206,7 @@ def _phi_inequality_report(name, points, residuals, phis, skipped):
 
 
 @dataclass(frozen=True)
-class BarrierConstants:
+class BarrierConstants(Report):
     """Barrier constants used by the supremum functionals over a section of
     height C: a level height, the three barrier scales, the exponent alpha,
     the shift constant d > 1, and the smallness scale epsilon for H."""
@@ -237,13 +230,17 @@ class BarrierConstants:
             m_trace=64.0 * (n - 1.0) * C,
             d=d, epsilon=epsilon)
 
+    @staticmethod
+    def fit(n, C, samples):
+        """The constants over one or several section samples: the smallest
+        power-of-two d > 1 with |u + f| <= d + f on every probe, and the
+        epsilon that keeps epsilon * gradient_ratio below 1/30 there."""
+        d = max(choose_shift_constant(s["u"], s["f"]) for s in samples)
+        peak = max(float(gradient_ratio(s["grad"], s["f"], d).max()) for s in samples)
+        return BarrierConstants.defaults(n, C, d, choose_epsilon(peak))
+
     def h(self, u):
         return self.m_weighted / (self.C - u) ** 2
-
-    def to_json(self):
-        return {"n": self.n, "C": self.C, "alpha": self.alpha,
-                "m_phi": self.m_phi, "m_weighted": self.m_weighted,
-                "m_trace": self.m_trace, "d": self.d, "epsilon": self.epsilon}
 
 
 def require_normalized(u, p):
@@ -323,7 +320,8 @@ def section_probes(u, p, C, window, probes_per_axis=201, allow_clipped=False):
 
     Rays from p locate the section boundary by bisection; rays that leave
     the window or the oracle domain before the level mark the section as
-    clipped (an error unless allow_clipped). Returns (points, clipped_rays).
+    clipped (an error unless allow_clipped). Returns (points, values,
+    clipped_rays).
     """
     p = require_normalized(u, p)
     n = u.n
@@ -339,7 +337,8 @@ def section_probes(u, p, C, window, probes_per_axis=201, allow_clipped=False):
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     pts = pts[u.contains(pts)]
     vals = u.value(pts)
-    return pts[vals < C], clipped
+    inside = vals < C
+    return pts[inside], vals[inside], clipped
 
 
 def choose_shift_constant(u_vals, f_vals):
@@ -363,14 +362,26 @@ def choose_epsilon(ratio_peak):
     return (1.0 / 30.0) / ratio_peak * (1.0 - 1e-12) if ratio_peak > 0 else 1.0
 
 
-def barrier_functionals(params, u_vals, grads, f_vals, rho, phi, trace):
+def section_sample(u, pts, vals):
+    """What the barrier functionals read at probes pts of a section of u,
+    whose values vals are known: a dict of the points, u, grad, the Legendre
+    values f = <x, grad u> - u, rho, phi and the Hessian traces."""
+    grads = u.gradient(pts)                    # x = grad u
+    H = u.hessian(pts)
+    inv = invariants(H, u.third(pts), u.side)
+    return {"points": pts, "u": vals, "grad": grads,
+            "f": np.einsum("ki,ki->k", pts, grads) - vals,
+            "rho": inv["rho"], "phi": inv["Phi"], "trace": np.einsum("kii->k", H)}
+
+
+def barrier_functionals(params, sample):
     """Integrands of the barrier functionals over the section
-    {u < params.C}, at probes with values u_vals, gradients grads, Legendre
-    values f_vals = <x, grad u> - u, invariants rho and Phi, and Hessian
-    traces. Returns a dict of arrays: phi_barrier, weighted_phi,
-    weighted_barrier, weighted_trace and gradient_ratio."""
+    {u < params.C}, at the probes of a section_sample. Returns a dict of
+    arrays: phi_barrier, weighted_phi, weighted_barrier, weighted_trace and
+    gradient_ratio."""
     n, C, d, a = params.n, params.C, params.d, params.alpha
-    ratio = gradient_ratio(grads, f_vals, d)
+    u_vals, f_vals, rho, phi = sample["u"], sample["f"], sample["rho"], sample["phi"]
+    ratio = gradient_ratio(sample["grad"], f_vals, d)
     pw = (d + f_vals) ** (2.0 * n * a / (n + 2.0))
     return {
         "phi_barrier": np.exp(-params.m_phi / (C - u_vals)) * phi,
@@ -378,14 +389,14 @@ def barrier_functionals(params, u_vals, grads, f_vals, rho, phi, trace):
         "weighted_barrier": np.exp(-params.m_weighted / (C - u_vals)
                                    + params.epsilon * ratio)
         * (params.h(u_vals) + 2.0 * a) * rho**a / pw,
-        "weighted_trace": np.exp(-params.m_trace / (C - u_vals)) * rho**a * trace
+        "weighted_trace": np.exp(-params.m_trace / (C - u_vals)) * rho**a * sample["trace"]
         / (pw * (d + f_vals) ** 2),
         "gradient_ratio": ratio,
     }
 
 
 @dataclass
-class SectionFunctionalReport:
+class SectionFunctionalReport(Report):
     params: BarrierConstants
     sup_phi_barrier: float
     sup_weighted_phi: float
@@ -397,41 +408,19 @@ class SectionFunctionalReport:
     probe_count: int
     clipped_rays: int
 
-    def to_json(self):
-        return {
-            "params": self.params.to_json(),
-            "sup_phi_barrier": self.sup_phi_barrier, "sup_weighted_phi": self.sup_weighted_phi,
-            "sup_weighted_barrier": self.sup_weighted_barrier, "sup_weighted_trace": self.sup_weighted_trace,
-            "sup_gradient_ratio": self.sup_gradient_ratio,
-            "argmax_phi_barrier": self.argmax_phi_barrier.tolist(),
-            "level_fraction_at_argmax": self.level_fraction_at_argmax,
-            "probe_count": self.probe_count, "clipped_rays": self.clipped_rays,
-        }
 
-
-def section_functionals(u, p, C, window, probes_per_axis=201,
-                        allow_clipped=False, shift_d=None, epsilon=None):
+def section_functionals(u, p, C, window, probes_per_axis=201, allow_clipped=False):
     """Suprema of the barrier functionals over a dense probe set of {u < C}.
 
-    The potential must be normalized at p. The shift constant d is found by
-    doubling search so |u+f| <= d+f holds on the probes, and epsilon is set
-    so the auxiliary exponent H stays below 1/30.
+    The potential must be normalized at p. The constants are fitted to the
+    probes (BarrierConstants.fit): d so |u+f| <= d+f holds, and epsilon so
+    the auxiliary exponent H stays below 1/30.
     """
-    pts, clipped = section_probes(u, p, C, window, probes_per_axis,
-                                  allow_clipped=allow_clipped)
-    n = u.n
-    uv = u.value(pts)
-    grads = u.gradient(pts)                    # x = grad u
-    fv = np.einsum("ki,ki->k", pts, grads) - uv
-    H = u.hessian(pts)
-    inv = invariants(H, u.third(pts), u.side)
-
-    d = shift_d if shift_d is not None else choose_shift_constant(uv, fv)
-    if epsilon is None:
-        epsilon = choose_epsilon(float(gradient_ratio(grads, fv, d).max()))
-    params = BarrierConstants.defaults(n, C, d, epsilon)
-    w = barrier_functionals(params, uv, grads, fv, inv["rho"], inv["Phi"],
-                            np.einsum("kii->k", H))
+    pts, uv, clipped = section_probes(u, p, C, window, probes_per_axis,
+                                      allow_clipped=allow_clipped)
+    sample = section_sample(u, pts, uv)
+    params = BarrierConstants.fit(u.n, C, [sample])
+    w = barrier_functionals(params, sample)
 
     k = int(np.argmax(w["phi_barrier"]))
     return SectionFunctionalReport(
@@ -446,7 +435,7 @@ def section_functionals(u, p, C, window, probes_per_axis=201,
 
 
 @dataclass
-class LadderReport:
+class LadderReport(Report):
     levels: list
     sups: list
     observed_b: float
@@ -458,12 +447,6 @@ class LadderReport:
     def passed(self):
         """Every rung compact in the window, and every sup within 2 b/C."""
         return all(c == 0 for c in self.clipped) and self.within_factor_two
-
-    def to_json(self):
-        return {"levels": list(self.levels), "sups": list(self.sups),
-                "observed_b": self.observed_b, "decreasing": self.decreasing,
-                "within_factor_two": self.within_factor_two,
-                "clipped": list(self.clipped)}
 
 
 def phi_barrier_ladder(u, p, levels, window, probes_per_axis=201,

@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .blowup import run_blowup
-from .checks import (identity_suite, det_barrier_probe, section_functionals,
+from .checks import (CheckReport, identity_suite, det_barrier_probe, section_functionals,
                      phi_inequality_check, phi_barrier_ladder)
 from .domains import domain_from_json
 from .errors import MalabError, UsageError
@@ -191,17 +191,16 @@ def _run_verify(cfg):
     if suite == "identities":
         report = identity_suite(oracle, _probe_points(cfg, oracle), side,
                                 scale_factor=float(cfg.get("scale_factor", 4.0)))
+        line = f"passed={report.passed}"
     elif suite == "phi_inequality":
         report = phi_inequality_check(oracle, _probe_points(cfg, oracle), side)
+        line = f"passed={report.passed}"
     elif suite == "det_barrier":
         point, value, d5 = det_barrier_probe(oracle, float(cfg.get("delta", 1.0)),
                                          float(cfg["r_prime"]))
-        payload = {"name": "det_barrier", "passed": True,
-                   "tolerances": {"d5": d5},
-                   "stats": {"point": point.tolist(), "inv_rho": value}}
-        _atomic_write(os.path.join(out, "check_report.json"), _dump_json(payload))
-        sys.stdout.write(f"det_barrier: 1/rho {value:.6g} < d5 {d5:.6g}\n")
-        return 0
+        report = CheckReport("det_barrier", True, {"d5": d5},
+                             {"point": point, "inv_rho": value})
+        line = f"1/rho {value:.6g} < d5 {d5:.6g}"
     elif suite in ("functionals", "phi_barrier_ladder"):
         if "p" not in cfg or "window" not in cfg:
             raise UsageError(f"{suite} requires 'p' and 'window'")
@@ -213,26 +212,22 @@ def _run_verify(cfg):
         allow = bool(cfg.get("allow_clipped", suite == "phi_barrier_ladder"))
         if suite == "functionals":
             rep = section_functionals(u, p, float(cfg.get("level", 1.0)), window,
-                                    probes_per_axis=ppa, allow_clipped=allow)
-            payload = {"name": "section_functionals", "passed": True,
-                       "tolerances": {}, "stats": rep.to_json()}
+                                      probes_per_axis=ppa, allow_clipped=allow)
+            report = CheckReport("section_functionals", True, {}, rep.to_json())
         else:
             rep = phi_barrier_ladder(u, p, [float(v) for v in cfg.get("levels", [1, 2, 4, 8])],
-                              window, probes_per_axis=ppa, allow_clipped=allow)
-            payload = {"name": "phi_barrier_ladder",
-                       "passed": rep.passed,
-                       "tolerances": {"factor": 2.0}, "stats": rep.to_json()}
-        _atomic_write(os.path.join(out, "check_report.json"), _dump_json(payload))
-        sys.stdout.write(f"{suite}: done\n")
-        return 0
+                                     window, probes_per_axis=ppa, allow_clipped=allow)
+            report = CheckReport("phi_barrier_ladder", rep.passed, {"factor": 2.0}, rep.to_json())
+        line = "done"
     else:
         raise UsageError("unknown suite", suite=suite)
 
     payload = report.to_json()
-    payload["csv"] = "check_report.csv"
-    report.write_csv(os.path.join(out, "check_report.csv"))
+    if report.residuals:
+        payload["csv"] = "check_report.csv"
+        report.write_csv(os.path.join(out, "check_report.csv"))
     _atomic_write(os.path.join(out, "check_report.json"), _dump_json(payload))
-    sys.stdout.write(f"{suite}: passed={report.passed}\n")
+    sys.stdout.write(f"{suite}: {line}\n")
     return 0
 
 

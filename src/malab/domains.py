@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, Report
 
 _CONTAIN_TOL = 1e-12
 MAX_AXIS_RATIO = 1e6
@@ -219,7 +219,7 @@ def box_as_polytope(box):
 
 
 @dataclass(frozen=True)
-class Ellipsoid:
+class Ellipsoid(Report):
     """{x : (x-c)^T M (x-c) <= 1} with M symmetric positive definite."""
 
     center: np.ndarray
@@ -248,12 +248,9 @@ class Ellipsoid:
         """Semi-axis lengths, largest first."""
         return np.sort(1.0 / np.sqrt(np.linalg.eigvalsh(self.shape)))[::-1]
 
-    def to_json(self):
-        return {"center": self.center.tolist(), "shape": self.shape.tolist()}
-
 
 @dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Report):
     """x -> linear @ x + offset, with a cached exact inverse."""
 
     linear: np.ndarray
@@ -286,9 +283,6 @@ class AffineMap:
     def roundtrip_defect(self):
         n = self.dim
         return np.abs(self.linear @ self._inv_linear - np.eye(n)).max()
-
-    def to_json(self):
-        return {"linear": self.linear.tolist(), "offset": self.offset.tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,42 @@
-"""Exception hierarchy shared by all malab modules.
+"""Exception hierarchy shared by all malab modules, and the one rule that
+turns reports and error payloads into JSON.
 
-Every error carries a JSON-serializable payload so the CLI can emit it
-verbatim on stderr.
+Every error carries a payload that `jsonable` makes JSON-serializable, so
+the CLI can emit it verbatim on stderr.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
+import numpy as np
+
+
+def jsonable(value):
+    """The JSON form of a value: an object's own `to_json()`; arrays, numpy
+    scalars and tuples as lists and Python scalars; lists and dicts item by
+    item."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    return value
+
+
+class Report:
+    """A dataclass whose JSON form is its fields; fields declared
+    `repr=False` are working data and are not serialized."""
+
+    def to_json(self):
+        return {f.name: jsonable(getattr(self, f.name)) for f in fields(self) if f.repr}
+
 
 class MalabError(Exception):
-    """Base class; `details` must stay JSON-serializable."""
+    """Base class; `details` become JSON through `jsonable`."""
 
     def __init__(self, message, **details):
         super().__init__(message)
@@ -19,7 +47,7 @@ class MalabError(Exception):
         return {
             "error": type(self).__name__,
             "message": self.message,
-            "details": self.details,
+            "details": jsonable(self.details),
         }
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, StencilError
+from .errors import DegeneracyError, Report, StencilError
 from .grids import GridFunction, INTERIOR, gradient_field, hessian_field
 from .oracles import PRIMAL
 from .stencils import fd_directional, fd_gradient, fd_hessian
@@ -169,7 +169,7 @@ def xx_hessian_logrho(oracle, x, side=None):
 
 
 @dataclass
-class GeometrySample:
+class GeometrySample(Report):
     x: np.ndarray
     side: str
     G: np.ndarray
@@ -189,17 +189,6 @@ class GeometrySample:
     def phi_recomputed(self):
         return float(np.einsum("ij,i,j->", self.Ginv, self.grad_rho, self.grad_rho)
                      / self.rho**2)
-
-    def to_json(self):
-        return {
-            "x": self.x.tolist(), "side": self.side,
-            "G": self.G.tolist(), "Ginv": self.Ginv.tolist(),
-            "Gamma": self.Gamma.tolist(), "A": self.A.tolist(), "B": self.B.tolist(),
-            "J": self.J, "Ricci": self.Ricci.tolist(),
-            "KahlerRicci": self.KahlerRicci.tolist(), "KahlerScalar": self.KahlerScalar,
-            "rho": self.rho, "grad_rho": self.grad_rho.tolist(), "Phi": self.Phi,
-            "conormal": self.conormal.tolist(),
-        }
 
 
 def _node(grid, x):
@@ -260,30 +249,12 @@ def geometry_sample(potential, x, side=None):
 # metric Laplacian
 
 
-class ScalarRule:
-    """Scalar field with optional exact derivatives; missing ones use FD."""
-
-    def __init__(self, value, gradient=None, hessian=None):
-        self.value = value
-        self._gradient = gradient
-        self._hessian = hessian
-
-    def gradient(self, x, h):
-        if self._gradient is not None:
-            return self._gradient(x)
-        return fd_gradient(self.value, x, h)
-
-    def hessian(self, x, h):
-        if self._hessian is not None:
-            return self._hessian(x)
-        return fd_hessian(self.value, x, h)
-
-
 def calabi_laplacian(potential, field, x, side=None):
     """Metric Laplacian of a scalar field.
 
     For an analytic potential, x is a point or a batch of points (..., n)
-    and missing field derivatives use Richardson-extrapolated differences.
+    and the field, a callable on points, is differenced with one Richardson
+    level.
     For a grid potential, x snaps to the nearest node and the field
     (callable on points, or node array) is chained through grid differences.
     """
@@ -298,14 +269,12 @@ def calabi_laplacian(potential, field, x, side=None):
         return float(out)
     side = side or potential.side
     x = np.asarray(x, dtype=float)
-    if not isinstance(field, ScalarRule):
-        field = ScalarRule(field)
     H = potential.hessian(x)
     _require_spd(H, x)
     inv = invariants(H, potential.third(x), side)
     hstep = fd_step(x)
     lap = metric_laplacian(inv["Ginv"], inv["grad_logrho"],
-                           field.gradient(x, hstep), field.hessian(x, hstep), side)
+                           fd_gradient(field, x, hstep), fd_hessian(field, x, hstep), side)
     return float(lap) if x.ndim == 1 else lap
 
 
@@ -314,14 +283,10 @@ def calabi_laplacian(potential, field, x, side=None):
 
 
 @dataclass(frozen=True)
-class StructureResiduals:
+class StructureResiduals(Report):
     gauss: float
     codazzi: float
     ricci_consistency: float
-
-    def to_json(self):
-        return {"gauss": self.gauss, "codazzi": self.codazzi,
-                "ricci_consistency": self.ricci_consistency}
 
 
 def structure_residuals(potential, x):

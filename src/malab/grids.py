@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .domains import Box, domain_from_json
-from .errors import DomainError, StencilError
+from .errors import DomainError, Report, StencilError
 from .stencils import REACH, GridStencil
 
 OUTSIDE, BOUNDARY, INTERIOR = 0, 1, 2
@@ -234,16 +234,11 @@ def sample_oracle(oracle, grid):
 
 
 @dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(Report):
     min_eigenvalue: float
     worst_node: tuple
     convex: bool
     checked_nodes: int
-
-    def to_json(self):
-        return {"min_eigenvalue": self.min_eigenvalue,
-                "worst_node": list(self.worst_node),
-                "convex": self.convex, "checked_nodes": self.checked_nodes}
 
 
 def check_convex(fu):

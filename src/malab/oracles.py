@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, Report
 
 PRIMAL = "primal"
 DUAL = "dual"
 
 
 @dataclass(frozen=True)
-class DriftCoefficients:
+class DriftCoefficients(Report):
     """Constants (d0, d1..dn) of the exponential-drift Monge-Ampere equation."""
 
     d0: float
@@ -35,9 +35,6 @@ class DriftCoefficients:
         object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
         if not np.all(np.isfinite(self.d)) or not np.isfinite(self.d0):
             raise DomainError("drift coefficients must be finite")
-
-    def to_json(self):
-        return {"d0": self.d0, "d": self.d.tolist()}
 
     @staticmethod
     def from_json(obj):

@@ -16,13 +16,13 @@ and reduce the max residual, else it is halved down to a hard floor.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import ConvergenceError, ConvexityError, DomainError
+from .errors import ConvergenceError, ConvexityError, DomainError, Report
 from .grids import INTERIOR, GridFunction
 from .oracles import DUAL, PRIMAL, DriftCoefficients
 from .stencils import difference
@@ -47,7 +47,7 @@ class SolverConfig:
 
 
 @dataclass
-class SolverReport:
+class SolverReport(Report):
     iterations: int
     final_residual: float
     residual_history: list
@@ -56,9 +56,6 @@ class SolverReport:
     continuation_steps: int = 0  # legs after the first
     total_iterations: int = 0    # Newton iterations (Jacobian LUs) over all legs
     rejected_steps: int = 0      # damping halvings plus halved continuation steps
-
-    def to_json(self):
-        return asdict(self)
 
 
 def _cholesky(H, inverse=False):

@@ -115,35 +115,32 @@ def richardson(coarse, fine):
     return (4.0 * fine - coarse) / 3.0
 
 
-def fd_directional(fn, x, directions, h, use_richardson=True):
+def fd_directional(fn, x, directions, h):
     """Centered first differences of a scalar- or array-valued callable at
     points x (..., n) along each row of `directions` (k, n), or of a
     per-point basis (..., k, n); the k differences are stacked on the axis
-    after the point axes. One Richardson level unless `use_richardson` is
-    False."""
+    after the point axes. One Richardson level."""
     x = np.asarray(x, dtype=float)
 
     def level(step):
         return np.stack([central(fn, x, (0,), step, directions[..., j:j + 1, :])
                          for j in range(np.shape(directions)[-2])], axis=x.ndim - 1)
 
-    D = level(h)
-    return richardson(D, level(h / 2.0)) if use_richardson else D
+    return richardson(level(h), level(h / 2.0))
 
 
-def fd_gradient(fn, x, h, use_richardson=True):
-    return fd_directional(fn, x, np.eye(np.shape(x)[-1]), h, use_richardson)
+def fd_gradient(fn, x, h):
+    return fd_directional(fn, x, np.eye(np.shape(x)[-1]), h)
 
 
-def fd_hessian(fn, x, h, use_richardson=True):
-    """Hessians (..., n, n) of a scalar callable at points x (..., n)."""
+def fd_hessian(fn, x, h):
+    """Hessians (..., n, n) of a scalar callable at points x (..., n), with
+    one Richardson level."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     out = np.empty(x.shape[:-1] + (n, n))
     for i in range(n):
         for j in range(i, n):
-            d = central(fn, x, (i, j), h)
-            if use_richardson:
-                d = richardson(d, central(fn, x, (i, j), h / 2.0))
-            out[..., i, j] = out[..., j, i] = d
+            out[..., i, j] = out[..., j, i] = richardson(central(fn, x, (i, j), h),
+                                                         central(fn, x, (i, j), h / 2.0))
     return out

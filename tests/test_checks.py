@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from malab.checks import (BarrierConstants, choose_shift_constant,
+from malab.checks import (PDE_GATE_TOL, BarrierConstants, choose_shift_constant,
                           identity_suite, det_barrier_constant, det_barrier_probe,
                           section_functionals, phi_inequality_check, phi_barrier_ladder,
                           section_probes, trace_ray)
@@ -124,11 +124,12 @@ class TestPhiInequality:
 
     def test_gate_tol_applies_to_oracles(self, rng):
         dl = DualLog(2)
-        off = DriftCoefficients(dl.drift().d0 + 1e-9, dl.drift().d)
         pts = np.c_[rng.uniform(0.5, 2, 10), rng.uniform(-1, 1, 10)]
-        assert phi_inequality_check(dl, pts, drift=off).passed
+        below = DriftCoefficients(dl.drift().d0 + 0.1 * PDE_GATE_TOL, dl.drift().d)
+        assert phi_inequality_check(dl, pts, drift=below).passed
+        above = DriftCoefficients(dl.drift().d0 + 10.0 * PDE_GATE_TOL, dl.drift().d)
         with pytest.raises(PreconditionError):
-            phi_inequality_check(dl, pts, drift=off, gate_tol=1e-10)
+            phi_inequality_check(dl, pts, drift=above)
 
     def test_solver_output_grid_route(self):
         ball = Ball(np.zeros(2), 1.0)
@@ -171,9 +172,9 @@ class TestSectionMachinery:
 
     def test_section_probes_compact_level(self):
         u = duallog_normalized()
-        pts, clipped = section_probes(u, [1, 0], 0.3, WINDOW, probes_per_axis=101)
+        pts, vals, clipped = section_probes(u, [1, 0], 0.3, WINDOW, probes_per_axis=101)
         assert clipped == 0
-        assert (u.value(pts) < 0.3).all()
+        assert np.array_equal(vals, u.value(pts)) and (vals < 0.3).all()
         assert pts[:, 0].min() > 0.3 and pts[:, 0].max() < 1.9
 
     def test_window_error_when_strict(self):
@@ -210,8 +211,7 @@ class TestSectionFunctionals:
         u = duallog_normalized()
         sups = {k: [] for k in ("sup_phi_barrier", "sup_weighted_phi", "sup_weighted_barrier", "sup_weighted_trace")}
         for ppa in (101, 151, 201):
-            rep = section_functionals(u, [1, 0], 0.5, WINDOW, probes_per_axis=ppa,
-                                    shift_d=2.0, epsilon=1e-3)
+            rep = section_functionals(u, [1, 0], 0.5, WINDOW, probes_per_axis=ppa)
             for k in sups:
                 sups[k].append(getattr(rep, k))
         for k, vals in sups.items():

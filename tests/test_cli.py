@@ -6,8 +6,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+from malab.blowup import BlowupRecord, BlowupReport
+from malab.checks import CheckReport
 from malab.cli import main, _schema
-from malab.solver import SolverConfig
+from malab.geometry import GeometrySample
+from malab.solver import SolverConfig, SolverReport
 
 
 def run_cli(args):
@@ -185,3 +188,20 @@ def test_atomic_write_ignores_a_foreign_temp_file(tmp_path):
     assert foreign.is_dir()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "reference.json", "solver_report.json", "solver_report.json.tmp"]
+
+
+def test_report_schemas_equal_declarations():
+    """Each report schema lists exactly the fields its dataclass serializes
+    (the repr ones), so a field added on one side only fails here."""
+    def declared(cls):
+        return {f.name for f in dataclasses.fields(cls) if f.repr}
+
+    def properties(name):
+        return set(_schema(name)["properties"])
+
+    blowup = _schema("blowup_report.schema.json")["properties"]
+    assert properties("geometry_sample.schema.json") == declared(GeometrySample)
+    assert properties("solver_report.schema.json") == declared(SolverReport)
+    assert set(blowup) == declared(BlowupReport)
+    assert set(blowup["records"]["items"]["properties"]) == declared(BlowupRecord)
+    assert properties("check_report.schema.json") == declared(CheckReport) | {"csv"}

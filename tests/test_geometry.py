@@ -3,9 +3,8 @@ import pytest
 
 from malab.domains import Ball, Box
 from malab.errors import DegeneracyError
-from malab.geometry import (ScalarRule, calabi_laplacian,
-                            geometry_sample, grad_logrho_rule, grid_invariants,
-                            grid_kahler_ricci, grid_phi, invariants, phi_rule,
+from malab.geometry import (calabi_laplacian, geometry_sample, grid_invariants,
+                            grid_kahler_ricci, grid_phi, invariants,
                             rho_value_rule, structure_residuals)
 from malab.grids import Grid, GridFunction, INTERIOR, sample_oracle
 from malab.oracles import (DriftCoefficients, DualLog, ExpSolution,
@@ -123,30 +122,25 @@ def test_degenerate_hessian_raises():
 
 class TestCalabiLaplacian:
     def test_annihilates_constants(self):
-        val = calabi_laplacian(ExpSolution(2), ScalarRule(lambda x: 3.25),
-                               np.array([0.2, -0.4]))
+        val = calabi_laplacian(ExpSolution(2), lambda x: 3.25, np.array([0.2, -0.4]))
         assert abs(val) <= 1e-10
 
     def test_laplacian_of_potential_quadratic(self):
         q = Quadratic.unit(2)
-        rule = ScalarRule(q.value, gradient=q.gradient, hessian=q.hessian)
-        assert calabi_laplacian(q, rule, np.array([0.3, 0.1])) == pytest.approx(2.0)
+        assert calabi_laplacian(q, q.value, np.array([0.3, 0.1])) == pytest.approx(2.0)
 
     def test_laplacian_of_dual_value_quadratic(self):
         # u = f for the self-dual quadratic; metric Laplacian equals n
         q = Quadratic.unit(3)
-        rule = ScalarRule(q.value, gradient=q.gradient, hessian=q.hessian)
-        got = calabi_laplacian(q, rule, np.array([0.1, -0.2, 0.4]), side="dual")
+        got = calabi_laplacian(q, q.value, np.array([0.1, -0.2, 0.4]), side="dual")
         assert got == pytest.approx(3.0)
 
     def test_rho_identity_expsolution(self, rng):
         ex = ExpSolution(2)
-        glr = grad_logrho_rule(ex, "primal")
         rho_r = rho_value_rule(ex, "primal")
-        rule = ScalarRule(rho_r, gradient=lambda y: rho_r(y) * glr(y))
         for _ in range(5):
             x = rng.uniform(-1, 1, 2)
-            lap = calabi_laplacian(ex, rule, x)
+            lap = calabi_laplacian(ex, rho_r, x)
             s = geometry_sample(ex, x)
             assert lap - 3.0 * s.Phi * s.rho == pytest.approx(0.0, abs=1e-6)
 

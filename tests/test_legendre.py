@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -112,6 +113,8 @@ def test_linear_field_clips():
     with pytest.raises(ExtrapolationError) as err:
         legendre_grid(lin, dg)
     assert err.value.details["clipped_count"] > 0
+    # the payload the CLI writes on stderr is JSON, numpy integers included
+    assert json.loads(json.dumps(err.value.to_json()))["details"]["clipped_count"] > 0
 
 
 @pytest.mark.parametrize("field", [lambda x: 0.3 * x[..., 0] - 0.2 * x[..., 1],

@@ -253,16 +253,21 @@ class TestHarmonicLiftStart:
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("side", ["dual", "primal"])
-    def test_matches_residual_difference(self, side, rng):
+    @pytest.mark.parametrize("side, n", [("dual", 2), ("primal", 2), ("dual", 3)],
+                             ids=["dual", "primal", "dual-3d"])
+    def test_matches_residual_difference(self, side, n, rng):
         """J @ delta equals the centered difference of the log residual along
         a random interior direction delta: a wrong drift sign or mixed weight
-        in the Jacobian shows here."""
-        g = Grid.build(Ball(np.zeros(2), 1.0), 33)
+        in the Jacobian shows here, and in 3-D a wrong Cholesky factor of a
+        Hessian with off-diagonal entries in every row."""
+        g = Grid.build(Ball(np.zeros(n), 1.0), 33 if n == 2 else 15)
         x = g.points()
         u = 0.5 * (x**2).sum(axis=-1) + 0.25 * x[..., 0] * x[..., 1] + 0.1 * np.exp(x[..., 0])
+        if n == 3:  # FD Hessians with off-diagonal entries 0.25, 0.15 and 0.1
+            u += 0.15 * x[..., 0] * x[..., 2] + 0.1 * x[..., 1] * x[..., 2]
         angle = np.pi / 8 + np.pi
-        drift = DriftCoefficients(-0.075, 1.4375 * np.array([np.cos(angle), np.sin(angle)]))
+        d = 1.4375 * np.array([np.cos(angle), np.sin(angle), 0.5])[:n]
+        drift = DriftCoefficients(-0.075, d)
         interior = g.mask == INTERIOR
         delta = rng.standard_normal(int(interior.sum()))
 
@@ -434,5 +439,22 @@ class TestProperties:
         exact = dl3.value(g.points())
         err = np.nanmax(np.abs(u.values - exact)[g.mask == INTERIOR])
         assert err <= 4.0 * g.spacing.max() ** 2
+        assert rep.final_residual <= 1e-10
+        assert (rep.total_iterations, rep.rejected_steps) == (4, 0)
+
+    def test_three_dimensional_rotated_solve(self):
+        """DualLog(3) turned 20 degrees in the (x1, x3) and then the (x1, x2)
+        plane: every FD Hessian has off-diagonal entries in every row."""
+        c, s = np.cos(np.radians(20.0)), np.sin(np.radians(20.0))
+        R = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]) @ np.array([[c, 0, -s], [0, 1, 0], [s, 0, c]])
+        dl3 = DualLog(3)
+        rot = AffineImageOracle(dl3, AffineMap(R, np.zeros(3)))
+        g = Grid.build(Box([2.1, -0.5, -0.5], [3.1, 0.5, 0.5]), 15)  # 1.5 < s1 < 3.1
+        u, rep = newton_solve(g, DriftCoefficients(dl3.drift().d0, R @ dl3.drift().d),
+                              lambda p: float(rot.value(p)))
+        H = u.hessian_field()[g.mask == INTERIOR]
+        assert np.abs(H[:, [0, 0, 1], [1, 2, 2]]).min() >= 1e-2
+        # 1.2e-6 here; a Cholesky factor without its mixed L_21 term gives 3.2e-4
+        assert nodal_error(u, rot) <= 1e-5
         assert rep.final_residual <= 1e-10
         assert (rep.total_iterations, rep.rejected_steps) == (4, 0)

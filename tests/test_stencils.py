@@ -11,9 +11,8 @@ RULES = {
 }
 
 
-@pytest.mark.parametrize("use_richardson", [True, False])
 @pytest.mark.parametrize("name", sorted(RULES))
-def test_batch_equals_stacked_single_points(name, use_richardson, rng):
+def test_batch_equals_stacked_single_points(name, rng):
     """A batch of points with per-row steps and per-row bases gives, to the
     bit, the single-point results stacked."""
     oracle, draw = RULES[name]
@@ -22,12 +21,10 @@ def test_batch_equals_stacked_single_points(name, use_richardson, rng):
     basis = np.linalg.inv(oracle.hessian(x))
     phi, glr = phi_rule(oracle, oracle.side), grad_logrho_rule(oracle, oracle.side)
     cases = [
-        (fd_gradient(phi, x, h, use_richardson),
-         [fd_gradient(phi, xk, hk, use_richardson) for xk, hk in zip(x, h)]),
-        (fd_hessian(phi, x, h, use_richardson),
-         [fd_hessian(phi, xk, hk, use_richardson) for xk, hk in zip(x, h)]),
-        (fd_directional(glr, x, basis, h, use_richardson),
-         [fd_directional(glr, xk, bk, hk, use_richardson) for xk, bk, hk in zip(x, basis, h)]),
+        (fd_gradient(phi, x, h), [fd_gradient(phi, xk, hk) for xk, hk in zip(x, h)]),
+        (fd_hessian(phi, x, h), [fd_hessian(phi, xk, hk) for xk, hk in zip(x, h)]),
+        (fd_directional(glr, x, basis, h),
+         [fd_directional(glr, xk, bk, hk) for xk, bk, hk in zip(x, basis, h)]),
     ]
     for batch, single in cases:
         assert batch.shape == (len(x),) + single[0].shape
