@@ -7,10 +7,10 @@ from .grids import Grid, GridFunction, check_convex, sample_oracle
 from .legendre import (LegendrePair, involution_residual, legendre_grid,
                        legendre_point)
 from .oracles import (DriftCoefficients, DualLog, ExpSolution, FieldOracle,
-                      Quadratic, catalog, normalize_at, pde_residual)
+                      Quadratic, catalog, normalize_at)
 from .solver import SolverConfig, SolverReport, newton_solve, residual_field
 from .geometry import (GeometrySample, calabi_laplacian, geometry_sample,
-                       structure_residuals)
+                       pde_residual, structure_residuals)
 from .checks import (BarrierConstants, CheckReport, det_barrier_probe,
                      identity_suite, phi_barrier_ladder, phi_inequality_check,
                      section_functionals)

@@ -18,10 +18,10 @@ import numpy as np
 from .domains import AffineMap, direction_fan
 from .errors import CounterexampleError, PreconditionError, Report, WindowError
 from .geometry import (fd_step, grid_invariants, grid_phi_inequality_fields, invariants,
-                       metric_laplacian, phi_inequality_residual, phi_rule,
+                       metric_laplacian, pde_residual, phi_inequality_residual, phi_rule,
                        rho_value_rule, xx_hessian_logrho)
 from .grids import GridFunction, INTERIOR, atomic_write, csv_text
-from .oracles import DUAL, PRIMAL, AffineImageOracle, pde_residual
+from .oracles import DUAL, PRIMAL, AffineImageOracle
 from .solver import residual_field
 from .stencils import fd_gradient, fd_hessian
 
@@ -69,16 +69,21 @@ def _stats(arrs):
     return out
 
 
-def _gate(potential, probes, drift, side, tol):
-    if drift is None:
+def _gate(potential, probes, drift, side):
+    """The drift constants, after checking that the PDE residual stays within
+    PDE_GATE_TOL at the probes, or at every interior node of a GridFunction.
+    An oracle without explicit drift constants gates with its own."""
+    on_grid = isinstance(potential, GridFunction)
+    if drift is None and not on_grid:
         drift = potential.drift(side)
     if drift is None:
         raise PreconditionError("no drift constants available for the PDE gate")
-    r = pde_residual(potential, probes, drift, side)
-    worst = float(np.abs(r).max())
-    if worst > tol:
+    r = (residual_field(potential, drift, side).values if on_grid
+         else pde_residual(potential, probes, drift, side))
+    worst = float(np.nanmax(np.abs(r)))
+    if worst > PDE_GATE_TOL:
         raise PreconditionError("potential fails the PDE residual gate",
-                                worst=worst, tol=tol)
+                                worst=worst, tol=PDE_GATE_TOL)
     return drift
 
 
@@ -100,7 +105,7 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
     """
     side = side or potential.side
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    _gate(potential, probes, drift, side, PDE_GATE_TOL)
+    _gate(potential, probes, drift, side)
     n = potential.n
 
     H, T = potential.hessian(probes), potential.third(probes)
@@ -154,12 +159,19 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
     by probe_predicate on node coordinates); FD chains near the prescribed
     collar are not trustworthy, so callers usually keep a margin.
     """
-    if isinstance(potential, GridFunction):
-        return _phi_inequality_grid(potential, side, drift, probe_predicate)
-    side = side or potential.side
+    on_grid = isinstance(potential, GridFunction)
+    side = side or (DUAL if on_grid else potential.side)
+    _gate(potential, probes, drift, side)
+    if on_grid:
+        res, phi = grid_phi_inequality_fields(potential, side)
+        pts = potential.grid.points()
+        valid = np.isfinite(res) & np.isfinite(phi) & (potential.grid.mask == INTERIOR)
+        if probe_predicate is not None:
+            valid &= probe_predicate(pts)
+        live = valid & (phi > PHI_FLOOR)
+        return _phi_inequality_report("phi_inequality_grid", pts[live], res[live], phi[live],
+                                      int((valid & ~live).sum()))
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    _gate(potential, probes, drift, side, PDE_GATE_TOL)
-
     phi_r = phi_rule(potential, side)
     inv = invariants(potential.hessian(probes), potential.third(probes), side)
     live = inv["Phi"] > PHI_FLOOR
@@ -170,25 +182,6 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
                                         fd_hessian(phi_r, x, hstep), side)
     return _phi_inequality_report("phi_inequality", x, residuals,
                                   inv["Phi"][live], int((~live).sum()))
-
-
-def _phi_inequality_grid(fu, side, drift, probe_predicate):
-    side = side or DUAL
-    if drift is None:
-        raise PreconditionError("grid potentials need explicit drift constants")
-    r = residual_field(fu, drift, side)
-    worst = float(np.nanmax(np.abs(r.values)))
-    if worst > PDE_GATE_TOL:
-        raise PreconditionError("grid potential fails the PDE residual gate",
-                                worst=worst, tol=PDE_GATE_TOL)
-    res_f, phi_f = grid_phi_inequality_fields(fu, side)
-    valid = np.isfinite(res_f) & np.isfinite(phi_f) & (fu.grid.mask == INTERIOR)
-    if probe_predicate is not None:
-        valid &= probe_predicate(fu.grid.points())
-    live = valid & (phi_f > PHI_FLOOR)
-    return _phi_inequality_report("phi_inequality_grid", fu.grid.points()[live],
-                                  res_f[live], phi_f[live],
-                                  int((valid & ~live).sum()))
 
 
 def _phi_inequality_report(name, points, residuals, phis, skipped):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, Report, StencilError
+from .errors import DegeneracyError, DomainError, Report, StencilError
 from .grids import GridFunction, INTERIOR, gradient_field, hessian_field
 from .oracles import PRIMAL
 from .stencils import fd_directional, fd_gradient, fd_hessian
@@ -36,18 +36,12 @@ def rho_sign(side):
     return -1.0 if side == PRIMAL else 1.0
 
 
-def lap_drift_sign(side):
-    """The sign of the metric Laplacian's drift term: + primal, - dual."""
-    return 1.0 if side == PRIMAL else -1.0
-
-
 def metric_laplacian(Ginv, glr, grad, hess, side):
-    """G^ij s_ij + lap_drift_sign(side) (n+2)/2 G^ij (log rho)_j s_i for a
-    scalar s with gradients `grad` and Hessians `hess`, broadcast over the
-    leading axes; the one metric-Laplacian contraction for oracles and
-    grids."""
+    """G^ij s_ij - rho_sign(side) (n+2)/2 G^ij (log rho)_j s_i for a scalar s
+    with gradients `grad` and Hessians `hess`, broadcast over the leading
+    axes; the one metric-Laplacian contraction for oracles and grids."""
     n = np.shape(Ginv)[-1]
-    drift = lap_drift_sign(side) * (n + 2.0) / 2.0
+    drift = -rho_sign(side) * (n + 2.0) / 2.0
     return (np.einsum("...ij,...ij->...", Ginv, hess)
             + drift * np.einsum("...ij,...j,...i->...", Ginv, glr, grad))
 
@@ -68,16 +62,29 @@ def phi_inequality_residual(Ginv, glr, phi, gphi, hphi, side):
     return metric_laplacian(Ginv, glr, gphi, hphi, side) - rhs
 
 
-def _require_spd(H, x):
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        raise DegeneracyError("Hessian not positive definite at probe",
-                              point=np.asarray(x).tolist()) from None
-
-
 # ---------------------------------------------------------------------------
 # the invariant kernel: rho, grad log rho and Phi from (H, T)
+
+
+def cholesky(H, inverse=False):
+    """Batched Cholesky H = L L^T of symmetric (m, n, n), a loop over n vectorized
+    over m. Returns the pivots L_ii^2 (m, n), all > 0 exactly when H is positive
+    definite, with product det H; with `inverse`, also H^{-1} = L^{-T} L^{-1}.
+    From its first pivot that is not > 0, a matrix's pivots and inverse are NaN."""
+    n = H.shape[-1]
+    L, piv = np.zeros(H.shape), np.empty(H.shape[:-1])
+    for i in range(n):
+        for j in range(i):
+            L[:, i, j] = (H[:, i, j] - (L[:, i, :j] * L[:, j, :j]).sum(axis=1)) / L[:, j, j]
+        piv[:, i] = H[:, i, i] - (L[:, i, :i] * L[:, i, :i]).sum(axis=1)
+        L[:, i, i] = np.sqrt(np.where(piv[:, i] > 0.0, piv[:, i], np.nan))
+    if not inverse:
+        return piv
+    X = np.zeros(H.shape)  # L^{-1}, row by row by forward substitution
+    for i in range(n):
+        X[:, i, :i] = -np.einsum("mk,mkj->mj", L[:, i, :i], X[:, :i, :i]) / L[:, i, i, None]
+        X[:, i, i] = 1.0 / L[:, i, i]
+    return piv, np.einsum("mki,mkj->mij", X, X)
 
 
 def invariants(H, T, side):
@@ -102,12 +109,9 @@ def invariants(H, T, side):
     ok = np.all(np.isfinite(flat), axis=(1, 2))
     if T is not None:
         ok &= np.all(np.isfinite(T), axis=(-3, -2, -1)).reshape(-1)
-    ok[ok] = np.linalg.eigvalsh(flat[ok])[:, 0] > 0
-    good = flat[ok]
-    logdet = np.full(len(flat), np.nan)
-    Ginv = np.full_like(flat, np.nan)
-    logdet[ok] = np.linalg.slogdet(good)[1]
-    Ginv[ok] = np.linalg.inv(good)
+    piv, Ginv = cholesky(np.where(ok[:, None, None], flat, np.nan), inverse=True)
+    ok &= (piv > 0.0).all(axis=1)
+    logdet = np.log(np.where(ok[:, None], piv, np.nan)).sum(axis=1)
     s = rho_sign(side) / (n + 2.0)
     logrho = s * logdet.reshape(lead)
     out = {"logdet": logdet.reshape(lead), "logrho": logrho, "rho": np.exp(logrho),
@@ -117,6 +121,27 @@ def invariants(H, T, side):
         out["grad_logrho"] = g
         out["Phi"] = np.einsum("...ij,...i,...j->...", out["Ginv"], g, g)
     return out
+
+
+def _spd_invariants(H, T, side, x):
+    """invariants(H, T, side), or DegeneracyError at the probes x unless every
+    row is finite with H positive definite."""
+    inv = invariants(H, T, side)
+    if not np.isfinite(inv["logdet"]).all():
+        raise DegeneracyError("Hessian not positive definite at probe",
+                              point=np.asarray(x).tolist())
+    return inv
+
+
+def pde_residual(oracle, points, drift, side):
+    """Exact residual of the drift Monge-Ampere equation at analytic points:
+    DriftCoefficients.residual of the log det of the oracle's Hessians, or
+    DomainError where one of them is not positive definite."""
+    points = np.asarray(points, dtype=float)
+    logdet = invariants(oracle.hessian(points), None, side)["logdet"]
+    if not np.isfinite(logdet).all():
+        raise DomainError("non-convex point in PDE residual probe")
+    return drift.residual(logdet, points if side == PRIMAL else oracle.gradient(points), side)
 
 
 def grad_logrho_rule(oracle, side):
@@ -152,15 +177,15 @@ def xx_hessian_logrho(oracle, x, side=None):
     side = side or oracle.side
     x = np.asarray(x, dtype=float)
     h = fd_step(x)
-    glr = grad_logrho_rule(oracle, side)
     if side == PRIMAL:
-        D = fd_directional(glr, x, np.eye(oracle.n), h)
+        D = fd_directional(grad_logrho_rule(oracle, side), x, np.eye(oracle.n), h)
     else:
         def s_of(xi):
-            return (np.linalg.inv(oracle.hessian(xi)) @ glr(xi)[..., None])[..., 0]
+            inv = invariants(oracle.hessian(xi), oracle.third(xi), side)
+            return (inv["Ginv"] @ inv["grad_logrho"][..., None])[..., 0]
 
-        basis = np.swapaxes(np.linalg.inv(oracle.hessian(x)), -1, -2)
-        D = fd_directional(s_of, x, basis, h)
+        # the columns of (D^2 u)^{-1}; the kernel's inverse is exactly symmetric
+        D = fd_directional(s_of, x, invariants(oracle.hessian(x), None, side)["Ginv"], h)
     return 0.5 * (D + np.swapaxes(D, -1, -2))  # D[..., j, :] is along direction j
 
 
@@ -223,10 +248,8 @@ def geometry_sample(potential, x, side=None):
     else:
         side = side or potential.side
         x = at = np.asarray(x, dtype=float)
-    H = potential.hessian(at)
-    _require_spd(H, x)
-    T = potential.third(at)
-    inv = invariants(H, T, side)
+    H, T = potential.hessian(at), potential.third(at)
+    inv = _spd_invariants(H, T, side, x)
     Hi = inv["Ginv"]
     Gamma, ricci = _connection(Hi, T)
     KR = (n + 2.0) * (grid_xx_hessian_logrho(potential, side)[at] if on_grid
@@ -269,9 +292,7 @@ def calabi_laplacian(potential, field, x, side=None):
         return float(out)
     side = side or potential.side
     x = np.asarray(x, dtype=float)
-    H = potential.hessian(x)
-    _require_spd(H, x)
-    inv = invariants(H, potential.third(x), side)
+    inv = _spd_invariants(potential.hessian(x), potential.third(x), side, x)
     hstep = fd_step(x)
     lap = metric_laplacian(inv["Ginv"], inv["grad_logrho"],
                            fd_gradient(field, x, hstep), fd_hessian(field, x, hstep), side)
@@ -297,10 +318,8 @@ def structure_residuals(potential, x):
     h = DEFAULT_FD_SCALE
     x = np.asarray(x, dtype=float)
     n = potential.n
-    H = potential.hessian(x)
-    _require_spd(H, x)
-    T = potential.third(x)
-    Hi = np.linalg.inv(H)
+    H, T = potential.hessian(x), potential.third(x)
+    Hi = _spd_invariants(H, T, potential.side, x)["Ginv"]
     Gamma, ricci_cubic = _connection(Hi, T)
     A = -0.5 * T
     A_up = -Gamma  # G^kl A_ijl
@@ -327,7 +346,8 @@ def structure_residuals(potential, x):
 
     # Ricci from the connection vs the cubic-form contraction
     def gamma(y):
-        return _connection(np.linalg.inv(potential.hessian(y)), potential.third(y))[0]
+        return _connection(invariants(potential.hessian(y), None, potential.side)["Ginv"],
+                           potential.third(y))[0]
 
     dG = fd_directional(gamma, x, np.eye(n), h)  # d_l Gamma^k_ij at [l, k, i, j]
     ricci_gamma = (np.einsum("mmvs->sv", dG) - np.einsum("vmms->sv", dG)

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ConvexityError, DegeneracyError, ExtrapolationError
+from .geometry import invariants
 from .grids import INTERIOR, OUTSIDE, GridFunction, box_grid, check_convex
 
 _HULL_TOL = 1e-9
@@ -26,8 +27,7 @@ _HULL_TOL = 1e-9
 def legendre_point(oracle, x):
     """Pointwise transform: returns (xi, u_value) with xi = grad f(x)."""
     x = np.asarray(x, dtype=float)
-    H = oracle.hessian(x)
-    if np.linalg.eigvalsh(H).min() <= 0:
+    if not np.isfinite(invariants(oracle.hessian(x), None, oracle.side)["logdet"]):
         raise DegeneracyError("Hessian not positive definite at transform point",
                               point=x.tolist())
     xi = oracle.gradient(x)

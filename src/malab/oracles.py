@@ -44,6 +44,14 @@ class DriftCoefficients(Report):
     def zero(n):
         return DriftCoefficients(0.0, np.zeros(n))
 
+    def residual(self, logdet, y, side):
+        """The equation's residual from log det of the Hessians and y, the
+        points x on the primal side (log det - d.x - d0) and the gradients
+        grad u on the dual side (log det + d.grad u + d0)."""
+        if side == DUAL:
+            return logdet + y @ self.d + self.d0
+        return logdet - y @ self.d - self.d0
+
 
 class FieldOracle:
     """Analytic convex potential; value/gradient/hessian/third are exact.
@@ -338,7 +346,7 @@ class AffineImageOracle(FieldOracle):
 
 
 # ---------------------------------------------------------------------------
-# catalog and exact PDE residuals
+# catalog
 
 
 def catalog(n):
@@ -350,19 +358,3 @@ def catalog(n):
         "duallog": DualLog(n),
     }
 
-
-def pde_residual(oracle, points, drift, side):
-    """Exact residual of the drift Monge-Ampere equation at analytic points.
-
-    primal: log det D^2 f - d.x - d0
-    dual:   log det D^2 u + d.grad(u) + d0
-    """
-    points = np.asarray(points, dtype=float)
-    H = oracle.hessian(points)
-    sign, logdet = np.linalg.slogdet(H)
-    if np.any(sign <= 0):
-        raise DomainError("non-convex point in PDE residual probe")
-    if side == PRIMAL:
-        return logdet - points @ drift.d - drift.d0
-    g = oracle.gradient(points)
-    return logdet + g @ drift.d + drift.d0

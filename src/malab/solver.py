@@ -6,8 +6,11 @@ dual side (r = log det D^2 f - d.x - d0 on the primal side), so the Newton
 linearization trace((D^2 u)^{-1} D^2 .) + d.grad(.) is elliptic as long as
 iterates stay convex. The residual applies the one difference table,
 `stencils.TABLE`, at interior nodes, and the Jacobian walks the same arms.
-One batched Cholesky kernel gives every interior FD Hessian its positive
-definiteness test, its log det and, for the Jacobian, its inverse. Each solve
+Its drift terms are `DriftCoefficients.residual`, which analytic oracles
+use too (`geometry.pde_residual`). The batched Cholesky kernel
+`geometry.cholesky`, which `geometry.invariants` also calls, gives every
+interior FD Hessian its positive definiteness test and its log det, and the
+Jacobian its inverse; a line-search trial asks for no inverse. Each solve
 lays out the Jacobian's sparsity structure once and orders it by minimum
 degree at its first factorization only. Convexity is enforced by step
 rejection: a trial step must keep every interior FD Hessian positive definite
@@ -23,6 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, ConvexityError, DomainError, Report
+from .geometry import cholesky
 from .grids import INTERIOR, GridFunction
 from .oracles import DUAL, PRIMAL, DriftCoefficients
 from .stencils import difference
@@ -58,42 +62,17 @@ class SolverReport(Report):
     rejected_steps: int = 0      # damping halvings plus halved continuation steps
 
 
-def _cholesky(H, inverse=False):
-    """Batched Cholesky H = L L^T of symmetric (m, n, n), a loop over n vectorized
-    over m. Returns the pivots L_ii^2 (m, n), all > 0 exactly when H is positive
-    definite, with product det H; with `inverse`, also H^{-1} = L^{-T} L^{-1}.
-    From its first pivot that is not > 0, a matrix's pivots and inverse are NaN."""
-    n = H.shape[-1]
-    L, piv = np.zeros(H.shape), np.empty(H.shape[:-1])
-    for i in range(n):
-        for j in range(i):
-            L[:, i, j] = (H[:, i, j] - (L[:, i, :j] * L[:, j, :j]).sum(axis=1)) / L[:, j, j]
-        piv[:, i] = H[:, i, i] - (L[:, i, :i] * L[:, i, :i]).sum(axis=1)
-        L[:, i, i] = np.sqrt(np.where(piv[:, i] > 0.0, piv[:, i], np.nan))
-    if not inverse:
-        return piv
-    X = np.zeros(H.shape)  # L^{-1}, row by row by forward substitution
-    for i in range(n):
-        X[:, i, :i] = -np.einsum("mk,mkj->mj", L[:, i, :i], X[:, :i, :i]) / L[:, i, i, None]
-        X[:, i, i] = 1.0 / L[:, i, i]
-    return piv, np.einsum("mki,mkj->mij", X, X)
-
-
 def _log_residual(grid, values, drift, side, det_floor):
     """(residual vector, Hessian stack, min det) or None when convexity fails."""
     st = grid.stencil
     padded = st.pad(values)
     H = st.hessian(padded, interior=True)
-    piv = _cholesky(H)
+    piv = cholesky(H)
     mindet = float(np.where((piv > 0.0).all(axis=1), piv.prod(axis=1), 0.0).min())  # 0: not PD
     if mindet <= 0.0 or mindet < det_floor:
         return None, H, mindet
-    logdet = np.log(piv).sum(axis=1)
-    if side == DUAL:
-        r = logdet + st.gradient(padded, interior=True) @ drift.d + drift.d0
-    else:
-        r = logdet - grid.interior_points @ drift.d - drift.d0
-    return r, H, mindet
+    y = st.gradient(padded, interior=True) if side == DUAL else grid.interior_points
+    return drift.residual(np.log(piv).sum(axis=1), y, side), H, mindet
 
 
 def residual_field(u, drift, side=DUAL):
@@ -162,7 +141,7 @@ class _Jacobian:
         """Sparse linearization trace(H^{-1} D^2 .) (+ drift gradient on the
         dual side): the arms of d_ij weighted by Hi_ij (twice off the
         diagonal) and, on the dual side, the arms of d_i weighted by d_i."""
-        n, Hi = self.grid.dim, _cholesky(H, inverse=True)[1]
+        n, Hi = self.grid.dim, cholesky(H, inverse=True)[1]
         terms = [((i, j), Hi[:, i, j] * (1.0 if i == j else 2.0))
                  for i in range(n) for j in range(i, n)]
         if side == DUAL:

@@ -36,3 +36,11 @@ def random_hull(rng, n=2, max_points=40):
 
     hull = ConvexHull(rng.normal(size=(int(rng.integers(n + 2, max_points + 1)), n)))
     return Polytope(hull.equations[:, :-1], -hull.equations[:, -1])
+
+
+def last_pivot(n):
+    """A symmetric n x n matrix whose leading minors are positive up to the
+    last one: only the last Cholesky pivot is negative."""
+    H = np.eye(n) + 0.5 * (1.0 - np.eye(n))
+    H[-1, -1] = -0.5
+    return H

@@ -20,11 +20,10 @@ from malab.blowup import run_blowup
 from malab.checks import (identity_suite, det_barrier_constant, det_barrier_probe,
                           phi_inequality_check, phi_barrier_ladder)
 from malab.domains import Ball, Box, centered_mvee, direction_fan, normalize_domain
-from malab.geometry import geometry_sample, structure_residuals
+from malab.geometry import geometry_sample, pde_residual, structure_residuals
 from malab.grids import Grid, INTERIOR, sample_oracle
 from malab.legendre import LegendrePair, involution_residual
-from malab.oracles import (DriftCoefficients, DualLog, ExpSolution, Quadratic,
-                           normalize_at, pde_residual)
+from malab.oracles import DriftCoefficients, DualLog, ExpSolution, Quadratic, normalize_at
 from malab.solver import SolverConfig, newton_solve
 
 from conftest import random_polytope

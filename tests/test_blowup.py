@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from malab.blowup import extract_section, run_blowup
 from malab.domains import AffineMap
 from malab.errors import PreconditionError, UnboundedSectionError
 from malab.geometry import geometry_sample, phi_rule
-from malab.oracles import (AffineImageOracle, DualLog, Quadratic, normalize_at)
+from malab.oracles import AffineImageOracle, DualLog, ExpSolution, Quadratic, normalize_at
 
 
 def duallog_normalized():
@@ -88,16 +90,20 @@ class TestRunBlowup:
         assert max(ratios) <= 4.0 * min(ratios) + 1.0
 
 
-def test_phi_affine_invariance(rng):
-    """Phi is a scalar: recomputing after a unimodular affine change of the
-    dual coordinates leaves it unchanged at corresponding points."""
-    u = DualLog(2)
-    S = np.array([[1.0, 0.7], [0.0, 1.0]])  # unimodular shear
-    T = AffineMap(S, np.array([0.0, 0.0]))
+@given(n=st.sampled_from([2, 3]), dual=st.booleans(),
+       entries=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+       shift=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       x=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_phi_affine_invariance(n, dual, entries, shift, x):
+    """Phi is a scalar: Phi_w(T x) = Phi_u(x) for w = u o T^{-1} and any
+    invertible affine T, on the primal (ExpSolution) and the dual (DualLog)
+    side, in two and three dimensions."""
+    A = np.reshape(entries[:n * n], (n, n))
+    assume(abs(np.linalg.det(A)) >= 0.3)
+    T = AffineMap(A, np.array(shift[:n]))
+    u = DualLog(n) if dual else ExpSolution(n)
+    x = np.array(x[:n])
+    x[0] += 1.5 if dual else 0.0  # DualLog lives on x1 > 0
     w = AffineImageOracle(u, T, scale=1.0)
-    phi_u = phi_rule(u, "dual")
-    phi_w = phi_rule(w, "dual")
-    for _ in range(20):
-        xi = np.array([rng.uniform(0.5, 2.0), rng.uniform(-1, 1)])
-        a, b = float(phi_u(xi)), float(phi_w(T.apply(xi)))
-        assert b == pytest.approx(a, rel=1e-8)
+    a, b = float(phi_rule(u, u.side)(x)), float(phi_rule(w, w.side)(T.apply(x)))
+    assert b == pytest.approx(a, rel=1e-10)

@@ -1,6 +1,14 @@
+import ast
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import malab.blowup
+import malab.checks
+import malab.geometry
+import malab.legendre
 from malab.domains import Ball, Box
 from malab.errors import DegeneracyError
 from malab.geometry import (calabi_laplacian, geometry_sample, grid_invariants,
@@ -10,6 +18,8 @@ from malab.grids import Grid, GridFunction, INTERIOR, sample_oracle
 from malab.oracles import (DriftCoefficients, DualLog, ExpSolution,
                            FieldOracle, Quadratic)
 from malab.solver import newton_solve
+
+from conftest import last_pivot
 
 
 class TestExpSolutionOrigin:
@@ -312,16 +322,40 @@ class TestInvariantKernel:
             assert np.all(inv["Phi"] == 0.0)
 
     @pytest.mark.parametrize("side", ["primal", "dual"])
-    @pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.name)
+    @pytest.mark.parametrize("oracle", ORACLES + [DualLog(3, name="duallog3")],
+                             ids=lambda o: o.name)
     def test_invalid_rows_are_nan(self, oracle, side):
-        pts = np.array([[0.6, 0.2], [0.8, -0.4], [1.2, 0.6], [1.7, 0.8]])
+        n = oracle.n
+        pts = np.c_[[0.6, 0.8, 1.2, 1.7, 1.1, 0.9],
+                    np.outer([0.2, -0.4, 0.6, 0.8, -0.1, 0.3], np.ones(n - 1))]
         H, T = oracle.hessian(pts), oracle.third(pts)
-        H[1] = -np.eye(2)               # det > 0, not positive definite
+        H[1] = -np.eye(n)               # not positive definite (det > 0 in 2-D)
         H[2] = 0.0                      # singular
         T[3, 0, 0, 0] = np.nan          # non-finite third derivatives
-        inv = invariants(H, T, side)
-        bad = np.array([False, True, True, True])
+        H[4] = last_pivot(n)            # leading minors positive up to the last
+        H[5, 0, n - 1] = H[5, n - 1, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inv = invariants(H, T, side)
+        bad = np.array([False, True, True, True, True, True])
         for key, value in inv.items():
             rows = value.reshape(len(pts), -1)
             assert np.isnan(rows[bad]).all(), key
             assert np.isfinite(rows[~bad]).all(), key
+
+    def test_no_other_hessian_linear_algebra(self):
+        """geometry, checks, blowup and legendre take positive definiteness,
+        log det and inverses only from the kernel: none of them calls a
+        linalg inv, slogdet, eigvalsh, eigh or cholesky (norm is fine)."""
+        banned = {"inv", "slogdet", "eigvalsh", "eigh", "cholesky"}
+        for mod in (malab.geometry, malab.checks, malab.blowup, malab.legendre):
+            found = []
+            for node in ast.walk(ast.parse(Path(mod.__file__).read_text())):
+                if isinstance(node, ast.Call):
+                    *owner, name = ast.unparse(node.func).split(".")
+                    if "linalg" in owner and name in banned:
+                        found.append(f"line {node.lineno}: {ast.unparse(node.func)}")
+                elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                    found += [f"line {node.lineno}: import {a.name}"
+                              for a in node.names if a.name in banned]
+            assert not found, (mod.__name__, found)

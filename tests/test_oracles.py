@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from malab.oracles import (DUAL, PRIMAL, DriftCoefficients, DualLog,
-                           ExpSolution, Quadratic, catalog, normalize_at,
-                           pde_residual)
+from malab.domains import AffineMap
+from malab.errors import DomainError
+from malab.geometry import pde_residual
+from malab.oracles import (DUAL, PRIMAL, AffineImageOracle, DriftCoefficients, DualLog,
+                           ExpSolution, Quadratic, catalog, normalize_at)
 from malab.stencils import fd_gradient, fd_hessian
 
 
@@ -30,6 +32,14 @@ def test_duallog_pde_gate(n, rng):
     r = pde_residual(dl, pts, dl.drift(), DUAL)
     assert np.abs(r).max() <= 1e-12
     assert dl.drift().d0 == pytest.approx(0.0)
+
+
+def test_concave_potential_fails_pde_residual():
+    """-|x|^2/2 in 2-D has det D^2 = +1 but is not convex: the residual
+    refuses it rather than reading 0."""
+    concave = AffineImageOracle(Quadratic.unit(2), AffineMap(np.eye(2), np.zeros(2)), scale=-1.0)
+    with pytest.raises(DomainError):
+        pde_residual(concave, np.zeros((3, 2)), DriftCoefficients.zero(2), PRIMAL)
 
 
 def test_quadratic_drift_both_sides():

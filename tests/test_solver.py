@@ -11,8 +11,11 @@ from malab.grids import Grid, INTERIOR, GridFunction, sample_oracle
 from malab.oracles import (DUAL, AffineImageOracle, DriftCoefficients, DualLog, ExpSolution,
                            Quadratic)
 import malab.solver
-from malab.solver import (SolverConfig, _cholesky, _factor, _Jacobian, _log_residual,
-                          newton_solve, residual_field)
+from malab.geometry import cholesky
+from malab.solver import (SolverConfig, _factor, _Jacobian, _log_residual, newton_solve,
+                          residual_field)
+
+from conftest import last_pivot
 
 BOX = Box([1, -1], [2, 1])
 DL = DualLog(2)
@@ -61,10 +64,8 @@ def spd_stack(rng, n, m=200):
     spd = 0.5 * (spd + spd.transpose(0, 2, 1))
     v = np.arange(1.0, n + 1.0)
     semidefinite = [np.outer(v, v), np.diag(np.r_[1.0, np.zeros(n - 1)]), np.zeros((n, n))]
-    last_pivot = np.eye(n) + 0.5 * (1.0 - np.eye(n))  # only the last pivot is negative
-    last_pivot[-1, -1] = -0.5
     indefinite = [np.diag(np.r_[-np.ones(n - 1), 2.0]), 2.0 * np.ones((n, n)) - np.eye(n),
-                  last_pivot]
+                  last_pivot(n)]
     with_nan = [np.eye(n), np.eye(n)]
     with_nan[0][0, 0] = np.nan
     with_nan[1][n - 1, 0] = with_nan[1][0, n - 1] = np.nan
@@ -79,8 +80,8 @@ class TestCholesky:
         H, m = spd_stack(rng, n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            piv, Hi = _cholesky(H, inverse=True)
-            assert np.array_equal(_cholesky(H), piv, equal_nan=True)
+            piv, Hi = cholesky(H, inverse=True)
+            assert np.array_equal(cholesky(H), piv, equal_nan=True)
         pd = (piv > 0).all(axis=1)
         finite = np.isfinite(H).all(axis=(1, 2))
         want = np.zeros(len(H), dtype=bool)
@@ -438,7 +439,7 @@ class TestProperties:
         u, rep = newton_solve(g, dl3.drift(), lambda p: float(dl3.value(p)))
         exact = dl3.value(g.points())
         err = np.nanmax(np.abs(u.values - exact)[g.mask == INTERIOR])
-        assert err <= 4.0 * g.spacing.max() ** 2
+        assert err <= 1e-8  # 1.05e-9 here
         assert rep.final_residual <= 1e-10
         assert (rep.total_iterations, rep.rejected_steps) == (4, 0)
 
