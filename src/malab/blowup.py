@@ -38,14 +38,14 @@ class SectionData(Report):
     level_defect: float
 
 
-def extract_section(u, p, C, directions=None):
+def extract_section(u, p, C):
     """Boundary of {u < C} by ray bisection, plus its John normalization.
 
     Raises UnboundedSectionError when a ray leaves the oracle's domain
     before reaching the level.
     """
     p = require_normalized(u, p)
-    dirs = direction_fan(u.n, directions or SECTION_RAYS[u.n])
+    dirs = direction_fan(u.n, SECTION_RAYS[u.n])
     pts, kinds = trace_ray(u, p, dirs, C, window=None, rel_tol=1e-9)
     if (kinds != "level").any():
         raise UnboundedSectionError(
@@ -121,7 +121,7 @@ def _normal_map_coverage(pts, vals):
     return r, int((hvals[k] < 0.5 - COVERAGE_MARGIN).sum()), len(dirs), circ
 
 
-def run_blowup(u, p, ladder, probes_per_axis=161, directions=None):
+def run_blowup(u, p, ladder, probes_per_axis=161):
     """Blow-up ladder: per level, the normalized potential's invariant Phi at
     the image of the base point (with the exact C_k * Phi(p) scaling law),
     suprema of the barrier functionals over the half-section, and the
@@ -131,7 +131,7 @@ def run_blowup(u, p, ladder, probes_per_axis=161, directions=None):
     ladder = sorted(float(C) for C in ladder)
     phi_base = float(phi_rule(u, u.side)(np.asarray(p, dtype=float)))
 
-    sections = [extract_section(u, p, C, directions) for C in ladder]
+    sections = [extract_section(u, p, C) for C in ladder]
     lattices = [_normalized_probes(sec.normalized_potential, probes_per_axis)
                 for sec in sections]
     samples = [section_sample(sec.normalized_potential, pts[vals < 1.0], vals[vals < 1.0])

@@ -21,7 +21,7 @@ from .geometry import (fd_step, grid_invariants, grid_phi_inequality_fields, inv
                        metric_laplacian, pde_residual, phi_inequality_residual, phi_rule,
                        rho_value_rule, xx_hessian_logrho)
 from .grids import GridFunction, INTERIOR, atomic_write, csv_text
-from .oracles import DUAL, PRIMAL, AffineImageOracle
+from .oracles import PRIMAL, AffineImageOracle
 from .solver import residual_field
 from .stencils import fd_gradient, fd_hessian
 
@@ -160,7 +160,7 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
     collar are not trustworthy, so callers usually keep a margin.
     """
     on_grid = isinstance(potential, GridFunction)
-    side = side or (DUAL if on_grid else potential.side)
+    side = side or potential.side
     _gate(potential, probes, drift, side)
     if on_grid:
         res, phi = grid_phi_inequality_fields(potential, side)
@@ -546,6 +546,8 @@ def _det_barrier_grid(fu, delta, Rprime):
         raise PreconditionError("|f| exceeds the stated bound on the ball")
     logdet = grid_invariants(fu, PRIMAL)["logdet"]
     live = in_ball & (grid.mask == INTERIOR) & np.isfinite(logdet)
+    if not live.any():
+        raise PreconditionError("no interior node of the ball has a positive definite Hessian")
     vals = np.exp(logdet[live] / (n + 2.0))
     nodes = pts[live]
     k = int(np.argmin(vals))

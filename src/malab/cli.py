@@ -149,12 +149,8 @@ def _run_solve(cfg):
     domain = domain_from_json(cfg["domain"])
     grid = Grid.build(domain, cfg["resolution"])
     drift = DriftCoefficients.from_json(cfg["drift"])
-    bspec = cfg["boundary"]
-    if bspec["kind"] == "fixture":
-        oracle = catalog(domain.dim)[bspec["name"]]
-        boundary = lambda p: float(oracle.value(p))
-    else:
-        boundary = lambda p: float(bspec["value"])
+    oracle = _fixture({"n": domain.dim, "fixture": cfg["boundary"]["name"]})
+    boundary = lambda p: float(oracle.value(p))
     solver_cfg = SolverConfig(**cfg.get("solver", {}))
     side = cfg.get("side", "dual")
     u, report = newton_solve(grid, drift, boundary, solver_cfg, side=side)
@@ -238,8 +234,7 @@ def _run_blowup(cfg):
     p = np.asarray(cfg["p"], dtype=float)
     u = normalize_at(oracle, p)
     report = run_blowup(u, p, [float(v) for v in cfg["ladder"]],
-                        probes_per_axis=int(cfg.get("probes_per_axis", 161)),
-                        directions=cfg.get("directions"))
+                        probes_per_axis=int(cfg.get("probes_per_axis", 161)))
     out = _out_dir(cfg)
     _atomic_write(os.path.join(out, "blowup_report.json"), _dump_json(report.to_json()))
     if cfg.get("dump_fields"):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, Report, StencilError
-from .grids import GridFunction, INTERIOR, gradient_field, hessian_field
+from .grids import GridFunction, gradient_field, hessian_field
 from .oracles import PRIMAL
 from .stencils import fd_directional, fd_gradient, fd_hessian
 
@@ -99,8 +99,8 @@ def invariants(H, T, side):
         grad_logrho  rho_sign(side)/(n+2) * tr(H^{-1} T_i)   (None if T is None)
         Phi          |grad log rho|^2_G                     (None if T is None)
     A row whose H (or T) is not finite, or whose H is not positive definite,
-    is NaN in every output. Grid callers pass T = None and difference the
-    log rho field instead.
+    is NaN in every output. grid_invariants passes T = None and fills
+    grad_logrho and Phi from the FD gradient of the log rho field.
     """
     H = np.asarray(H, dtype=float)
     n = H.shape[-1]
@@ -234,22 +234,26 @@ def _connection(Hi, T):
 
 
 def geometry_sample(potential, x, side=None):
-    """All pointwise tensors at x (oracle) or at the node nearest x (grid)."""
+    """All pointwise tensors at x (oracle) or at the node nearest x (grid).
+    On a grid, rho, grad rho and Phi are the node's row of grid_invariants;
+    the connection, cubic form, J and Ricci read the FD third field."""
     n = potential.n
+    side = side or potential.side
     on_grid = isinstance(potential, GridFunction)
-    if on_grid:
-        side = side or PRIMAL
-        grid = potential.grid
-        at = _node(grid, x)
-        if grid.mask[at] != INTERIOR:
-            raise StencilError("geometry sample needs an interior node",
-                               node=[int(k) for k in at])
-        x = grid.point(at)
+    if on_grid:  # the Hessian raises StencilError off the interior
+        at = _node(potential.grid, x)
+        x = potential.grid.point(at)
     else:
-        side = side or potential.side
         x = at = np.asarray(x, dtype=float)
     H, T = potential.hessian(at), potential.third(at)
-    inv = _spd_invariants(H, T, side, x)
+    if on_grid:
+        inv = {k: v[at] for k, v in grid_invariants(potential, side).items()}
+        if not np.isfinite(inv["logdet"]):
+            raise DegeneracyError("Hessian not positive definite at probe", point=x.tolist())
+        if not np.isfinite(inv["Phi"]):
+            raise StencilError("stencil for grad log rho does not fit", node=list(map(int, at)))
+    else:
+        inv = _spd_invariants(H, T, side, x)
     Hi = inv["Ginv"]
     Gamma, ricci = _connection(Hi, T)
     KR = (n + 2.0) * (grid_xx_hessian_logrho(potential, side)[at] if on_grid
@@ -281,16 +285,18 @@ def calabi_laplacian(potential, field, x, side=None):
     For a grid potential, x snaps to the nearest node and the field
     (callable on points, or node array) is chained through grid differences.
     """
+    side = side or potential.side
     if isinstance(potential, GridFunction):
         grid = potential.grid
         node = _node(grid, x)
         values = field if isinstance(field, np.ndarray) else field(grid.points())
-        out = grid_laplacian_of(potential, side or PRIMAL, values)[node]
+        inv = grid_invariants(potential, side)
+        out = metric_laplacian(inv["Ginv"], inv["grad_logrho"], gradient_field(values, grid),
+                               hessian_field(values, grid), side)[node]
         if not np.isfinite(out):
             raise StencilError("laplacian stencil does not fit at the node",
                                node=[int(k) for k in node])
         return float(out)
-    side = side or potential.side
     x = np.asarray(x, dtype=float)
     inv = _spd_invariants(potential.hessian(x), potential.third(x), side, x)
     hstep = fd_step(x)
@@ -362,39 +368,25 @@ def structure_residuals(potential, x):
 
 
 def grid_invariants(fu, side):
-    """The invariant kernel over the grid Hessian field (no third
-    derivatives: grad log rho is the FD gradient of the log rho field)."""
-    return fu.field(("invariants", side),
-                    lambda: invariants(fu.hessian_field(), None, side))
-
-
-def grid_grad_logrho(fu, side):
-    return fu.field(("grad_logrho", side), lambda: gradient_field(
-        grid_invariants(fu, side)["logrho"], fu.grid))
-
-
-def grid_phi(fu, side):
+    """The invariant kernel over the grid Hessian field, cached per side. No
+    third derivatives: grad_logrho is the FD gradient of the log rho field,
+    and Phi is its G-norm."""
     def build():
-        Hi = grid_invariants(fu, side)["Ginv"]
-        g = grid_grad_logrho(fu, side)
-        return np.einsum("...ij,...i,...j->...", Hi, g, g)
+        inv = invariants(fu.hessian_field(), None, side)
+        g = inv["grad_logrho"] = gradient_field(inv["logrho"], fu.grid)
+        inv["Phi"] = np.einsum("...ij,...i,...j->...", inv["Ginv"], g, g)
+        return inv
 
-    return fu.field(("phi", side), build)
-
-
-def grid_laplacian_of(fu, side, values):
-    """Metric Laplacian of a node field, by FD chains at grid spacing."""
-    return metric_laplacian(grid_invariants(fu, side)["Ginv"], grid_grad_logrho(fu, side),
-                            gradient_field(values, fu.grid), hessian_field(values, fu.grid),
-                            side)
+    return fu.field(("invariants", side), build)
 
 
 def grid_phi_inequality_fields(fu, side):
     """(residual field, Phi field) of the gradient-of-Phi differential
     inequality, by FD chains."""
-    phi = grid_phi(fu, side)
-    return phi_inequality_residual(grid_invariants(fu, side)["Ginv"], grid_grad_logrho(fu, side),
-                                   phi, gradient_field(phi, fu.grid),
+    inv = grid_invariants(fu, side)
+    phi = inv["Phi"]
+    return phi_inequality_residual(inv["Ginv"], inv["grad_logrho"], phi,
+                                   gradient_field(phi, fu.grid),
                                    hessian_field(phi, fu.grid), side), phi
 
 
@@ -407,13 +399,12 @@ def grid_xx_hessian_logrho(fu, side):
     key = ("xxlogrho", side)
 
     def build():
-        phi_f = grid_invariants(fu, side)["logrho"]
+        inv = grid_invariants(fu, side)
+        ddphi = hessian_field(inv["logrho"], fu.grid)   # phi_ab
         if side == PRIMAL:
-            return hessian_field(phi_f, fu.grid)
-        Hi = grid_invariants(fu, side)["Ginv"]
-        dphi = gradient_field(phi_f, fu.grid)   # phi_a
-        ddphi = hessian_field(phi_f, fu.grid)   # phi_ab
-        T = fu.third_field()                    # u_pqc
+            return ddphi
+        Hi, dphi = inv["Ginv"], inv["grad_logrho"]      # phi_a
+        T = fu.third_field()                            # u_pqc
         term1 = np.einsum("...ia,...jb,...ab->...ij", Hi, Hi, ddphi)
         term2 = np.einsum("...ip,...qa,...a,...pqc,...cj->...ij", Hi, Hi, dphi, T, Hi)
         out = term1 - term2

@@ -2,9 +2,9 @@
 
 Nodes are classified outside / boundary / interior against a convex domain.
 Interior nodes keep a full two-node margin of in-domain neighbors, so every
-arm of the one difference table, `stencils.TABLE` (up to third derivatives),
-fits without one-sided formulas; boundary nodes carry prescribed values and
-are never differentiated.
+arm of the one difference table, `stencils.TABLE`, and the first difference
+of a Hessian component (a third derivative) fit without one-sided formulas;
+boundary nodes carry prescribed values and are never differentiated.
 
 Derivative fields apply that table through the grid's `GridStencil` on whole
 arrays, with NaN standing for "unavailable", which lets chained differences
@@ -115,37 +115,28 @@ def hessian_field(values, grid):
 
 
 def third_field(values, grid):
-    """Fully symmetric third-derivative tensor field.
-
-    Pure components use the width-5 stencil; mixed components compose
-    centered first/second differences, which keeps everything O(h^2).
-    """
+    """Fully symmetric third-derivative tensor field: d_k of the Hessian
+    field's component d_ij, taken once for i <= j <= k. On a uniform grid
+    d_i d_ii is the width-5 pure difference and the mixed components are the
+    composed centered ones, so everything stays O(h^2)."""
     st = grid.stencil
-    n = values.ndim
-    T = np.empty(values.shape + (n, n, n))
-    padded = st.pad(values)
-    firsts = [st.pad(st.diff(padded, (k,))) for k in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                if i == j == k:
-                    d = st.diff(padded, (i, i, i))
-                elif i == j:
-                    d = st.diff(firsts[k], (i, i))
-                elif j == k:
-                    d = st.diff(firsts[i], (j, j))
-                else:
-                    d = st.diff(st.pad(st.diff(firsts[k], (j,))), (i,))
-                for p in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-                    T[(...,) + p] = d
+    H = st.hessian(st.pad(values))
+    T = np.empty(H.shape + (grid.dim,))
+    for i, j, k in itertools.combinations_with_replacement(range(grid.dim), 3):
+        d = st.diff(st.pad(H[..., i, j]), (k,))
+        for p in set(itertools.permutations((i, j, k))):
+            T[(...,) + p] = d
     return T
 
 
 class GridFunction:
     """Scalar samples on a masked grid; NaN at outside nodes.
 
-    Immutable after construction; derivative fields are cached lazily.
+    Immutable after construction; derivative fields are cached lazily. Read
+    on the dual side, as the solver's output, unless a caller passes a side.
     """
+
+    side = "dual"
 
     def __init__(self, grid, values):
         self._setup(grid, values, grid.mask != OUTSIDE, "in-domain")

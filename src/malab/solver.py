@@ -35,6 +35,8 @@ __all__ = ["DriftCoefficients", "SolverConfig", "SolverReport",
            "residual_field", "newton_solve"]
 
 DET_FLOOR = 1e-14  # smallest FD Hessian determinant a Newton iterate may reach
+DAMPING = 0.5  # a rejected trial step is scaled by this
+MIN_STEP = 2.0**-20  # smallest Newton step and continuation step before giving up
 _LU_OPTIONS = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 
 
@@ -42,11 +44,9 @@ _LU_OPTIONS = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 class SolverConfig:
     max_newton_iters: int = 50
     residual_tol: float = 1e-10
-    damping_factor: float = 0.5
-    min_step: float = 2.0**-20
 
     def __post_init__(self):
-        if self.residual_tol <= 0 or not (0.0 < self.damping_factor < 1.0):
+        if self.residual_tol <= 0:
             raise DomainError("bad solver configuration")
 
 
@@ -210,7 +210,7 @@ def _newton_core(jacobian, values, drift, side, config):
         delta = jacobian.solve(jacobian.assemble(H, drift, side), -r)
         lam = 1.0
         accepted = False
-        while lam >= config.min_step:
+        while lam >= MIN_STEP:
             trial = values.copy()
             trial[grid.mask == INTERIOR] += lam * delta
             r_try, H_try, mindet = _log_residual(grid, trial, drift, side, DET_FLOOR)
@@ -220,7 +220,7 @@ def _newton_core(jacobian, values, drift, side, config):
                     values, r, H, rnorm = trial, r_try, H_try, r_try_norm
                     accepted = True
                     break
-            lam *= config.damping_factor
+            lam *= DAMPING
             halvings += 1
         if not accepted:
             if mindet < DET_FLOOR:
@@ -239,8 +239,8 @@ def _newton_core(jacobian, values, drift, side, config):
 def newton_solve(grid, drift, boundary, config=None, side=DUAL, initial=None):
     """Solve the Dirichlet problem on the grid's interior nodes.
 
-    boundary: callable(point) -> value, or an array aligned with
-    grid.boundary_nodes() order. Returns (GridFunction, SolverReport).
+    boundary: callable(point) -> value at each boundary node. Returns
+    (GridFunction, SolverReport).
 
     The start is the least-squares convex paraboloid plus `lift`, the discrete
     harmonic extension of its mismatch with the data (one Laplace solve).
@@ -259,13 +259,7 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL, initial=None):
                           "(need >= 9 interior nodes per axis)",
                           interior_extent=[int(v) for v in extent])
     bidx = tuple(grid.boundary_nodes().T)
-    if callable(boundary):
-        bvals = np.array([float(boundary(p)) for p in grid.points()[bidx]])
-    else:
-        bvals = np.asarray(boundary, dtype=float)
-        if bvals.shape != bidx[0].shape:
-            raise DomainError("boundary array does not match boundary node count",
-                              expected=int(len(bidx[0])))
+    bvals = np.array([float(boundary(p)) for p in grid.points()[bidx]])
 
     given = initial is not None
     values = initial.values.copy() if given else _quadratic_init(grid, bidx, bvals)
@@ -292,7 +286,7 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL, initial=None):
                                      min_det=float(fail.args[0])) from None
             dt *= 0.5
             rejected_steps += 1
-            if dt < config.min_step:
+            if dt < MIN_STEP:
                 raise ConvexityError("continuation cannot keep the iterate convex",
                                      t_reached=t) from None
             continue

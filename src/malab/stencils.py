@@ -1,14 +1,16 @@
 """The one table of centered finite differences, applied by gather on grid
 node arrays and by point evaluation on callables.
 
-`TABLE` holds every difference the package takes: d_i, d_ii, the mixed d_ij
-and the width-5 pure d_iii. Each is a list of arms, an integer node offset
-with an integer coefficient, over a spacing denominator. `GridStencil` applies
-the arms to node arrays of one grid shape; `central` evaluates a callable at
-x + h * offset, and `fd_directional`, `fd_gradient` and `fd_hessian` build on
-it; they take a batch of points (..., n) with per-point steps (...). All
-differences are second order; one Richardson level lifts the callable ones
-to fourth order on smooth inputs.
+`TABLE` holds every difference the package takes: d_i, d_ii and the mixed
+d_ij. Each is a list of arms, an integer node offset with an integer
+coefficient, over a spacing denominator. Third derivatives on a grid are d_k
+of the Hessian field's components (`grids.third_field`), so they need no
+entry of their own. `GridStencil` applies the arms to node arrays of one
+grid shape; `central` evaluates a callable at x + h * offset, and
+`fd_directional`, `fd_gradient` and `fd_hessian` build on it; they take a
+batch of points (..., n) with per-point steps (...). All differences are
+second order; one Richardson level lifts the callable ones to fourth order
+on smooth inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import operator
 
 import numpy as np
 
-REACH = 2  # the widest arm (pure d_iii) reaches two nodes along its axis
+REACH = 2  # d_i of d_ii, the widest chain, reaches two nodes along its axis
 
 # kind -> (arms as (steps along i, steps along j, coefficient), denominator
 # from the steps h_i, h_j)
@@ -26,18 +28,17 @@ TABLE = {
     "i": (((1, 0, 1), (-1, 0, -1)), lambda hi, hj: 2.0 * hi),
     "ii": (((1, 0, 1), (0, 0, -2), (-1, 0, 1)), lambda hi, hj: hi * hj),
     "ij": (((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)), lambda hi, hj: 4.0 * hi * hj),
-    "iii": (((-2, 0, -1), (-1, 0, 2), (1, 0, -2), (2, 0, 1)), lambda hi, hj: 2.0 * hi ** 3),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def difference(axes, n):
     """Arms and denominator of the centered difference along `axes` in n
-    dimensions: (i,) is d_i, (i, i) d_ii, (i, j) d_ij and (i, i, i) d_iii.
+    dimensions: (i,) is d_i, (i, i) d_ii and (i, j) d_ij.
     Returns ((offset tuple, coefficient), ...) and den(h) for per-axis
     steps h."""
     i, j = axes[0], axes[-1]
-    kind = ("i", "ii" if i == j else "ij", "iii")[len(axes) - 1]
+    kind = "i" if len(axes) == 1 else "ii" if i == j else "ij"
     steps, den = TABLE[kind]
     e = np.eye(n, dtype=int)
     arms = tuple((tuple((a * e[i] + b * e[j]).tolist()), c) for a, b, c in steps)

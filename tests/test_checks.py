@@ -5,7 +5,7 @@ from malab.checks import (PDE_GATE_TOL, BarrierConstants, choose_shift_constant,
                           identity_suite, det_barrier_constant, det_barrier_probe,
                           section_functionals, phi_inequality_check, phi_barrier_ladder,
                           section_probes, trace_ray)
-from malab.domains import Ball, direction_fan
+from malab.domains import Ball, Box, direction_fan
 from malab.errors import (CounterexampleError, PreconditionError, WindowError)
 from malab.geometry import grid_phi_inequality_fields
 from malab.grids import INTERIOR, Grid, box_grid, sample_oracle
@@ -309,6 +309,13 @@ class TestDetBarrier:
         assert val < d5
         # grid minimum of (2 e^{x1})^{1/4} sits at the smallest reachable x1
         assert pt[0] < -0.8
+
+    def test_grid_ball_without_interior_nodes(self):
+        """A ball that holds in-domain nodes but no interior node fails its
+        precondition, not with an argmin of an empty sequence."""
+        fu = sample_oracle(Quadratic.unit(2), Grid.build(Box([0, 0], [1, 1]), 33))
+        with pytest.raises(PreconditionError):
+            det_barrier_probe(fu, 0.05, 10.0)
 
 
 def test_counterexample_error_path():

@@ -55,6 +55,17 @@ def test_solve_artifacts_and_determinism(tmp_path, capsys):
     assert hist[-1] / hist[-2] <= 1e-2
 
 
+@pytest.mark.parametrize("boundary", ['{"kind": "fixture", "name": "nope"}',
+                                      '{"kind": "constant", "value": 1.0}'],
+                         ids=["unknown-fixture", "constant"])
+def test_solve_boundary_is_a_catalog_fixture(boundary, tmp_path, capsys):
+    rc = run_cli(["solve", "--set", 'domain={"kind": "box", "lo": [0, 0], "hi": [1, 1]}',
+                  "--set", "resolution=17", "--set", 'drift={"d0": 0, "d": [0, 0]}',
+                  "--set", f"boundary={boundary}", "--out", str(tmp_path)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+
+
 def test_verify_identities_cli(tmp_path):
     assert run_cli(["verify", "--set", "fixture=quadratic",
                     "--set", "suite=identities", "--set", "probes.count=10",

@@ -12,8 +12,8 @@ import malab.legendre
 from malab.domains import Ball, Box
 from malab.errors import DegeneracyError
 from malab.geometry import (calabi_laplacian, geometry_sample, grid_invariants,
-                            grid_kahler_ricci, grid_phi, invariants,
-                            rho_value_rule, structure_residuals)
+                            grid_kahler_ricci, invariants, rho_value_rule,
+                            structure_residuals)
 from malab.grids import Grid, GridFunction, INTERIOR, sample_oracle
 from malab.oracles import (DriftCoefficients, DualLog, ExpSolution,
                            FieldOracle, Quadratic)
@@ -231,6 +231,42 @@ class TestGridGeometry:
         assert abs(s_grid.Phi - s_oracle.Phi) <= h2
         assert abs(s_grid.rho - s_oracle.rho) <= h2
         assert abs(s_grid.J - s_oracle.J) <= h2
+        # grad rho is rho times the FD gradient of the log rho field: 0.0044 h^2
+        # off here
+        assert np.abs(s_grid.grad_rho - s_oracle.grad_rho).max() <= 0.01 * h2
+
+    def test_grid_sample_reads_the_invariant_row(self):
+        """One Phi per node: a grid sample's rho, grad rho and Phi are the
+        node's row of grid_invariants, bit for bit, on either side."""
+        g = Grid.build(Box([-1, -1], [1, 1]), 65)
+        fu = sample_oracle(ExpSolution(2), g)
+        node = g.nearest_node([0.0, 0.0])
+        for side in ("primal", "dual"):
+            s = geometry_sample(fu, node, side)
+            inv = grid_invariants(fu, side)
+            assert s.Phi == inv["Phi"][node]
+            assert s.rho == inv["rho"][node]
+            assert np.array_equal(s.grad_rho, inv["rho"][node] * inv["grad_logrho"][node])
+
+    def test_grid_entry_points_default_to_the_dual_side(self):
+        """Without a side, every grid entry point reads a GridFunction on the
+        dual side, as the solver writes it."""
+        g = Grid.build(Ball(np.zeros(2), 1.0), 33)
+        q = Quadratic.unit(2)
+        drift = DriftCoefficients(0.1, np.array([0.9, 0.5]))
+        u, _ = newton_solve(g, drift, lambda p: float(q.value(p)))
+        node = g.nearest_node([0.1, -0.2])
+        # the metric Laplacian is the same operator on both sides, so the
+        # side it read shows only in which invariants it cached
+        calabi_laplacian(u, u.values, node)
+        assert [k for k in u._cache if k[0] == "invariants"] == [("invariants", "dual")]
+        s = geometry_sample(u, node)
+        assert s.side == "dual"
+        assert s.to_json() == geometry_sample(u, node, "dual").to_json()
+        rep = malab.checks.phi_inequality_check(u, drift=drift)
+        want = malab.checks.phi_inequality_check(u, side="dual", drift=drift)
+        assert rep.to_json() == want.to_json()
+        assert np.array_equal(rep.residuals["residual"], want.residuals["residual"])
 
     def test_kahler_ricci_small_for_sampled_solution(self):
         ex = ExpSolution(2)
@@ -258,7 +294,7 @@ class TestGridGeometry:
         ex = ExpSolution(2)
         g = Grid.build(Box([-1, -1], [1, 1]), 65)
         fu = sample_oracle(ex, g)
-        phi = grid_phi(fu, "primal")
+        phi = grid_invariants(fu, "primal")["Phi"]
         pts = g.points()
         want = np.exp(-pts[..., 0]) / 16.0
         good = np.isfinite(phi)
@@ -300,7 +336,7 @@ class TestGridGeometry:
         inner = g.mask == INTERIOR
         for side in ("primal", "dual"):
             assert np.isnan(grid_invariants(fu, side)["logrho"][inner]).all()
-            assert np.isnan(grid_phi(fu, side)[inner]).all()
+            assert np.isnan(grid_invariants(fu, side)["Phi"][inner]).all()
             assert np.isnan(grid_kahler_ricci(fu, side)[inner]).all()
 
 

@@ -1,4 +1,5 @@
 import errno
+import itertools
 import json
 import os
 
@@ -8,7 +9,7 @@ import pytest
 from malab.domains import Ball, Box
 from malab.errors import DomainError, StencilError
 from malab.grids import (Grid, GridFunction, INTERIOR, OUTSIDE, box_grid, check_convex,
-                         read_gridfunction, sample_oracle, write_gridfunction)
+                         read_gridfunction, sample_oracle, third_field, write_gridfunction)
 from malab.oracles import DualLog, ExpSolution, Quadratic
 
 
@@ -84,6 +85,49 @@ def test_derivative_tensors_symmetric(rng):
     assert np.abs(H - H.T).max() == 0.0
     for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
         assert np.abs(T - np.transpose(T, perm)).max() == 0.0
+
+
+def third_field_composed(values, grid):
+    """The composed third field, kept as a reference: the width-5 pure
+    difference (-1, 2, -2, 1) / (2 h^3) at offsets -2, -1, 1, 2 along the
+    axis, and the mixed components as centered second differences of first
+    differences, or first differences of first differences of first ones."""
+    st, n = grid.stencil, grid.dim
+    T = np.empty(values.shape + (n, n, n))
+    padded = st.pad(values)
+    firsts = [st.pad(st.diff(padded, (k,))) for k in range(n)]
+    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+        if i == j == k:
+            e = np.eye(n, dtype=int)[i]
+            d = sum(c * st.arm(padded, tuple((a * e).tolist()))
+                    for a, c in ((-2, -1), (-1, 2), (1, -2), (2, 1))) / (2.0 * grid.spacing[i] ** 3)
+        elif i == j:
+            d = st.diff(firsts[k], (i, i))
+        elif j == k:
+            d = st.diff(firsts[i], (j, j))
+        else:
+            d = st.diff(st.pad(st.diff(firsts[k], (j,))), (i,))
+        for p in set(itertools.permutations((i, j, k))):
+            T[(...,) + p] = d
+    return T
+
+
+@pytest.mark.parametrize("domain,oracle", [
+    (Box([-1, -1], [1, 1]), ExpSolution(2)),
+    (Ball(np.zeros(3), 1.0), ExpSolution(3)),
+    (Ball(np.zeros(2), 1.0), Quadratic(np.array([[2.0, 0.7], [0.7, 1.5]]))),
+], ids=["box2", "ball3", "ball2-quadratic"])
+def test_third_field_matches_composed_stencils(domain, oracle):
+    """d_k of the Hessian field is the composed operator: on interior nodes
+    the same NaN pattern and the same values up to rounding."""
+    g = Grid.build(domain, 17)
+    values = sample_oracle(oracle, g).values
+    inner = g.mask == INTERIOR
+    got, want = third_field(values, g)[inner], third_field_composed(values, g)[inner]
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = np.isfinite(want)
+    assert ok.any()
+    assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * np.maximum(1.0, np.abs(want[ok])))
 
 
 def test_stencil_node_sets_agree(rng):
