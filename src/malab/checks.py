@@ -544,7 +544,7 @@ def _det_barrier_grid(fu, delta, Rprime):
         raise PreconditionError("grid does not cover the ball")
     if float(np.abs(fu.values[live]).max()) > Rprime:
         raise PreconditionError("|f| exceeds the stated bound on the ball")
-    logdet = grid_invariants(fu, PRIMAL)["logdet"]
+    logdet = grid_invariants(fu, fu.side)["logdet"]
     live = in_ball & (grid.mask == INTERIOR) & np.isfinite(logdet)
     if not live.any():
         raise PreconditionError("no interior node of the ball has a positive definite Hessian")

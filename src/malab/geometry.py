@@ -243,16 +243,15 @@ def geometry_sample(potential, x, side=None):
     if on_grid:  # the Hessian raises StencilError off the interior
         at = _node(potential.grid, x)
         x = potential.grid.point(at)
-    else:
-        x = at = np.asarray(x, dtype=float)
-    H, T = potential.hessian(at), potential.third(at)
-    if on_grid:
+        H, T = potential.hessian(at), potential.third(at)
         inv = {k: v[at] for k, v in grid_invariants(potential, side).items()}
         if not np.isfinite(inv["logdet"]):
             raise DegeneracyError("Hessian not positive definite at probe", point=x.tolist())
         if not np.isfinite(inv["Phi"]):
             raise StencilError("stencil for grad log rho does not fit", node=list(map(int, at)))
     else:
+        x = at = np.asarray(x, dtype=float)
+        H, T = potential.hessian(at), potential.third(at)
         inv = _spd_invariants(H, T, side, x)
     Hi = inv["Ginv"]
     Gamma, ricci = _connection(Hi, T)

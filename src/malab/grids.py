@@ -115,15 +115,16 @@ def hessian_field(values, grid):
 
 
 def third_field(values, grid):
-    """Fully symmetric third-derivative tensor field: d_k of the Hessian
-    field's component d_ij, taken once for i <= j <= k. On a uniform grid
-    d_i d_ii is the width-5 pure difference and the mixed components are the
-    composed centered ones, so everything stays O(h^2)."""
+    """Fully symmetric third-derivative tensor field: for i <= j <= k, a first
+    difference of a Hessian component along the axis the triple holds once
+    (d_k d_ii, d_i d_kk, d_i d_jk), so on a uniform grid these are the width-5
+    pure difference and the narrow composed mixed ones, all O(h^2)."""
     st = grid.stencil
     H = st.hessian(st.pad(values))
     T = np.empty(H.shape + (grid.dim,))
     for i, j, k in itertools.combinations_with_replacement(range(grid.dim), 3):
-        d = st.diff(st.pad(H[..., i, j]), (k,))
+        a, b, c = (i, j, k) if i == j else (j, k, i)
+        d = st.diff(st.pad(H[..., a, b]), (c,))
         for p in set(itertools.permutations((i, j, k))):
             T[(...,) + p] = d
     return T

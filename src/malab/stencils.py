@@ -3,9 +3,9 @@ node arrays and by point evaluation on callables.
 
 `TABLE` holds every difference the package takes: d_i, d_ii and the mixed
 d_ij. Each is a list of arms, an integer node offset with an integer
-coefficient, over a spacing denominator. Third derivatives on a grid are d_k
-of the Hessian field's components (`grids.third_field`), so they need no
-entry of their own. `GridStencil` applies the arms to node arrays of one
+coefficient, over a spacing denominator. Third derivatives on a grid are
+first differences of the Hessian field's components (`grids.third_field`),
+so they need no entry of their own. `GridStencil` applies the arms to node arrays of one
 grid shape; `central` evaluates a callable at x + h * offset, and
 `fd_directional`, `fd_gradient` and `fd_hessian` build on it; they take a
 batch of points (..., n) with per-point steps (...). All differences are

@@ -249,17 +249,13 @@ class TestGridGeometry:
             assert np.array_equal(s.grad_rho, inv["rho"][node] * inv["grad_logrho"][node])
 
     def test_grid_entry_points_default_to_the_dual_side(self):
-        """Without a side, every grid entry point reads a GridFunction on the
-        dual side, as the solver writes it."""
+        """Without a side, geometry_sample and phi_inequality_check read a
+        GridFunction on the dual side, as the solver writes it."""
         g = Grid.build(Ball(np.zeros(2), 1.0), 33)
         q = Quadratic.unit(2)
         drift = DriftCoefficients(0.1, np.array([0.9, 0.5]))
         u, _ = newton_solve(g, drift, lambda p: float(q.value(p)))
         node = g.nearest_node([0.1, -0.2])
-        # the metric Laplacian is the same operator on both sides, so the
-        # side it read shows only in which invariants it cached
-        calabi_laplacian(u, u.values, node)
-        assert [k for k in u._cache if k[0] == "invariants"] == [("invariants", "dual")]
         s = geometry_sample(u, node)
         assert s.side == "dual"
         assert s.to_json() == geometry_sample(u, node, "dual").to_json()

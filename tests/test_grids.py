@@ -6,11 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from malab.domains import Ball, Box
+from malab.domains import AffineMap, Ball, Box
 from malab.errors import DomainError, StencilError
 from malab.grids import (Grid, GridFunction, INTERIOR, OUTSIDE, box_grid, check_convex,
                          read_gridfunction, sample_oracle, third_field, write_gridfunction)
-from malab.oracles import DualLog, ExpSolution, Quadratic
+from malab.oracles import AffineImageOracle, DualLog, ExpSolution, Quadratic
 
 
 def test_grid_spacing_consistency():
@@ -112,14 +112,30 @@ def third_field_composed(values, grid):
     return T
 
 
+def rotated(base, *angles):
+    """base under a rotation by angles in the (0, 1), (1, 2), ... planes, so
+    that every mixed third derivative is non-zero."""
+    n = base.n
+    R = np.eye(n)
+    for p, t in enumerate(angles):
+        G = np.eye(n)
+        G[p:p + 2, p:p + 2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+        R = G @ R
+    return AffineImageOracle(base, AffineMap(R, np.zeros(n)))
+
+
 @pytest.mark.parametrize("domain,oracle", [
     (Box([-1, -1], [1, 1]), ExpSolution(2)),
     (Ball(np.zeros(3), 1.0), ExpSolution(3)),
     (Ball(np.zeros(2), 1.0), Quadratic(np.array([[2.0, 0.7], [0.7, 1.5]]))),
-], ids=["box2", "ball3", "ball2-quadratic"])
+    (Box([-1, -1], [1, 1]), rotated(ExpSolution(2), 0.6)),
+    (Ball(np.zeros(3), 1.0), rotated(ExpSolution(3), 0.6, -0.4)),
+], ids=["box2", "ball3", "ball2-quadratic", "box2-rotated", "ball3-rotated"])
 def test_third_field_matches_composed_stencils(domain, oracle):
     """d_k of the Hessian field is the composed operator: on interior nodes
-    the same NaN pattern and the same values up to rounding."""
+    the same NaN pattern and the same values up to rounding. The rotated
+    fixtures have non-zero mixed third derivatives, where a first difference
+    taken along an axis d_ij already differenced would read a wider stencil."""
     g = Grid.build(domain, 17)
     values = sample_oracle(oracle, g).values
     inner = g.mask == INTERIOR
