@@ -354,7 +354,8 @@ def centered_mvee(domain, tol=1e-9):
         W = np.linalg.inv((x @ E).reshape(n, n))
         d = 1.0 / (1.0 - A @ x)
         g = -t * (E @ W.ravel()) + A.T @ d
-        H = t * E @ np.kron(W, W) @ E.T + (A.T * d**2) @ A
+        WW = (W[:, None, :, None] * W[:, None]).reshape(n * n, -1)  # kron(W, W)
+        H = t * E @ WW @ E.T + (A.T * d**2) @ A
         dx = -np.linalg.solve(H, g)
         dec2 = -g @ dx
         # centered, or a full step no longer shrinks dec2 (rounding floor)

@@ -66,25 +66,36 @@ def phi_inequality_residual(Ginv, glr, phi, gphi, hphi, side):
 # the invariant kernel: rho, grad log rho and Phi from (H, T)
 
 
+def _dot(a, b):
+    """sum_k a[k] * b[k] over the first axis, added in order of k; 0.0 if empty."""
+    s = a[0] * b[0] if len(a) else 0.0
+    for k in range(1, len(a)):
+        s += a[k] * b[k]
+    return s
+
+
 def cholesky(H, inverse=False):
-    """Batched Cholesky H = L L^T of symmetric (m, n, n), a loop over n vectorized
-    over m. Returns the pivots L_ii^2 (m, n), all > 0 exactly when H is positive
-    definite, with product det H; with `inverse`, also H^{-1} = L^{-T} L^{-1}.
-    From its first pivot that is not > 0, a matrix's pivots and inverse are NaN."""
+    """Batched Cholesky H = L L^T of symmetric (m, n, n), vectorized over m with L
+    held entry-major (n, n, m). Returns the pivots L_ii^2 (m, n), all > 0 exactly
+    when H is positive definite, with product det H; with `inverse`, also H^{-1} =
+    L^{-T} L^{-1}. From its first pivot that is not > 0, a matrix's pivots and
+    inverse are NaN."""
     n = H.shape[-1]
-    L, piv = np.zeros(H.shape), np.empty(H.shape[:-1])
+    A = np.moveaxis(H, 0, -1)
+    L, piv = np.zeros(A.shape), np.empty(H.shape[:-1])
     for i in range(n):
         for j in range(i):
-            L[:, i, j] = (H[:, i, j] - (L[:, i, :j] * L[:, j, :j]).sum(axis=1)) / L[:, j, j]
-        piv[:, i] = H[:, i, i] - (L[:, i, :i] * L[:, i, :i]).sum(axis=1)
-        L[:, i, i] = np.sqrt(np.where(piv[:, i] > 0.0, piv[:, i], np.nan))
+            L[i, j] = (A[i, j] - _dot(L[i, :j], L[j, :j])) / L[j, j]
+        piv[:, i] = A[i, i] - _dot(L[i, :i], L[i, :i])
+        L[i, i] = np.sqrt(np.where(piv[:, i] > 0.0, piv[:, i], np.nan))
     if not inverse:
         return piv
-    X = np.zeros(H.shape)  # L^{-1}, row by row by forward substitution
+    X = np.zeros(A.shape)  # L^{-1}, row by row by forward substitution
     for i in range(n):
-        X[:, i, :i] = -np.einsum("mk,mkj->mj", L[:, i, :i], X[:, :i, :i]) / L[:, i, i, None]
-        X[:, i, i] = 1.0 / L[:, i, i]
-    return piv, np.einsum("mki,mkj->mij", X, X)
+        X[i, :i] = -_dot(L[i, :i, None], X[:i, :i]) / L[i, i]
+        X[i, i] = 1.0 / L[i, i]
+    Hi = _dot(X[:, :, None], X[:, None])  # X^T X: exactly symmetric, as x y = y x
+    return piv, np.ascontiguousarray(np.moveaxis(Hi, -1, 0))  # (m, n, n) in C order, as H
 
 
 def invariants(H, T, side):
@@ -405,12 +416,8 @@ def grid_xx_hessian_logrho(fu, side):
         Hi, dphi = inv["Ginv"], inv["grad_logrho"]      # phi_a
         T = fu.third_field()                            # u_pqc
         term1 = np.einsum("...ia,...jb,...ab->...ij", Hi, Hi, ddphi)
-        term2 = np.einsum("...ip,...qa,...a,...pqc,...cj->...ij", Hi, Hi, dphi, T, Hi)
-        out = term1 - term2
+        v = np.einsum("...qa,...a->...q", Hi, dphi)      # x-gradient of log rho
+        out = term1 - Hi @ np.einsum("...pqc,...q->...pc", T, v) @ Hi
         return 0.5 * (out + out.transpose(*range(out.ndim - 2), -1, -2))
 
     return fu.field(key, build)
-
-
-def grid_kahler_ricci(fu, side):
-    return (fu.n + 2.0) * grid_xx_hessian_logrho(fu, side)

@@ -1,12 +1,11 @@
 """Analytic and discrete Legendre (convex-conjugate) transforms.
 
 The discrete conjugate runs dimension by dimension (one 1-D conjugation per
-axis), which equals the full max over the sampled lattice; a brute-force
-double loop is kept as the test oracle. Each 1-D pass is an exact
-monotone-argmax search (Lucet, Numer. Algorithms 16, 1997) over N samples
-onto M dual nodes: O(lines (M + N) log M) work and O(lines (M + N)) memory,
-evaluating the full max's own scores only where its argmax can be. Dual
-evaluations outside the sampled gradient hull are reported, never
+axis), which equals the full max over the sampled lattice. Each 1-D pass is
+an exact monotone-argmax search (Lucet, Numer. Algorithms 16, 1997) over N
+samples onto M dual nodes: O(lines (M + N) log M) work and O(lines (M + N))
+memory, evaluating the full max's own scores only where its argmax can be.
+Dual evaluations outside the sampled gradient hull are reported, never
 extrapolated.
 """
 
@@ -98,18 +97,6 @@ def _conjugate_1d(xs, vals, xis):
         mids = (left + right) // 2
         solve(mids, arg[:, left], arg[:, right])
         known = np.union1d(known, mids)
-
-
-def conjugate_brute(field, dual_grid):
-    """O(N^2) reference conjugate over all sampled nodes."""
-    grid = field.grid
-    pts = grid.points().reshape(-1, grid.dim)
-    vals = field.values.reshape(-1)
-    keep = np.isfinite(vals)
-    pts, vals = pts[keep], vals[keep]
-    dual_pts = dual_grid.points().reshape(-1, dual_grid.dim)
-    out = (dual_pts @ pts.T - vals[None, :]).max(axis=1)
-    return GridFunction(dual_grid, out.reshape(dual_grid.shape))
 
 
 def conjugate_factorized(field, dual_grid):

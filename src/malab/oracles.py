@@ -304,11 +304,20 @@ def normalize_at(oracle, p):
     return TangentShiftedOracle(oracle, p)
 
 
+def _pull_back(S, B, order):
+    """S_{a..c} B_ai .. B_ck, summed over the `order` trailing axes of S: one
+    (P n^(order-1), n) @ (n, n) product per axis, whose result axis is then
+    rotated to the front of the trailing block."""
+    for _ in range(order):
+        S = np.moveaxis((S.reshape(-1, len(B)) @ B).reshape(S.shape), -1, -order)
+    return S
+
+
 class AffineImageOracle(FieldOracle):
     """w(y) = base(T^{-1} y) / scale for an invertible AffineMap T.
 
     This realizes the rescaled, John-normalized potentials of the blow-up
-    construction with exact chain-rule derivatives.
+    construction with exact chain-rule derivatives (see _pull_back).
     """
 
     def __init__(self, base, affine_map, scale=1.0, name=None):
@@ -320,26 +329,20 @@ class AffineImageOracle(FieldOracle):
         self.name = name or (base.name + "_affine")
         self._B = affine_map.inv_linear  # x = B (y - t)
 
-    def _pull(self, y):
-        return self.map.apply_inverse(y)
-
     def value(self, y):
-        return self.base.value(self._pull(y)) / self.scale
+        return self.base.value(self.map.apply_inverse(y)) / self.scale
 
     def gradient(self, y):
-        g = self.base.gradient(self._pull(y))
-        return g @ self._B / self.scale
+        return _pull_back(self.base.gradient(self.map.apply_inverse(y)), self._B, 1) / self.scale
 
     def hessian(self, y):
-        H = self.base.hessian(self._pull(y))
-        return np.einsum("ia,...ab,bj->...ij", self._B.T, H, self._B) / self.scale
+        return _pull_back(self.base.hessian(self.map.apply_inverse(y)), self._B, 2) / self.scale
 
     def third(self, y):
-        T = self.base.third(self._pull(y))
-        return np.einsum("...abc,ai,bj,ck->...ijk", T, self._B, self._B, self._B) / self.scale
+        return _pull_back(self.base.third(self.map.apply_inverse(y)), self._B, 3) / self.scale
 
     def contains(self, y):
-        return self.base.contains(self._pull(y))
+        return self.base.contains(self.map.apply_inverse(y))
 
     def domain_note(self):
         return "affine image of " + self.base.domain_note()

@@ -12,7 +12,7 @@ import malab.legendre
 from malab.domains import Ball, Box
 from malab.errors import DegeneracyError
 from malab.geometry import (calabi_laplacian, geometry_sample, grid_invariants,
-                            grid_kahler_ricci, invariants, rho_value_rule,
+                            grid_xx_hessian_logrho, invariants, rho_value_rule,
                             structure_residuals)
 from malab.grids import Grid, GridFunction, INTERIOR, sample_oracle
 from malab.oracles import (DriftCoefficients, DualLog, ExpSolution,
@@ -268,7 +268,7 @@ class TestGridGeometry:
         ex = ExpSolution(2)
         g = Grid.build(Box([-1, -1], [1, 1]), 65)
         fu = sample_oracle(ex, g)
-        KR = grid_kahler_ricci(fu, "primal")
+        KR = (fu.n + 2.0) * grid_xx_hessian_logrho(fu, "primal")
         worst = np.nanmax(np.abs(KR))
         assert worst <= 10.0 * g.spacing[0] ** 2
 
@@ -280,7 +280,7 @@ class TestGridGeometry:
         q = Quadratic.unit(2)
         drift = DriftCoefficients(0.2, np.array([0.8, -0.4]))
         u, rep = newton_solve(g, drift, lambda p: float(q.value(p)))
-        KR = grid_kahler_ricci(u, "dual")
+        KR = (u.n + 2.0) * grid_xx_hessian_logrho(u, "dual")
         pts = g.points()
         deep = np.linalg.norm(pts, axis=-1) <= 0.6
         worst = np.nanmax(np.abs(KR[deep]))
@@ -333,7 +333,7 @@ class TestGridGeometry:
         for side in ("primal", "dual"):
             assert np.isnan(grid_invariants(fu, side)["logrho"][inner]).all()
             assert np.isnan(grid_invariants(fu, side)["Phi"][inner]).all()
-            assert np.isnan(grid_kahler_ricci(fu, side)[inner]).all()
+            assert np.isnan(grid_xx_hessian_logrho(fu, side)[inner]).all()
 
 
 class TestInvariantKernel:
@@ -391,3 +391,62 @@ class TestInvariantKernel:
                     found += [f"line {node.lineno}: import {a.name}"
                               for a in node.names if a.name in banned]
             assert not found, (mod.__name__, found)
+
+
+def _einsum_cholesky(H):
+    """cholesky(H, inverse=True) as einsum contractions over (m, n, n) stacks:
+    the formulation the entry-major kernel must reproduce bit for bit."""
+    n = H.shape[-1]
+    L, piv = np.zeros(H.shape), np.empty(H.shape[:-1])
+    for i in range(n):
+        for j in range(i):
+            L[:, i, j] = (H[:, i, j] - (L[:, i, :j] * L[:, j, :j]).sum(axis=1)) / L[:, j, j]
+        piv[:, i] = H[:, i, i] - (L[:, i, :i] * L[:, i, :i]).sum(axis=1)
+        L[:, i, i] = np.sqrt(np.where(piv[:, i] > 0.0, piv[:, i], np.nan))
+    X = np.zeros(H.shape)
+    for i in range(n):
+        X[:, i, :i] = -np.einsum("mk,mkj->mj", L[:, i, :i], X[:, :i, :i]) / L[:, i, i, None]
+        X[:, i, i] = 1.0 / L[:, i, i]
+    return piv, np.einsum("mki,mkj->mij", X, X)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_cholesky_equals_einsum_reference_bit_for_bit(n):
+    """Random SPD stacks with diagonal rows (signed-zero couplings), NaN rows
+    and rows that are not positive definite: the pivots and the inverse equal
+    the einsum formulation's, zero signs included, and the inverse is exactly
+    symmetric."""
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(300, n, n))
+    H = A @ A.swapaxes(-1, -2) + 0.1 * np.eye(n)
+    H[:30] = np.eye(n) * rng.uniform(0.5, 2.0, (30, 1, n))
+    H[:10, ~np.eye(n, dtype=bool)] = -0.0
+    H[30:40] *= -1.0                        # negative definite
+    H[40:50] = last_pivot(n)                # only the last pivot is negative
+    H[50:60, 1, 1] = np.nan
+    H[60:70, n - 1] = H[60:70, :, n - 1] = 0.0  # singular: last row and column zero
+    piv, Hi = malab.geometry.cholesky(H, inverse=True)
+    want_piv, want_Hi = _einsum_cholesky(H)
+    for got, want in ((piv, want_piv), (Hi, want_Hi)):
+        assert np.array_equal(got, want, equal_nan=True)
+        num = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
+    assert np.isnan(Hi[30:70]).all() and np.isfinite(Hi[np.r_[0:30, 70:300]]).all()
+    assert np.array_equal(Hi, Hi.swapaxes(-1, -2), equal_nan=True)
+    assert np.array_equal(piv, malab.geometry.cholesky(H), equal_nan=True)
+
+
+def test_no_batched_einsum_over_four_or_more_operands():
+    """np.einsum without a contraction path runs one generic loop over every
+    index at once; over a batch axis and four or more operands that is an
+    order of magnitude slower than contracting pairwise. No module of malab
+    does it."""
+    found = []
+    for path in sorted(Path(malab.geometry.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("einsum"):
+                spec = node.args[0]
+                batched = not isinstance(spec, ast.Constant) or "..." in spec.value
+                if batched and len(node.args) >= 5:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found

@@ -6,10 +6,21 @@ import pytest
 
 from malab.errors import DegeneracyError, ExtrapolationError
 from malab.grids import GridFunction, box_grid, check_convex, sample_oracle
-from malab.legendre import (LegendrePair, _conjugate_1d, conjugate_brute,
-                            conjugate_factorized, involution_residual, legendre_grid,
-                            legendre_point)
+from malab.legendre import (LegendrePair, _conjugate_1d, conjugate_factorized,
+                            involution_residual, legendre_grid, legendre_point)
 from malab.oracles import DualLog, ExpSolution, Quadratic
+
+
+def conjugate_brute(field, dual_grid):
+    """O(N^2) reference conjugate over all sampled nodes."""
+    grid = field.grid
+    pts = grid.points().reshape(-1, grid.dim)
+    vals = field.values.reshape(-1)
+    keep = np.isfinite(vals)
+    pts, vals = pts[keep], vals[keep]
+    dual_pts = dual_grid.points().reshape(-1, dual_grid.dim)
+    out = (dual_pts @ pts.T - vals[None, :]).max(axis=1)
+    return GridFunction(dual_grid, out.reshape(dual_grid.shape))
 
 
 def test_legendre_point_examples():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,49 @@ def test_catalog_contents():
 def test_drift_validation():
     with pytest.raises(Exception):
         DriftCoefficients(np.nan, np.zeros(2))
+
+
+def _chain_rule_reference(base, maps, scales, y):
+    """Derivatives of base(x) / prod(scales) at one point y, by index loops:
+    x = B (y - t) for the composite inverse of `maps` (innermost first), and
+    each derivative of order k is sum over a..c of base's k-th derivative
+    times B_ai .. B_ck."""
+    B, t = np.eye(base.n), np.zeros(base.n)
+    for m in maps:                     # x = B (y - t) = m1^{-1}(m2^{-1}(... y))
+        t = m.offset + m.linear @ t
+        B = B @ m.inv_linear
+    x, s, n = B @ (y - t), np.prod(scales), base.n
+    tensors = (base.gradient(x), base.hessian(x), base.third(x))
+    out = []
+    for k, S in enumerate(tensors, start=1):
+        R = np.zeros((n,) * k)
+        for idx in itertools.product(range(n), repeat=k):
+            for src in itertools.product(range(n), repeat=k):
+                R[idx] += S[src] * np.prod([B[a, i] for a, i in zip(src, idx)])
+        out.append(R / s)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_affine_pullback_matches_index_loops(n):
+    """Nested images under non-orthogonal maps, so that the pulled-back
+    Hessian and third derivatives are dense: gradient, hessian and third of
+    AffineImageOracle equal the explicit chain rule, for single points and
+    for a batch."""
+    L1 = np.array([[1.2, 0.3, -0.4], [0.5, 0.9, 0.2], [-0.3, 0.6, 1.1]])[:n, :n]
+    L2 = np.array([[0.7, -0.5, 0.2], [0.4, 1.3, -0.3], [0.1, 0.5, 0.9]])[:n, :n]
+    maps = [AffineMap(L1, np.full(n, 0.2)), AffineMap(L2, np.linspace(-0.3, 0.1, n))]
+    scales = (1.7, 0.6)
+    rng = np.random.default_rng(7)
+    w = ExpSolution(n)
+    for m, s in zip(maps, scales):
+        w = AffineImageOracle(w, m, scale=s)
+    ys = rng.uniform(-0.5, 0.5, size=(4, n))
+    batch = (w.gradient(ys), w.hessian(ys), w.third(ys))
+    for p, y in enumerate(ys):
+        want = _chain_rule_reference(ExpSolution(n), maps, scales, y)
+        assert np.abs(want[2]).min() > 1e-6 * np.abs(want[2]).max()    # dense
+        for got, got_batch, ref in zip((w.gradient(y), w.hessian(y), w.third(y)), batch, want):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.abs(got_batch[p] - ref).max() <= 1e-13 * np.abs(ref).max()
