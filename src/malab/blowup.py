@@ -33,7 +33,6 @@ class SectionData(Report):
     C: float
     support_points: np.ndarray
     map: object                 # AffineMap sending the section MVEE to B(0,1)
-    normalized_domain: object
     normalized_potential: object = field(repr=False)
     level_defect: float
 
@@ -57,11 +56,10 @@ def extract_section(u, p, C):
                                 defect=defect)
     hull = ConvexHull(pts)
     poly = Polytope(hull.equations[:, :-1], -hull.equations[:, -1])
-    T, image = normalize_domain(poly)
+    T = normalize_domain(poly)
     w = AffineImageOracle(u, T, scale=C, name=f"{u.name}_section_{C:g}")
     return SectionData(p=p, C=float(C), support_points=pts, map=T,
-                       normalized_domain=image, normalized_potential=w,
-                       level_defect=defect)
+                       normalized_potential=w, level_defect=defect)
 
 
 @dataclass

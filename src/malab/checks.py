@@ -110,7 +110,8 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
 
     H, T = potential.hessian(probes), potential.third(probes)
     inv = invariants(H, T, side)
-    Hi, glr, rho, phi = inv["Ginv"], inv["grad_logrho"], inv["rho"], inv["Phi"]
+    Hi, glr, gld = inv["Ginv"], inv["grad_logrho"], inv["grad_logdet"]
+    rho, phi = inv["rho"], inv["Phi"]
     scaled = AffineImageOracle(potential, AffineMap(np.eye(n), np.zeros(n)), scale=scale_factor)
     phi_new = invariants(scaled.hessian(probes), scaled.third(probes), side)["Phi"]
     rho_hess = fd_hessian(rho_value_rule(potential, side), probes, fd_step(probes))
@@ -127,10 +128,10 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
     want = scale_factor * phi
     res = {
         "logrho_flat": np.abs(xx_hessian_logrho(potential, probes, side)).max(axis=(-2, -1)),
-        "rho_laplacian": (metric_laplacian(Hi, glr, rho[..., None] * glr, rho_hess, side)
+        "rho_laplacian": (metric_laplacian(Hi, gld, rho[..., None] * glr, rho_hess)
                           - (n + 4.0) / 2.0 * phi * rho),
-        "primal_value_laplacian": metric_laplacian(Hi, glr, f_grad, f_hess, side) - (n + inner_f),
-        "dual_value_laplacian": metric_laplacian(Hi, glr, u_grad, u_hess, side) - (n - inner_u),
+        "primal_value_laplacian": metric_laplacian(Hi, gld, f_grad, f_hess) - (n + inner_f),
+        "dual_value_laplacian": metric_laplacian(Hi, gld, u_grad, u_hess) - (n - inner_u),
         "phi_scaling_rel": np.where(want != 0, np.abs(phi_new - want)
                                     / np.maximum(np.abs(want), 1e-300), np.abs(phi_new)),
     }
@@ -175,13 +176,13 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
     phi_r = phi_rule(potential, side)
     inv = invariants(potential.hessian(probes), potential.third(probes), side)
     live = inv["Phi"] > PHI_FLOOR
+    inv = {k: v[live] for k, v in inv.items()}
     x = probes[live]
     hstep = fd_step(x)
-    residuals = phi_inequality_residual(inv["Ginv"][live], inv["grad_logrho"][live],
-                                        inv["Phi"][live], fd_gradient(phi_r, x, hstep),
-                                        fd_hessian(phi_r, x, hstep), side)
+    residuals = phi_inequality_residual(inv, fd_gradient(phi_r, x, hstep),
+                                        fd_hessian(phi_r, x, hstep))
     return _phi_inequality_report("phi_inequality", x, residuals,
-                                  inv["Phi"][live], int((~live).sum()))
+                                  inv["Phi"], int((~live).sum()))
 
 
 def _phi_inequality_report(name, points, residuals, phis, skipped):
@@ -516,7 +517,6 @@ def det_barrier_probe(f, delta, Rprime):
 
     best_pts = pts
     radius = delta
-    center, best_val = np.zeros(n), float(invrho(np.zeros(n)[None, :])[0])
     for _ in range(DET_BARRIER_ROUNDS):
         v = invrho(best_pts)
         k = int(np.argmin(v))

@@ -207,13 +207,6 @@ def domain_from_json(obj):
     raise DomainError("unknown domain kind", kind=kind)
 
 
-def box_as_polytope(box):
-    n = box.dim
-    N = np.vstack([np.eye(n), -np.eye(n)])
-    b = np.r_[box.hi, -box.lo]
-    return Polytope(N, b)
-
-
 # ---------------------------------------------------------------------------
 # ellipsoids and affine maps
 
@@ -392,35 +385,19 @@ def sqrtm_spd(M):
     return (Q * np.sqrt(w)) @ Q.T
 
 
-def _affine_image_domain(domain, T):
-    """Image of a box/ball/polytope under T, as a representable domain."""
-    if isinstance(domain, Ball):
-        # only used when T maps the ball to a ball (isotropic linear part)
-        A = T.linear
-        s = np.linalg.norm(A[:, 0])
-        if np.abs(A @ A.T - s**2 * np.eye(domain.dim)).max() < 1e-10 * s**2:
-            return Ball(T.apply(domain.center), domain.radius * s)
-        raise DomainError("anisotropic image of a ball is not representable")
-    poly = box_as_polytope(domain) if isinstance(domain, Box) else domain
-    # {x: N x <= b} -> {y: (N B) y <= b + N B t} with B = A^-1, y = A x + t
-    NB = poly.normals @ T.inv_linear
-    b = poly.offsets + NB @ T.offset
-    return Polytope(NB, b)
-
-
 def normalize_domain(domain, tol=1e-9):
-    """Affine map sending the centered MVEE to the unit ball, plus the image.
+    """Affine map T sending the centered MVEE to the unit ball.
 
     The image satisfies B(0, n^{-3/2}) within T(domain) within B(0,1); both
-    inclusions are verified on a fan of support directions.
+    inclusions are verified on a fan of support directions d. The support
+    point of T(domain) along d is T of the domain's along A^T d, A = T.linear.
     """
     ell = centered_mvee(domain, tol=tol)
     W = sqrtm_spd(ell.shape)
     T = AffineMap(W, -W @ ell.center)
-    image = _affine_image_domain(domain, T)
     n = domain.dim
     dirs = direction_fan(n, CHECK_DIRECTIONS)
-    far = image.support_point(dirs)
+    far = T.apply(domain.support_point(dirs @ T.linear))
     sup = np.einsum("ki,ki->k", far, dirs)
     outer = np.linalg.norm(far, axis=-1)
     slack = 1e-6
@@ -431,4 +408,4 @@ def normalize_domain(domain, tol=1e-9):
     if sup.min() < inner:
         raise DomainError("normalized image misses the inner ball",
                           worst=float(sup.min()), required=inner)
-    return T, image
+    return T

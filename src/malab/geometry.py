@@ -7,11 +7,13 @@ relative Pick invariant, the Ricci tensor built from the cubic form, the
 normalized determinant power rho, the invariant Phi = |grad log rho|^2_G,
 and the metric Laplacian
 
-    Lap = sum G^{ij} d_i d_j + side * (n+2)/(2 rho) sum G^{ij} rho_j d_i,
+    Lap = sum G^{ij} d_i d_j - 1/2 sum G^{ij} (log det D^2)_j d_i.
 
-with side = +1 for a primal potential f(x) (rho = det(D^2 f)^{-1/(n+2)})
-and side = -1 for a dual potential u(xi) (rho = det(D^2 u)^{+1/(n+2)}; this
-is the same scalar on the graph expressed in gradient coordinates).
+Here rho = det(D^2 f)^{-1/(n+2)} for a primal potential f(x) and
+det(D^2 u)^{+1/(n+2)} for a dual potential u(xi), the same scalar on the
+graph expressed in gradient coordinates. The drift term, (n+2)/(2 rho)
+sum G^{ij} rho_j d_i on the primal side and its negative on the dual side,
+is the log det term above on both, so Lap needs no side.
 
 Quantities that need fourth derivatives (the flat-direction curvature,
 second derivatives of rho or Phi) are obtained by centered differencing of
@@ -36,30 +38,30 @@ def rho_sign(side):
     return -1.0 if side == PRIMAL else 1.0
 
 
-def metric_laplacian(Ginv, glr, grad, hess, side):
-    """G^ij s_ij - rho_sign(side) (n+2)/2 G^ij (log rho)_j s_i for a scalar s
-    with gradients `grad` and Hessians `hess`, broadcast over the leading
-    axes; the one metric-Laplacian contraction for oracles and grids."""
-    n = np.shape(Ginv)[-1]
-    drift = -rho_sign(side) * (n + 2.0) / 2.0
+def metric_laplacian(Ginv, gld, grad, hess):
+    """G^ij s_ij - 1/2 G^ij (log det)_j s_i for a scalar s with gradients
+    `grad` and Hessians `hess`, given grad log det `gld`, broadcast over the
+    leading axes; the one metric-Laplacian contraction for oracles and grids."""
     return (np.einsum("...ij,...ij->...", Ginv, hess)
-            + drift * np.einsum("...ij,...j,...i->...", Ginv, glr, grad))
+            - 0.5 * np.einsum("...ij,...j,...i->...", Ginv, gld, grad))
 
 
-def phi_inequality_residual(Ginv, glr, phi, gphi, hphi, side):
+def phi_inequality_residual(inv, gphi, hphi):
     """Lap Phi minus the right-hand side of the gradient-of-Phi inequality
 
         n/(n-1) |grad Phi|^2/Phi + (n^2-3n-10)/(2(n-1)) <grad Phi, grad log rho>
         + (n+2)^2/(n-1) Phi^2,
 
-    from Phi, its gradients and Hessians, broadcast over the leading axes."""
+    from the invariants `inv` (Ginv, grad_logrho, grad_logdet, Phi) and the
+    gradients and Hessians of Phi, broadcast over the leading axes."""
+    Ginv, glr, phi = inv["Ginv"], inv["grad_logrho"], inv["Phi"]
     n = np.shape(Ginv)[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         rhs = (n / (n - 1.0) * np.einsum("...ij,...i,...j->...", Ginv, gphi, gphi) / phi
                + (n * n - 3.0 * n - 10.0) / (2.0 * (n - 1.0))
                * np.einsum("...ij,...i,...j->...", Ginv, gphi, glr)
                + (n + 2.0) ** 2 / (n - 1.0) * phi**2)
-    return metric_laplacian(Ginv, glr, gphi, hphi, side) - rhs
+    return metric_laplacian(Ginv, inv["grad_logdet"], gphi, hphi) - rhs
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +109,12 @@ def invariants(H, T, side):
         logrho       log rho = rho_sign(side)/(n+2) * logdet
         rho          exp(logrho)
         Ginv         H^{-1}, the inverse metric
-        grad_logrho  rho_sign(side)/(n+2) * tr(H^{-1} T_i)   (None if T is None)
+        grad_logdet  tr(H^{-1} T_i)                         (None if T is None)
+        grad_logrho  rho_sign(side)/(n+2) * grad_logdet     (None if T is None)
         Phi          |grad log rho|^2_G                     (None if T is None)
     A row whose H (or T) is not finite, or whose H is not positive definite,
-    is NaN in every output. grid_invariants passes T = None and fills
-    grad_logrho and Phi from the FD gradient of the log rho field.
+    is NaN in every output. grid_invariants passes T = None and fills the
+    last three from the FD gradients of the log det and log rho fields.
     """
     H = np.asarray(H, dtype=float)
     n = H.shape[-1]
@@ -126,10 +129,11 @@ def invariants(H, T, side):
     s = rho_sign(side) / (n + 2.0)
     logrho = s * logdet.reshape(lead)
     out = {"logdet": logdet.reshape(lead), "logrho": logrho, "rho": np.exp(logrho),
-           "Ginv": Ginv.reshape(H.shape), "grad_logrho": None, "Phi": None}
+           "Ginv": Ginv.reshape(H.shape), "grad_logdet": None, "grad_logrho": None,
+           "Phi": None}
     if T is not None:
-        g = s * np.einsum("...ab,...abi->...i", out["Ginv"], T)
-        out["grad_logrho"] = g
+        out["grad_logdet"] = np.einsum("...ab,...abi->...i", out["Ginv"], T)
+        g = out["grad_logrho"] = s * out["grad_logdet"]
         out["Phi"] = np.einsum("...ij,...i,...j->...", out["Ginv"], g, g)
     return out
 
@@ -286,7 +290,7 @@ def geometry_sample(potential, x, side=None):
 # metric Laplacian
 
 
-def calabi_laplacian(potential, field, x, side=None):
+def calabi_laplacian(potential, field, x):
     """Metric Laplacian of a scalar field.
 
     For an analytic potential, x is a point or a batch of points (..., n)
@@ -295,23 +299,22 @@ def calabi_laplacian(potential, field, x, side=None):
     For a grid potential, x snaps to the nearest node and the field
     (callable on points, or node array) is chained through grid differences.
     """
-    side = side or potential.side
     if isinstance(potential, GridFunction):
         grid = potential.grid
         node = _node(grid, x)
         values = field if isinstance(field, np.ndarray) else field(grid.points())
-        inv = grid_invariants(potential, side)
-        out = metric_laplacian(inv["Ginv"], inv["grad_logrho"], gradient_field(values, grid),
-                               hessian_field(values, grid), side)[node]
+        inv = grid_invariants(potential, potential.side)
+        out = metric_laplacian(inv["Ginv"], inv["grad_logdet"], gradient_field(values, grid),
+                               hessian_field(values, grid))[node]
         if not np.isfinite(out):
             raise StencilError("laplacian stencil does not fit at the node",
                                node=[int(k) for k in node])
         return float(out)
     x = np.asarray(x, dtype=float)
-    inv = _spd_invariants(potential.hessian(x), potential.third(x), side, x)
+    inv = _spd_invariants(potential.hessian(x), potential.third(x), potential.side, x)
     hstep = fd_step(x)
-    lap = metric_laplacian(inv["Ginv"], inv["grad_logrho"],
-                           fd_gradient(field, x, hstep), fd_hessian(field, x, hstep), side)
+    lap = metric_laplacian(inv["Ginv"], inv["grad_logdet"],
+                           fd_gradient(field, x, hstep), fd_hessian(field, x, hstep))
     return float(lap) if x.ndim == 1 else lap
 
 
@@ -338,18 +341,14 @@ def structure_residuals(potential, x):
     Hi = _spd_invariants(H, T, potential.side, x)["Ginv"]
     Gamma, ricci_cubic = _connection(Hi, T)
     A = -0.5 * T
-    A_up = -Gamma  # G^kl A_ijl
 
-    # graph structure equation: dd y - Gamma.dy = A.dy + H Y, with the
-    # second derivatives of the graph taken by differencing the gradient
-    grad = potential.gradient(x)
-    y_k = np.c_[np.eye(n), grad].reshape(n, n + 1)          # tangent vectors
+    # graph structure equation dd y = Gamma.dy + A^.dy + H Y, with the second
+    # derivatives of the graph taken by differencing the gradient; the raised
+    # cubic form G^kl A_ijl is -Gamma^k_ij, so the two connection terms cancel
     Y = np.r_[np.zeros(n), 1.0]
     ddy = np.zeros((n, n, n + 1))
     ddy[..., n] = fd_directional(potential.gradient, x, np.eye(n), h)
-    resid = (ddy - np.einsum("kij,ka->ija", Gamma, y_k)
-             - np.einsum("kij,ka->ija", A_up, y_k)
-             - np.einsum("ij,a->ija", H, Y))
+    resid = ddy - np.einsum("ij,a->ija", H, Y)
     gauss = float(np.abs(resid).max())
 
     # covariant derivative of the cubic form, antisymmetry in last two slots
@@ -379,10 +378,11 @@ def structure_residuals(potential, x):
 
 def grid_invariants(fu, side):
     """The invariant kernel over the grid Hessian field, cached per side. No
-    third derivatives: grad_logrho is the FD gradient of the log rho field,
-    and Phi is its G-norm."""
+    third derivatives: grad_logdet and grad_logrho are the FD gradients of the
+    log det and log rho fields, and Phi is the G-norm of the latter."""
     def build():
         inv = invariants(fu.hessian_field(), None, side)
+        inv["grad_logdet"] = gradient_field(inv["logdet"], fu.grid)
         g = inv["grad_logrho"] = gradient_field(inv["logrho"], fu.grid)
         inv["Phi"] = np.einsum("...ij,...i,...j->...", inv["Ginv"], g, g)
         return inv
@@ -395,9 +395,8 @@ def grid_phi_inequality_fields(fu, side):
     inequality, by FD chains."""
     inv = grid_invariants(fu, side)
     phi = inv["Phi"]
-    return phi_inequality_residual(inv["Ginv"], inv["grad_logrho"], phi,
-                                   gradient_field(phi, fu.grid),
-                                   hessian_field(phi, fu.grid), side), phi
+    return phi_inequality_residual(inv, gradient_field(phi, fu.grid),
+                                   hessian_field(phi, fu.grid)), phi
 
 
 def grid_xx_hessian_logrho(fu, side):

@@ -191,17 +191,14 @@ def _harmonic_lift(jacobian, collar_idx, collar_vals):
     return lift
 
 
-class _InitialNotConvex(Exception):
-    pass
-
-
 def _newton_core(jacobian, values, drift, side, config):
     """Damped Newton at fixed boundary values from the start iterate `values`.
-    Returns (values, residual history, final residual, halvings, FD Hessians)."""
+    Returns (values, residual history, final residual, halvings, FD Hessians),
+    or None when the start is not convex."""
     grid = jacobian.grid
     r, H, mindet = _log_residual(grid, values, drift, side, DET_FLOOR)
     if r is None:
-        raise _InitialNotConvex(mindet)
+        return None
     rnorm = float(np.abs(r).max())
     history = [rnorm]
     halvings = 0
@@ -236,7 +233,7 @@ def _newton_core(jacobian, values, drift, side, config):
     return values, history, rnorm, halvings, H
 
 
-def newton_solve(grid, drift, boundary, config=None, side=DUAL, initial=None):
+def newton_solve(grid, drift, boundary, config=None, side=DUAL):
     """Solve the Dirichlet problem on the grid's interior nodes.
 
     boundary: callable(point) -> value at each boundary node. Returns
@@ -247,9 +244,7 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL, initial=None):
     Newton legs run over t in (0, 1], each from the last converged iterate
     plus (t_try - t) * lift; the first tries t = 1, and the step in t halves
     only when a leg's start is not convex. The lift moves the interior with
-    the collar, so the legs do not grow in number with resolution. A given
-    `initial` GridFunction is the start instead: no lift and no
-    continuation, and a start that is not convex raises ConvexityError.
+    the collar, so the legs do not grow in number with resolution.
     """
     config = config or SolverConfig()
     interior = grid.interior_nodes()
@@ -261,14 +256,12 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL, initial=None):
     bidx = tuple(grid.boundary_nodes().T)
     bvals = np.array([float(boundary(p)) for p in grid.points()[bidx]])
 
-    given = initial is not None
-    values = initial.values.copy() if given else _quadratic_init(grid, bidx, bvals)
+    values = _quadratic_init(grid, bidx, bvals)
     values[grid.mask == 0] = np.nan
     fit_trace = values[bidx].copy()
     delta_data = bvals - fit_trace
     jac = _Jacobian(grid)
-    # a given start keeps its interior; the paraboloid gets the lifted mismatch
-    lift = 0.0 if given else _harmonic_lift(jac, bidx, delta_data)
+    lift = _harmonic_lift(jac, bidx, delta_data)
 
     loose = replace(config, residual_tol=max(config.residual_tol, 1e-9))
     t, dt = 0.0, 1.0
@@ -278,18 +271,15 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL, initial=None):
         start = values + (t_try - t) * lift
         start[bidx] = bvals if t_try >= 1.0 else fit_trace + t_try * delta_data
         leg_cfg = config if t_try >= 1.0 else loose
-        try:
-            values, history, rnorm, halvings, H = _newton_core(jac, start, drift, side, leg_cfg)
-        except _InitialNotConvex as fail:
-            if given:
-                raise ConvexityError("given initial iterate is not convex",
-                                     min_det=float(fail.args[0])) from None
+        solved = _newton_core(jac, start, drift, side, leg_cfg)
+        if solved is None:
             dt *= 0.5
             rejected_steps += 1
             if dt < MIN_STEP:
                 raise ConvexityError("continuation cannot keep the iterate convex",
-                                     t_reached=t) from None
+                                     t_reached=t)
             continue
+        values, history, rnorm, halvings, H = solved
         t = t_try
         dt *= 2.0
         legs += 1

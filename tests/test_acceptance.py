@@ -156,9 +156,9 @@ def test_criterion_07_normalization():
     dirs = direction_fan(2, 256)
     for _ in range(50):
         P = random_polytope(rng)
-        T, img = normalize_domain(P, tol=1e-10)
-        worst_out = max(worst_out, np.linalg.norm(img.vertices(), axis=1).max())
-        worst_in = min(worst_in, min(img.support_point(d) @ d for d in dirs))
+        v = normalize_domain(P, tol=1e-10).apply(P.vertices())
+        worst_out = max(worst_out, np.linalg.norm(v, axis=1).max())
+        worst_in = min(worst_in, (dirs @ v.T).max(axis=1).min())
     e = centered_mvee(Box([-1, -1], [1, 1]), tol=1e-9)
     radius_defect = abs(e.semi_axes()[0] - np.sqrt(2.0))
     ok = worst_out <= 1 + 1e-6 and worst_in >= inner_req and radius_defect <= 1e-6

@@ -30,8 +30,6 @@ class TestExtractSection:
         spans = sec.support_points.max(axis=0)
         assert spans[0] == pytest.approx(1.0, abs=1e-7)
         assert spans[1] == pytest.approx(0.5, abs=1e-7)
-        # normalized image is sandwiched (checked inside normalize_domain)
-        assert sec.normalized_domain is not None
 
     def test_duallog_compact_and_unbounded(self):
         u = duallog_normalized()

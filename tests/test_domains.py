@@ -4,9 +4,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from malab.domains import (AffineMap, Ball, Box, Ellipsoid, Polytope,
-                           box_as_polytope, centered_mvee, domain_from_json,
-                           direction_fan, normalize_domain)
+import malab.domains as domains
+from malab.domains import (AffineMap, Ball, Box, Ellipsoid, Polytope, centered_mvee,
+                           domain_from_json, direction_fan, normalize_domain)
 from malab.errors import DomainError
 
 from conftest import random_hull, random_polytope
@@ -57,6 +57,13 @@ def affine_image(P, S, t):
     """The polytope {S x + t : x in P}."""
     NB = P.normals @ np.linalg.inv(S)
     return Polytope(NB, P.offsets + NB @ t)
+
+
+def image_support(T, domain, count):
+    """Support function of T(domain) on a fan of `count` directions: the
+    largest projection of the mapped vertices."""
+    dirs = direction_fan(domain.dim, count)
+    return (dirs @ T.apply(domain.vertices()).T).max(axis=1)
 
 
 def assert_equivariant(P, S, t, tol):
@@ -151,53 +158,61 @@ class TestMVEE:
 
 class TestNormalize:
     def test_ball_normalization_is_exact(self):
-        T, img = normalize_domain(Ball(np.array([1.0, 2.0]), 3.0))
-        assert isinstance(img, Ball)
-        assert np.allclose(img.center, 0.0) and np.isclose(img.radius, 1.0)
+        T = normalize_domain(Ball(np.array([1.0, 2.0]), 3.0))
+        assert np.abs(T.linear - np.eye(2) / 3.0).max() <= 1e-15
         assert np.allclose(T.apply([1.0, 2.0]), 0.0)
 
     def test_square_map(self):
-        T, img = normalize_domain(Box([-1, -1], [1, 1]), tol=1e-9)
+        B = Box([-1, -1], [1, 1])
+        T = normalize_domain(B, tol=1e-9)
         assert np.abs(T.linear - np.eye(2) / np.sqrt(2)).max() < 1e-8
         # image contains the inner ball of radius 2^{-3/2}
-        dirs = direction_fan(2, 64)
-        sup = np.array([img.support_point(d) @ d for d in dirs])
-        assert sup.min() >= 2.0 ** (-1.5) * (1 - 1e-9)
+        assert image_support(T, B, 64).min() >= 2.0 ** (-1.5) * (1 - 1e-9)
 
     def test_thin_box_anisotropy(self):
-        T, img = normalize_domain(Box([-10, -0.1], [10, 0.1]), tol=1e-9)
+        T = normalize_domain(Box([-10, -0.1], [10, 0.1]), tol=1e-9)
         sv = np.linalg.svd(T.linear, compute_uv=False)
         assert abs(sv[0] / sv[-1] - 100.0) < 1e-3
 
     def test_sandwich_on_random_polytopes(self, rng):
         for _ in range(20):
             P = random_polytope(rng)
-            T, img = normalize_domain(P, tol=1e-10)
-            verts = img.vertices()
-            assert np.linalg.norm(verts, axis=1).max() <= 1.0 + 1e-6
-            dirs = direction_fan(2, 256)
-            sup = np.array([img.support_point(d) @ d for d in dirs])
-            assert sup.min() >= 2.0 ** (-1.5) * (1 - 1e-6)
+            T = normalize_domain(P, tol=1e-10)
+            assert np.linalg.norm(T.apply(P.vertices()), axis=1).max() <= 1.0 + 1e-6
+            assert image_support(T, P, 256).min() >= 2.0 ** (-1.5) * (1 - 1e-6)
 
     def test_sandwich_3d(self, rng):
         for _ in range(3):
             P = random_polytope(rng, n=3, max_halfspaces=10)
-            T, img = normalize_domain(P, tol=1e-9)
-            dirs = direction_fan(3, 512)
-            sup = np.array([img.support_point(d) @ d for d in dirs])
-            assert np.array([np.linalg.norm(img.support_point(d)) for d in dirs]).max() \
-                <= 1.0 + 1e-6
-            assert sup.min() >= 3.0 ** (-1.5) * (1 - 1e-6)
+            T = normalize_domain(P, tol=1e-9)
+            assert np.linalg.norm(T.apply(P.vertices()), axis=1).max() <= 1.0 + 1e-6
+            assert image_support(T, P, 512).min() >= 3.0 ** (-1.5) * (1 - 1e-6)
 
     def test_sandwich_on_random_hulls(self, rng):
         # B(0, n^-3/2) in T(P) in B(0, 1), with the outer sphere touched:
-        # vertices from the image, the inner ball from its facet offsets
+        # the inner ball from the facet offsets of the image's hull
         for n in (2, 3):
             for _ in range(30):
-                T, img = normalize_domain(random_hull(rng, n))
-                outer = np.linalg.norm(img.vertices(), axis=1).max()
-                assert abs(outer - 1.0) <= 1e-9
-                assert img.offsets.min() >= n ** (-1.5)
+                P = random_hull(rng, n)
+                v = normalize_domain(P).apply(P.vertices())
+                assert abs(np.linalg.norm(v, axis=1).max() - 1.0) <= 1e-9
+                assert -ConvexHull(v).equations[:, -1].max() >= n ** (-1.5)
+
+    @pytest.mark.parametrize("factor, message", [(4.0, "escapes the unit ball"),
+                                                 (1.0 / 16.0, "misses the inner ball")])
+    def test_sandwich_check_can_fail(self, monkeypatch, rng, factor, message):
+        # the MVEE shape times 4 makes the image twice too large; times 1/16,
+        # four times too small
+        mvee = domains.centered_mvee
+
+        def scaled(domain, tol=1e-9):
+            ell = mvee(domain, tol=tol)
+            return Ellipsoid(ell.center, factor * ell.shape)
+
+        monkeypatch.setattr(domains, "centered_mvee", scaled)
+        for domain in (Box([-10, -0.1], [10, 0.1]), random_hull(rng, 3)):
+            with pytest.raises(DomainError, match=message):
+                normalize_domain(domain)
 
 
 class TestSupportPoints:
@@ -239,8 +254,7 @@ class TestDomainTypes:
                      np.array([-1.0, -1.0, 1.0, 1.0]))
 
     def test_polytope_centroid_matches_box(self):
-        B = Box([0, -1], [2, 1])
-        P = box_as_polytope(B)
+        P = Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.array([2.0, 1.0, 0.0, 1.0]))
         assert np.allclose(P.centroid(), [1.0, 0.0], atol=1e-12)
 
     def test_centroid_matches_fan_loop(self, rng):

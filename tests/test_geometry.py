@@ -141,8 +141,8 @@ class TestCalabiLaplacian:
 
     def test_laplacian_of_dual_value_quadratic(self):
         # u = f for the self-dual quadratic; metric Laplacian equals n
-        q = Quadratic.unit(3)
-        got = calabi_laplacian(q, q.value, np.array([0.1, -0.2, 0.4]), side="dual")
+        q = Quadratic.unit(3, side="dual")
+        got = calabi_laplacian(q, q.value, np.array([0.1, -0.2, 0.4]))
         assert got == pytest.approx(3.0)
 
     def test_rho_identity_expsolution(self, rng):
@@ -300,17 +300,17 @@ class TestGridGeometry:
         q = Quadratic.unit(2)
         g = Grid.build(Box([-1, -1], [1, 1]), 33)
         fu = sample_oracle(q, g)
-        assert calabi_laplacian(fu, fu.values, (16, 16), side="primal") \
+        assert calabi_laplacian(fu, fu.values, (16, 16)) \
             == pytest.approx(2.0, abs=1e-10)
-        assert calabi_laplacian(fu, np.full(g.shape, 5.0), (16, 16),
-                                side="primal") == pytest.approx(0.0, abs=1e-12)
+        assert calabi_laplacian(fu, np.full(g.shape, 5.0), (16, 16)) \
+            == pytest.approx(0.0, abs=1e-12)
         ex = ExpSolution(2)
         fe = sample_oracle(ex, g)
         # metric Laplacian of the potential: n + (n+2)/(2 rho) <grad rho, grad f>
         s = geometry_sample(ex, np.zeros(2))
         want = 2.0 + 2.0 / s.rho * float(
             np.einsum("ij,i,j->", s.Ginv, s.grad_rho, ex.gradient(np.zeros(2))))
-        got = calabi_laplacian(fe, fe.values, (16, 16), side="primal")
+        got = calabi_laplacian(fe, fe.values, (16, 16))
         assert got == pytest.approx(want, abs=5 * g.spacing[0] ** 2)
 
     def test_float_tuple_snaps_like_an_array(self):

@@ -409,22 +409,6 @@ class TestProperties:
             newton_solve(g, DL.drift(), duallog_trace,
                          SolverConfig(max_newton_iters=2))
 
-    def test_given_init(self):
-        g = Grid.build(BOX, (17, 33))
-        start = sample_oracle(DL, g)
-        u, rep = newton_solve(g, DL.drift(), duallog_trace,
-                              initial=start)
-        assert rep.iterations <= 2
-
-    def test_given_init_not_convex_raises(self):
-        """A given start is used as it is: no lift, no continuation."""
-        g = Grid.build(BOX, (17, 33))
-        pts = g.points()
-        saddle = GridFunction(g, 0.5 * (pts[..., 0] ** 2 - pts[..., 1] ** 2))
-        with pytest.raises(ConvexityError, match="given initial iterate is not convex"):
-            newton_solve(g, DL.drift(), duallog_trace,
-                         initial=saddle)
-
     def test_under_resolved_grid_rejected(self):
         from malab.errors import DomainError
 
