@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import AffineMap, direction_fan
-from .errors import CounterexampleError, PreconditionError, Report, WindowError
+from .errors import CounterexampleError, DomainError, PreconditionError, Report, WindowError
 from .geometry import (fd_step, grid_invariants, grid_phi_inequality_fields, invariants,
                        metric_laplacian, pde_residual, phi_inequality_residual, phi_rule,
                        rho_value_rule, xx_hessian_logrho)
@@ -69,17 +69,17 @@ def _stats(arrs):
     return out
 
 
-def _gate(potential, probes, drift, side):
+def _gate(potential, probes, drift):
     """The drift constants, after checking that the PDE residual stays within
     PDE_GATE_TOL at the probes, or at every interior node of a GridFunction.
     An oracle without explicit drift constants gates with its own."""
     on_grid = isinstance(potential, GridFunction)
     if drift is None and not on_grid:
-        drift = potential.drift(side)
+        drift = potential.drift()
     if drift is None:
         raise PreconditionError("no drift constants available for the PDE gate")
-    r = (residual_field(potential, drift, side).values if on_grid
-         else pde_residual(potential, probes, drift, side))
+    r = (residual_field(potential, drift).values if on_grid
+         else pde_residual(potential, probes, drift))
     worst = float(np.nanmax(np.abs(r)))
     if worst > PDE_GATE_TOL:
         raise PreconditionError("potential fails the PDE residual gate",
@@ -91,8 +91,9 @@ def _gate(potential, probes, drift, side):
 # identity suite
 
 
-def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
-    """Residuals of the solution identities at analytic probes.
+def identity_suite(potential, probes, drift=None, scale_factor=4.0):
+    """Residuals of the solution identities at analytic probes, on the
+    potential's side.
 
     logrho_flat             the x-Hessian of log rho vanishes;
     rho_laplacian           Lap rho = (n+4)/2 |grad rho|^2 / rho;
@@ -103,10 +104,9 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
     Only logrho_flat, rho_laplacian and the PDE gate test the equation;
     the other three columns hold for every convex potential.
     """
-    side = side or potential.side
+    side, n = potential.side, potential.n
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    _gate(potential, probes, drift, side)
-    n = potential.n
+    _gate(potential, probes, drift)
 
     H, T = potential.hessian(probes), potential.third(probes)
     inv = invariants(H, T, side)
@@ -127,7 +127,7 @@ def identity_suite(potential, probes, side=None, drift=None, scale_factor=4.0):
     inner_u = half * np.einsum("...ij,...i,...j->...", Hi, glr, u_grad)
     want = scale_factor * phi
     res = {
-        "logrho_flat": np.abs(xx_hessian_logrho(potential, probes, side)).max(axis=(-2, -1)),
+        "logrho_flat": np.abs(xx_hessian_logrho(potential, probes)).max(axis=(-2, -1)),
         "rho_laplacian": (metric_laplacian(Hi, gld, rho[..., None] * glr, rho_hess)
                           - (n + 4.0) / 2.0 * phi * rho),
         "primal_value_laplacian": metric_laplacian(Hi, gld, f_grad, f_hess) - (n + inner_f),
@@ -155,16 +155,18 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
                    + (n^2-3n-10)/(2(n-1)) <grad Phi, grad log rho>
                    + (n+2)^2/(n-1) Phi^2
 
+    on the potential's side; `side`, if given, must be that side.
     Probes where Phi <= PHI_FLOOR are skipped (the zero branch is vacuous).
     For grid potentials the probes are interior nodes (optionally filtered
     by probe_predicate on node coordinates); FD chains near the prescribed
     collar are not trustworthy, so callers usually keep a margin.
     """
+    if side not in (None, potential.side):
+        raise DomainError("a potential is read on its own side", side=side, own=potential.side)
     on_grid = isinstance(potential, GridFunction)
-    side = side or potential.side
-    _gate(potential, probes, drift, side)
+    _gate(potential, probes, drift)
     if on_grid:
-        res, phi = grid_phi_inequality_fields(potential, side)
+        res, phi = grid_phi_inequality_fields(potential)
         pts = potential.grid.points()
         valid = np.isfinite(res) & np.isfinite(phi) & (potential.grid.mask == INTERIOR)
         if probe_predicate is not None:
@@ -173,8 +175,8 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
         return _phi_inequality_report("phi_inequality_grid", pts[live], res[live], phi[live],
                                       int((valid & ~live).sum()))
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    phi_r = phi_rule(potential, side)
-    inv = invariants(potential.hessian(probes), potential.third(probes), side)
+    phi_r = phi_rule(potential, potential.side)
+    inv = invariants(potential.hessian(probes), potential.third(probes), potential.side)
     live = inv["Phi"] > PHI_FLOOR
     inv = {k: v[live] for k, v in inv.items()}
     x = probes[live]
@@ -544,7 +546,7 @@ def _det_barrier_grid(fu, delta, Rprime):
         raise PreconditionError("grid does not cover the ball")
     if float(np.abs(fu.values[live]).max()) > Rprime:
         raise PreconditionError("|f| exceeds the stated bound on the ball")
-    logdet = grid_invariants(fu, fu.side)["logdet"]
+    logdet = grid_invariants(fu)["logdet"]
     live = in_ball & (grid.mask == INTERIOR) & np.isfinite(logdet)
     if not live.any():
         raise PreconditionError("no interior node of the ball has a positive definite Hessian")

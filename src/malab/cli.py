@@ -95,6 +95,8 @@ def _probe_points(cfg, oracle):
     spec = cfg.get("probes") or {}
     kind = spec.get("kind", "random")
     if kind == "points":
+        if "points" not in spec:
+            raise UsageError("probes of kind 'points' require 'points'")
         pts = np.asarray(spec["points"], dtype=float)
     else:
         rng = np.random.default_rng(int(cfg.get("seed", 0)))
@@ -127,12 +129,11 @@ def _run_catalog(cfg):
     n = int(cfg.get("n", 2))
     listing = []
     for name, oracle in sorted(catalog(n).items()):
-        drift = oracle.drift(oracle.side)
         listing.append({
             "name": name,
             "side": oracle.side,
             "domain": oracle.domain_note(),
-            "drift": drift.to_json() if drift else None,
+            "drift": oracle.drift().to_json(),
         })
     payload = {"n": n, "fixtures": listing}
     text = _dump_json(payload)
@@ -166,9 +167,8 @@ def _run_solve(cfg):
 
 def _run_geometry(cfg):
     oracle = _fixture(cfg)
-    side = cfg.get("side", oracle.side)
     pts = _probe_points(cfg, oracle)
-    samples = [geometry_sample(oracle, x, side) for x in pts]
+    samples = [geometry_sample(oracle, x) for x in pts]
     lines = "".join(json.dumps(s.to_json(), sort_keys=True) + "\n" for s in samples)
     out = _out_dir(cfg)
     _atomic_write(os.path.join(out, "geometry.jsonl"), lines)
@@ -181,17 +181,18 @@ def _run_verify(cfg):
     if suite is None:
         raise UsageError("verify requires 'suite'")
     oracle = _fixture(cfg)
-    side = cfg.get("side", oracle.side)
     out = _out_dir(cfg)
 
     if suite == "identities":
-        report = identity_suite(oracle, _probe_points(cfg, oracle), side,
+        report = identity_suite(oracle, _probe_points(cfg, oracle),
                                 scale_factor=float(cfg.get("scale_factor", 4.0)))
         line = f"passed={report.passed}"
     elif suite == "phi_inequality":
-        report = phi_inequality_check(oracle, _probe_points(cfg, oracle), side)
+        report = phi_inequality_check(oracle, _probe_points(cfg, oracle))
         line = f"passed={report.passed}"
     elif suite == "det_barrier":
+        if "r_prime" not in cfg:
+            raise UsageError("det_barrier requires 'r_prime'")
         point, value, d5 = det_barrier_probe(oracle, float(cfg.get("delta", 1.0)),
                                          float(cfg["r_prime"]))
         report = CheckReport("det_barrier", True, {"d5": d5},
@@ -276,6 +277,8 @@ def main(argv=None):
             cfg["out"] = args.out
         cfg.setdefault("seed", 0)
         _validate_config(cfg)
+        if "side" in cfg and cfg["command"] != "solve":
+            raise UsageError("'side' applies to solve only: a fixture carries its own")
         runner = {"solve": _run_solve, "geometry": _run_geometry,
                   "verify": _run_verify, "blowup": _run_blowup,
                   "catalog": _run_catalog}[cfg["command"]]

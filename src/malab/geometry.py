@@ -34,10 +34,6 @@ from .stencils import fd_directional, fd_gradient, fd_hessian
 DEFAULT_FD_SCALE = 1e-3  # outer FD step = scale * local length unit
 
 
-def rho_sign(side):
-    return -1.0 if side == PRIMAL else 1.0
-
-
 def metric_laplacian(Ginv, gld, grad, hess):
     """G^ij s_ij - 1/2 G^ij (log det)_j s_i for a scalar s with gradients
     `grad` and Hessians `hess`, given grad log det `gld`, broadcast over the
@@ -106,11 +102,11 @@ def invariants(H, T, side):
 
     Returns a dict of
         logdet       log det H
-        logrho       log rho = rho_sign(side)/(n+2) * logdet
+        logrho       log rho = logdet/(n+2), negated on the primal side
         rho          exp(logrho)
         Ginv         H^{-1}, the inverse metric
         grad_logdet  tr(H^{-1} T_i)                         (None if T is None)
-        grad_logrho  rho_sign(side)/(n+2) * grad_logdet     (None if T is None)
+        grad_logrho  grad_logdet/(n+2), negated likewise    (None if T is None)
         Phi          |grad log rho|^2_G                     (None if T is None)
     A row whose H (or T) is not finite, or whose H is not positive definite,
     is NaN in every output. grid_invariants passes T = None and fills the
@@ -126,7 +122,7 @@ def invariants(H, T, side):
     piv, Ginv = cholesky(np.where(ok[:, None, None], flat, np.nan), inverse=True)
     ok &= (piv > 0.0).all(axis=1)
     logdet = np.log(np.where(ok[:, None], piv, np.nan)).sum(axis=1)
-    s = rho_sign(side) / (n + 2.0)
+    s = (-1.0 if side == PRIMAL else 1.0) / (n + 2.0)
     logrho = s * logdet.reshape(lead)
     out = {"logdet": logdet.reshape(lead), "logrho": logrho, "rho": np.exp(logrho),
            "Ginv": Ginv.reshape(H.shape), "grad_logdet": None, "grad_logrho": None,
@@ -148,11 +144,12 @@ def _spd_invariants(H, T, side, x):
     return inv
 
 
-def pde_residual(oracle, points, drift, side):
-    """Exact residual of the drift Monge-Ampere equation at analytic points:
-    DriftCoefficients.residual of the log det of the oracle's Hessians, or
-    DomainError where one of them is not positive definite."""
+def pde_residual(oracle, points, drift):
+    """Exact residual of the drift Monge-Ampere equation on the oracle's side
+    at analytic points: DriftCoefficients.residual of the log det of its
+    Hessians, or DomainError where one of them is not positive definite."""
     points = np.asarray(points, dtype=float)
+    side = oracle.side
     logdet = invariants(oracle.hessian(points), None, side)["logdet"]
     if not np.isfinite(logdet).all():
         raise DomainError("non-convex point in PDE residual probe")
@@ -181,15 +178,15 @@ def fd_step(x):
 # curvature and identity (a))
 
 
-def xx_hessian_logrho(oracle, x, side=None):
+def xx_hessian_logrho(oracle, x):
     """Second derivatives of log rho with respect to the primal coordinates,
-    at points x (..., n).
+    at points x (..., n) of the oracle's side.
 
     On the dual side d/dx_j is the directional derivative along the columns
     of (D^2 u)^{-1}; centered differencing along those straight lines agrees
     with the true chained derivative to O(h^2).
     """
-    side = side or oracle.side
+    side = oracle.side
     x = np.asarray(x, dtype=float)
     h = fd_step(x)
     if side == PRIMAL:
@@ -248,18 +245,18 @@ def _connection(Hi, T):
             - np.einsum("mh,lj,imk,hlj->ik", Hi, Hi, A, A))
 
 
-def geometry_sample(potential, x, side=None):
-    """All pointwise tensors at x (oracle) or at the node nearest x (grid).
-    On a grid, rho, grad rho and Phi are the node's row of grid_invariants;
-    the connection, cubic form, J and Ricci read the FD third field."""
-    n = potential.n
-    side = side or potential.side
+def geometry_sample(potential, x):
+    """All pointwise tensors at x (oracle) or at the node nearest x (grid), on
+    the potential's side. On a grid, rho, grad rho and Phi are the node's row
+    of grid_invariants; the connection, cubic form, J and Ricci read the FD
+    third field."""
+    n, side = potential.n, potential.side
     on_grid = isinstance(potential, GridFunction)
     if on_grid:  # the Hessian raises StencilError off the interior
         at = _node(potential.grid, x)
         x = potential.grid.point(at)
         H, T = potential.hessian(at), potential.third(at)
-        inv = {k: v[at] for k, v in grid_invariants(potential, side).items()}
+        inv = {k: v[at] for k, v in grid_invariants(potential).items()}
         if not np.isfinite(inv["logdet"]):
             raise DegeneracyError("Hessian not positive definite at probe", point=x.tolist())
         if not np.isfinite(inv["Phi"]):
@@ -270,8 +267,8 @@ def geometry_sample(potential, x, side=None):
         inv = _spd_invariants(H, T, side, x)
     Hi = inv["Ginv"]
     Gamma, ricci = _connection(Hi, T)
-    KR = (n + 2.0) * (grid_xx_hessian_logrho(potential, side)[at] if on_grid
-                      else xx_hessian_logrho(potential, x, side))
+    KR = (n + 2.0) * (grid_xx_hessian_logrho(potential)[at] if on_grid
+                      else xx_hessian_logrho(potential, x))
     # scalar: -1/2 sum f^{ij} d_i d_j logdet f; f^{ij} at the graph point is
     # Ginv on the primal side and the dual Hessian itself on the dual side
     fij = Hi if side == PRIMAL else H
@@ -303,7 +300,7 @@ def calabi_laplacian(potential, field, x):
         grid = potential.grid
         node = _node(grid, x)
         values = field if isinstance(field, np.ndarray) else field(grid.points())
-        inv = grid_invariants(potential, potential.side)
+        inv = grid_invariants(potential)
         out = metric_laplacian(inv["Ginv"], inv["grad_logdet"], gradient_field(values, grid),
                                hessian_field(values, grid))[node]
         if not np.isfinite(out):
@@ -376,41 +373,40 @@ def structure_residuals(potential, x):
 # whole-grid chains (NaN marks nodes whose stencils do not fit)
 
 
-def grid_invariants(fu, side):
-    """The invariant kernel over the grid Hessian field, cached per side. No
-    third derivatives: grad_logdet and grad_logrho are the FD gradients of the
-    log det and log rho fields, and Phi is the G-norm of the latter."""
+def grid_invariants(fu):
+    """The invariant kernel over the grid Hessian field on the grid's side,
+    cached. No third derivatives: grad_logdet and grad_logrho are the FD
+    gradients of the log det and log rho fields, and Phi is the G-norm of the
+    latter."""
     def build():
-        inv = invariants(fu.hessian_field(), None, side)
+        inv = invariants(fu.hessian_field(), None, fu.side)
         inv["grad_logdet"] = gradient_field(inv["logdet"], fu.grid)
         g = inv["grad_logrho"] = gradient_field(inv["logrho"], fu.grid)
         inv["Phi"] = np.einsum("...ij,...i,...j->...", inv["Ginv"], g, g)
         return inv
 
-    return fu.field(("invariants", side), build)
+    return fu.field("invariants", build)
 
 
-def grid_phi_inequality_fields(fu, side):
+def grid_phi_inequality_fields(fu):
     """(residual field, Phi field) of the gradient-of-Phi differential
     inequality, by FD chains."""
-    inv = grid_invariants(fu, side)
+    inv = grid_invariants(fu)
     phi = inv["Phi"]
     return phi_inequality_residual(inv, gradient_field(phi, fu.grid),
                                    hessian_field(phi, fu.grid)), phi
 
 
-def grid_xx_hessian_logrho(fu, side):
+def grid_xx_hessian_logrho(fu):
     """Second x-derivatives of log rho on the grid.
 
     Primal side: straight FD Hessian of the log rho field. Dual side: chain
     through x = grad u, using only node fields.
     """
-    key = ("xxlogrho", side)
-
     def build():
-        inv = grid_invariants(fu, side)
+        inv = grid_invariants(fu)
         ddphi = hessian_field(inv["logrho"], fu.grid)   # phi_ab
-        if side == PRIMAL:
+        if fu.side == PRIMAL:
             return ddphi
         Hi, dphi = inv["Ginv"], inv["grad_logrho"]      # phi_a
         T = fu.third_field()                            # u_pqc
@@ -419,4 +415,4 @@ def grid_xx_hessian_logrho(fu, side):
         out = term1 - Hi @ np.einsum("...pqc,...q->...pc", T, v) @ Hi
         return 0.5 * (out + out.transpose(*range(out.ndim - 2), -1, -2))
 
-    return fu.field(key, build)
+    return fu.field("xxlogrho", build)

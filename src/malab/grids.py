@@ -24,6 +24,7 @@ import numpy as np
 
 from .domains import Box, domain_from_json
 from .errors import DomainError, Report, StencilError
+from .oracles import DUAL, PRIMAL
 from .stencils import REACH, GridStencil
 
 OUTSIDE, BOUNDARY, INTERIOR = 0, 1, 2
@@ -131,21 +132,19 @@ def third_field(values, grid):
 
 
 class GridFunction:
-    """Scalar samples on a masked grid; NaN at outside nodes.
+    """Samples of a potential on its `side` over a masked grid; NaN at outside
+    nodes. Immutable after construction; derivative fields are cached lazily."""
 
-    Immutable after construction; derivative fields are cached lazily. Read
-    on the dual side, as the solver's output, unless a caller passes a side.
-    """
-
-    side = "dual"
-
-    def __init__(self, grid, values):
+    def __init__(self, grid, values, side=DUAL):
+        if side not in (PRIMAL, DUAL):
+            raise DomainError("a grid potential's side is 'primal' or 'dual'", side=side)
+        self.side = side
         self._setup(grid, values, grid.mask != OUTSIDE, "in-domain")
 
     @classmethod
     def on_interior(cls, grid, values):
         """A field defined on interior nodes only, such as a PDE residual:
-        finite there, NaN on boundary and outside nodes."""
+        finite there, NaN on boundary and outside nodes; it has no side."""
         fu = cls.__new__(cls)
         fu._setup(grid, values, grid.mask == INTERIOR, "interior")
         return fu
@@ -222,7 +221,7 @@ def sample_oracle(oracle, grid):
                           node=list(node), point=grid.point(node).tolist())
     vals = np.full(grid.shape, np.nan)
     vals[inside_dom] = oracle.value(pts[inside_dom])
-    return GridFunction(grid, vals)
+    return GridFunction(grid, vals, oracle.side)
 
 
 @dataclass(frozen=True)
@@ -280,15 +279,16 @@ def csv_text(header, table, eol="\r\n"):
 
 
 def write_gridfunction(fu, csv_path, meta_path):
-    """In-domain nodes as CSV rows `x1,...,xn,value` and the grid metadata
-    as sidecar JSON; each file is written atomically."""
+    """In-domain nodes as CSV rows `x1,...,xn,value`, and the grid metadata and
+    the potential's side as sidecar JSON; each file is written atomically."""
     grid = fu.grid
     live = grid.mask != OUTSIDE
     nodes = np.nonzero(live)
     table = np.column_stack([grid.coords[i][nodes[i]] for i in range(grid.dim)]
                             + [fu.values[live]])
     atomic_write(csv_path, csv_text([f"x{i+1}" for i in range(grid.dim)] + ["value"], table))
-    atomic_write(meta_path, json.dumps(grid.meta_json(), indent=2, sort_keys=True) + "\n")
+    meta = {**grid.meta_json(), "side": fu.side}
+    atomic_write(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def read_gridfunction(csv_path, meta_path):
@@ -313,9 +313,15 @@ def read_gridfunction(csv_path, meta_path):
     if not on_grid.all():
         raise DomainError("CSV point is not a grid node",
                           point=pts[np.argmin(on_grid)].tolist())
+    flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
+    bad = grid.mask.ravel()[flat] == OUTSIDE
+    bad[np.setdiff1d(np.arange(len(flat)), np.unique(flat, return_index=True)[1])] = True
+    if bad.any():  # a node's second row, or a row at an outside node
+        raise DomainError("CSV row repeats a node or lies outside the domain",
+                          point=pts[np.argmax(bad)].tolist())
     vals = np.full(grid.shape, np.nan)
-    vals[tuple(idx.T)] = data[:, -1]
-    return GridFunction(grid, vals)
+    vals.ravel()[flat] = data[:, -1]
+    return GridFunction(grid, vals, meta.get("side"))
 
 
 def box_grid(lo, hi, resolution):

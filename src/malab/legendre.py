@@ -19,6 +19,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import ConvexityError, DegeneracyError, ExtrapolationError
 from .geometry import invariants
 from .grids import INTERIOR, OUTSIDE, GridFunction, box_grid, check_convex
+from .oracles import DUAL, PRIMAL
 
 _HULL_TOL = 1e-9
 
@@ -103,7 +104,7 @@ def conjugate_factorized(field, dual_grid):
     """Per-axis factorized discrete conjugate (equals the brute-force max).
 
     With g_a = max_{x_a} [xi_a x_a - w_{a-1}] and w_a = -g_a, the recursion
-    w_0 = f, ..., w_n = -f* holds, so the conjugate is -w_n.
+    w_0 = f, ..., w_n = -f* holds, so the conjugate is -w_n, on the other side.
     """
     grid = field.grid
     n = grid.dim
@@ -114,7 +115,7 @@ def conjugate_factorized(field, dual_grid):
         conj = _conjugate_1d(grid.coords[a], lines, dual_grid.coords[a])
         conj = conj.reshape(moved.shape[:-1] + (len(dual_grid.coords[a]),))
         work = np.moveaxis(-conj, -1, a)
-    return GridFunction(dual_grid, -work)
+    return GridFunction(dual_grid, -work, DUAL if field.side == PRIMAL else PRIMAL)
 
 
 def gradient_hull(field):

@@ -84,8 +84,8 @@ class FieldOracle:
         """Closed-form Legendre partner, if one is known."""
         return None
 
-    def drift(self, side=None):
-        """Drift constants for the PDE this oracle solves on `side`, or None."""
+    def drift(self):
+        """Drift constants for the PDE this oracle solves on its side, or None."""
         return None
 
     def domain_note(self):
@@ -133,12 +133,9 @@ class Quadratic(FieldOracle):
                          side=DUAL if self.side == PRIMAL else PRIMAL,
                          name=self.name + "_dual")
 
-    def drift(self, side=None):
-        side = side or self.side
+    def drift(self):
         logdet = float(np.linalg.slogdet(self.A)[1])
-        if side == PRIMAL:
-            return DriftCoefficients(logdet, np.zeros(self.n))
-        return DriftCoefficients(-logdet, np.zeros(self.n))
+        return DriftCoefficients(logdet if self.side == PRIMAL else -logdet, np.zeros(self.n))
 
 
 class ExpSolution(FieldOracle):
@@ -181,14 +178,10 @@ class ExpSolution(FieldOracle):
     def dual_oracle(self):
         return DualLog(self.n, quad_coeff=1.0 / (4.0 * self.q), name=self.name + "_dual")
 
-    def drift(self, side=None):
-        side = side or PRIMAL
+    def drift(self):
         d = np.zeros(self.n)
         d[0] = 1.0
-        d0 = (self.n - 1) * np.log(2.0 * self.q)
-        if side == PRIMAL:
-            return DriftCoefficients(d0, d)
-        return None
+        return DriftCoefficients((self.n - 1) * np.log(2.0 * self.q), d)
 
 
 class DualLog(FieldOracle):
@@ -236,13 +229,10 @@ class DualLog(FieldOracle):
     def dual_oracle(self):
         return ExpSolution(self.n, quad_coeff=1.0 / (4.0 * self.q), name=self.name + "_dual")
 
-    def drift(self, side=None):
-        side = side or DUAL
+    def drift(self):
         d = np.zeros(self.n)
         d[0] = 1.0
-        if side == DUAL:
-            return DriftCoefficients(-(self.n - 1) * np.log(2.0 * self.q), d)
-        return None
+        return DriftCoefficients(-(self.n - 1) * np.log(2.0 * self.q), d)
 
     def domain_note(self):
         return "half-space {x1 > 0}"
@@ -284,12 +274,9 @@ class TangentShiftedOracle(FieldOracle):
     def contains(self, x):
         return self.base.contains(x)
 
-    def drift(self, side=None):
-        base = self.base.drift(side)
-        if base is None:
-            return None
-        side = side or self.side
-        if side == DUAL:
+    def drift(self):
+        base = self.base.drift()
+        if base is not None and self.side == DUAL:
             # det D^2 u unchanged; grad u shifted by -g0
             return DriftCoefficients(base.d0 + float(base.d @ self._g0), base.d)
         return base

@@ -75,10 +75,13 @@ def _log_residual(grid, values, drift, side, det_floor):
     return drift.residual(np.log(piv).sum(axis=1), y, side), H, mindet
 
 
-def residual_field(u, drift, side=DUAL):
-    """Pointwise PDE residual of a GridFunction on its interior nodes."""
+def residual_field(u, drift, side=None):
+    """Pointwise PDE residual of a GridFunction on its interior nodes, on its
+    side; `side`, if given, must be that side."""
+    if side not in (None, u.side):
+        raise DomainError("a potential is read on its own side", side=side, own=u.side)
     grid = u.grid
-    r, H, _ = _log_residual(grid, u.values, drift, side, det_floor=0.0)
+    r, H, _ = _log_residual(grid, u.values, drift, u.side, det_floor=0.0)
     if r is None:
         eigs = np.linalg.eigvalsh(H)
         raise ConvexityError("non-convex FD Hessian in residual",
@@ -286,7 +289,7 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL):
         total_iterations += len(history) - 1
         rejected_steps += halvings
 
-    out = GridFunction(grid, np.where(grid.mask == 0, 0.0, values))
+    out = GridFunction(grid, np.where(grid.mask == 0, 0.0, values), side)
     min_eig = float(np.linalg.eigvalsh(H)[:, 0].min())
     report = SolverReport(iterations=len(history) - 1, final_residual=rnorm,
                           residual_history=history, min_hessian_eigenvalue=min_eig,

@@ -63,7 +63,7 @@ def test_criterion_02_fixture_pde_gate():
     worst = 0.0
     for n in (2, 3, 5):
         ex = ExpSolution(n)
-        r = pde_residual(ex, rng.uniform(-1, 1, (200, n)), ex.drift(), "primal")
+        r = pde_residual(ex, rng.uniform(-1, 1, (200, n)), ex.drift())
         worst = max(worst, float(np.abs(r).max()))
     ok = worst <= 1e-12
     assert report(2, ok, f"max residual {worst:.2e} (tol 1e-12, n in {{2,3,5}})")

@@ -6,7 +6,7 @@ from malab.checks import (PDE_GATE_TOL, BarrierConstants, choose_shift_constant,
                           section_functionals, phi_inequality_check, phi_barrier_ladder,
                           section_probes, trace_ray)
 from malab.domains import Ball, Box, direction_fan
-from malab.errors import (CounterexampleError, PreconditionError, WindowError)
+from malab.errors import (CounterexampleError, DomainError, PreconditionError, WindowError)
 from malab.geometry import grid_phi_inequality_fields
 from malab.grids import INTERIOR, Grid, box_grid, sample_oracle
 from malab.oracles import (DriftCoefficients, DualLog, ExpSolution, Quadratic,
@@ -117,7 +117,7 @@ class TestPhiInequality:
         worst = []
         for res in (33, 65):
             fu = sample_oracle(ExpSolution(2), box_grid([-1, -1], [1, 1], res))
-            r, _ = grid_phi_inequality_fields(fu, "primal")
+            r, _ = grid_phi_inequality_fields(fu)
             live = np.isfinite(r) & (fu.grid.mask == INTERIOR)
             worst.append(np.abs(r[live]).max())
         assert worst[1] * 2.5 <= worst[0]
@@ -130,6 +130,13 @@ class TestPhiInequality:
         above = DriftCoefficients(dl.drift().d0 + 10.0 * PDE_GATE_TOL, dl.drift().d)
         with pytest.raises(PreconditionError):
             phi_inequality_check(dl, pts, drift=above)
+
+    def test_other_side_raises(self, rng):
+        """An oracle is checked on its own side; naming the other one raises."""
+        pts = rng.uniform(-1, 1, (5, 2))
+        assert phi_inequality_check(ExpSolution(2), pts, side="primal").passed
+        with pytest.raises(DomainError):
+            phi_inequality_check(ExpSolution(2), pts, side="dual")
 
     def test_solver_output_grid_route(self):
         ball = Ball(np.zeros(2), 1.0)

@@ -167,6 +167,49 @@ def test_bad_suite_rejected(capsys):
     assert run_cli(["verify", "--set", "suite=nope"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--set", "fixture=expsolution", "--set", "suite=det_barrier"],
+    ["verify", "--set", "fixture=expsolution", "--set", "suite=identities",
+     "--set", "probes.kind=points"],
+    ["geometry", "--set", "fixture=expsolution", "--set", "probes.kind=points"],
+    ["verify", "--set", "fixture=expsolution", "--set", "suite=identities",
+     "--set", "side=dual"],
+    ["geometry", "--set", "fixture=expsolution", "--set", "side=primal"],
+], ids=["det-barrier-no-r-prime", "verify-points-no-points", "geometry-points-no-points",
+        "verify-side", "geometry-side"])
+def test_missing_or_misplaced_keys_are_usage_errors(args, tmp_path, capsys):
+    """A config that lacks a key its suite needs, or that sets `side`, which
+    only solve reads (a fixture carries its own), exits 2 with JSON."""
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+
+
+def test_primal_solve_reads_back_on_the_primal_side(tmp_path, capsys):
+    """A primal solve of expsolution, read back from its sidecar, and a
+    65-node sample of the oracle are both primal potentials: rho at the
+    centre is the oracle's and the Kahler-Ricci tensor vanishes there."""
+    from malab.domains import Box
+    from malab.geometry import geometry_sample
+    from malab.grids import Grid, read_gridfunction, sample_oracle
+    from malab.oracles import ExpSolution
+
+    ex = ExpSolution(2)
+    box = '{"kind": "box", "lo": [-1, -1], "hi": [1, 1]}'
+    assert run_cli(["solve", "--set", "side=primal", "--set", f"domain={box}",
+                    "--set", "resolution=33", "--set", f"drift={json.dumps(ex.drift().to_json())}",
+                    "--set", 'boundary={"kind": "fixture", "name": "expsolution"}',
+                    "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "solution.meta.json").read_text())["side"] == "primal"
+    solved = read_gridfunction(tmp_path / "solution.csv", tmp_path / "solution.meta.json")
+    sampled = sample_oracle(ex, Grid.build(Box([-1, -1], [1, 1]), 65))
+    want = geometry_sample(ex, np.zeros(2)).rho
+    for u in (solved, sampled):
+        assert u.side == "primal"
+        s = geometry_sample(u, np.zeros(2))
+        assert abs(s.rho - want) <= 1e-3
+        assert np.abs(s.KahlerRicci).max() <= 1e-3
+
+
 def test_computational_error_exit_code(tmp_path, capsys):
     # a section that is not compact and not allowed to clip -> exit 1
     rc = run_cli(["verify", "--set", "fixture=duallog", "--set", "suite=functionals",

@@ -1,23 +1,26 @@
 import ast
+import copy
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import malab.blowup
 import malab.checks
 import malab.geometry
 import malab.legendre
-from malab.domains import Ball, Box
-from malab.errors import DegeneracyError
+from malab.domains import AffineMap, Ball, Box
+from malab.errors import DegeneracyError, DomainError
 from malab.geometry import (calabi_laplacian, geometry_sample, grid_invariants,
-                            grid_xx_hessian_logrho, invariants, rho_value_rule,
-                            structure_residuals)
+                            grid_xx_hessian_logrho, invariants, pde_residual,
+                            rho_value_rule, structure_residuals)
 from malab.grids import Grid, GridFunction, INTERIOR, sample_oracle
-from malab.oracles import (DriftCoefficients, DualLog, ExpSolution,
+from malab.oracles import (AffineImageOracle, DriftCoefficients, DualLog, ExpSolution,
                            FieldOracle, Quadratic)
-from malab.solver import newton_solve
+from malab.solver import newton_solve, residual_field
 
 from conftest import last_pivot
 
@@ -96,9 +99,38 @@ def test_legendre_covariance_of_phi(rng):
     for _ in range(20):
         x = rng.uniform(-1, 1, 2)
         xi = ex.gradient(x)
-        phi_primal = geometry_sample(ex, x, side="primal").Phi
-        phi_dual = geometry_sample(dual, xi, side="dual").Phi
+        phi_primal = geometry_sample(ex, x).Phi
+        phi_dual = geometry_sample(dual, xi).Phi
         assert phi_dual == pytest.approx(phi_primal, rel=1e-8)
+
+
+@given(n=st.sampled_from([2, 3]), kind=st.sampled_from(["primal", "dual", "exp", "log"]),
+       C=st.floats(0.01, 100.0),
+       x=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_u_over_c_scaling_law(n, kind, C, x):
+    """For w = u/C on either side: log det shifts by -n ln C, rho scales by
+    C^(n/(n+2)) on the primal side and C^(-n/(n+2)) on the dual side,
+    grad log rho is unchanged and Phi scales by C; w solves the equation with
+    drift (d, d0 - n ln C) on the primal side and (C d, d0 + n ln C) on the
+    dual side."""
+    u = {"primal": Quadratic(np.diag(np.arange(1.0, n + 1)) + 0.2, b=np.full(n, 0.3)),
+         "dual": Quadratic(np.diag(np.arange(1.0, n + 1)) + 0.2, side="dual"),
+         "exp": ExpSolution(n), "log": DualLog(n)}[kind]
+    x = np.array(x[:n])
+    x[0] += 1.5 if kind == "log" else 0.0  # DualLog lives on x1 > 0
+    w = AffineImageOracle(u, AffineMap(np.eye(n), np.zeros(n)), scale=C)
+    a = invariants(u.hessian(x), u.third(x), u.side)
+    b = invariants(w.hessian(x), w.third(x), w.side)
+    primal = u.side == "primal"
+    assert b["logdet"] == pytest.approx(a["logdet"] - n * np.log(C), rel=1e-12)
+    assert b["rho"] == pytest.approx(a["rho"] * C ** ((1 if primal else -1) * n / (n + 2.0)),
+                                     rel=1e-12)
+    assert b["grad_logrho"] == pytest.approx(a["grad_logrho"], rel=1e-12)
+    assert b["Phi"] == pytest.approx(C * a["Phi"], rel=1e-12)
+    d = u.drift()
+    drift = (DriftCoefficients(d.d0 - n * np.log(C), d.d) if primal
+             else DriftCoefficients(d.d0 + n * np.log(C), C * d.d))
+    assert abs(float(pde_residual(w, x, drift))) <= 1e-12 * (1.0 + abs(n * np.log(C)))
 
 
 def test_degenerate_hessian_raises():
@@ -224,7 +256,7 @@ class TestGridGeometry:
         g = Grid.build(Box([-1, -1], [1, 1]), 65)
         fu = sample_oracle(ex, g)
         node = g.nearest_node([0.0, 0.0])
-        s_grid = geometry_sample(fu, node, side="primal")
+        s_grid = geometry_sample(fu, node)
         s_oracle = geometry_sample(ex, np.zeros(2))
         h2 = g.spacing[0] ** 2
         assert np.abs(s_grid.G - s_oracle.G).max() <= h2
@@ -238,37 +270,50 @@ class TestGridGeometry:
     def test_grid_sample_reads_the_invariant_row(self):
         """One Phi per node: a grid sample's rho, grad rho and Phi are the
         node's row of grid_invariants, bit for bit, on either side."""
-        g = Grid.build(Box([-1, -1], [1, 1]), 65)
-        fu = sample_oracle(ExpSolution(2), g)
-        node = g.nearest_node([0.0, 0.0])
-        for side in ("primal", "dual"):
-            s = geometry_sample(fu, node, side)
-            inv = grid_invariants(fu, side)
+        for fu, x in ((sample_oracle(ExpSolution(2), Grid.build(Box([-1, -1], [1, 1]), 65)),
+                       [0.0, 0.0]),
+                      (sample_oracle(DualLog(2), Grid.build(Box([1, -1], [2, 1]), (33, 65))),
+                       [1.5, 0.0])):
+            node = fu.grid.nearest_node(x)
+            s = geometry_sample(fu, node)
+            inv = grid_invariants(fu)
+            assert s.side == fu.side
             assert s.Phi == inv["Phi"][node]
             assert s.rho == inv["rho"][node]
             assert np.array_equal(s.grad_rho, inv["rho"][node] * inv["grad_logrho"][node])
 
-    def test_grid_entry_points_default_to_the_dual_side(self):
-        """Without a side, geometry_sample and phi_inequality_check read a
-        GridFunction on the dual side, as the solver writes it."""
-        g = Grid.build(Ball(np.zeros(2), 1.0), 33)
-        q = Quadratic.unit(2)
-        drift = DriftCoefficients(0.1, np.array([0.9, 0.5]))
-        u, _ = newton_solve(g, drift, lambda p: float(q.value(p)))
-        node = g.nearest_node([0.1, -0.2])
-        s = geometry_sample(u, node)
-        assert s.side == "dual"
-        assert s.to_json() == geometry_sample(u, node, "dual").to_json()
-        rep = malab.checks.phi_inequality_check(u, drift=drift)
-        want = malab.checks.phi_inequality_check(u, side="dual", drift=drift)
-        assert rep.to_json() == want.to_json()
-        assert np.array_equal(rep.residuals["residual"], want.residuals["residual"])
+    def test_grid_entry_points_read_the_grid_side(self):
+        """A solve on either side returns a GridFunction of that side, and
+        every entry point reads it there: the PDE gate passes, the geometry
+        sample and the invariant fields are the kernel's on that side, and
+        naming the other side raises."""
+        ex = ExpSolution(2)
+        for potential, lo, hi in ((ex, [-1, -1], [1, 1]), (ex.dual_oracle(), [1, -1], [2, 1])):
+            side = potential.side
+            g = Grid.build(Box(lo, hi), 33)
+            drift = potential.drift()
+            u, _ = newton_solve(g, drift, lambda p: float(potential.value(p)), side=side)
+            assert u.side == side
+            assert np.nanmax(np.abs(residual_field(u, drift).values)) <= 1e-10
+            node = g.nearest_node(0.5 * (np.array(lo) + np.array(hi)))
+            kernel = invariants(u.hessian_field(), None, side)
+            assert geometry_sample(u, node).side == side
+            assert geometry_sample(u, node).rho == kernel["rho"][node]
+            assert np.array_equal(grid_invariants(u)["logrho"], kernel["logrho"], equal_nan=True)
+            rep = malab.checks.phi_inequality_check(u, drift=drift)
+            want = malab.checks.phi_inequality_check(u, side=side, drift=drift)
+            assert rep.to_json() == want.to_json()
+            other = "dual" if side == "primal" else "primal"
+            with pytest.raises(DomainError):
+                residual_field(u, drift, other)
+            with pytest.raises(DomainError):
+                malab.checks.phi_inequality_check(u, side=other, drift=drift)
 
     def test_kahler_ricci_small_for_sampled_solution(self):
         ex = ExpSolution(2)
         g = Grid.build(Box([-1, -1], [1, 1]), 65)
         fu = sample_oracle(ex, g)
-        KR = (fu.n + 2.0) * grid_xx_hessian_logrho(fu, "primal")
+        KR = (fu.n + 2.0) * grid_xx_hessian_logrho(fu)
         worst = np.nanmax(np.abs(KR))
         assert worst <= 10.0 * g.spacing[0] ** 2
 
@@ -280,7 +325,7 @@ class TestGridGeometry:
         q = Quadratic.unit(2)
         drift = DriftCoefficients(0.2, np.array([0.8, -0.4]))
         u, rep = newton_solve(g, drift, lambda p: float(q.value(p)))
-        KR = (u.n + 2.0) * grid_xx_hessian_logrho(u, "dual")
+        KR = (u.n + 2.0) * grid_xx_hessian_logrho(u)
         pts = g.points()
         deep = np.linalg.norm(pts, axis=-1) <= 0.6
         worst = np.nanmax(np.abs(KR[deep]))
@@ -290,7 +335,7 @@ class TestGridGeometry:
         ex = ExpSolution(2)
         g = Grid.build(Box([-1, -1], [1, 1]), 65)
         fu = sample_oracle(ex, g)
-        phi = grid_invariants(fu, "primal")["Phi"]
+        phi = grid_invariants(fu)["Phi"]
         pts = g.points()
         want = np.exp(-pts[..., 0]) / 16.0
         good = np.isfinite(phi)
@@ -328,12 +373,12 @@ class TestGridGeometry:
         the flat-direction curvature are NaN, not finite."""
         g = Grid.build(Box([-1, -1], [1, 1]), 17)
         pts = g.points()
-        fu = GridFunction(g, -0.5 * np.sum(pts**2, axis=-1))
         inner = g.mask == INTERIOR
         for side in ("primal", "dual"):
-            assert np.isnan(grid_invariants(fu, side)["logrho"][inner]).all()
-            assert np.isnan(grid_invariants(fu, side)["Phi"][inner]).all()
-            assert np.isnan(grid_xx_hessian_logrho(fu, side)[inner]).all()
+            fu = GridFunction(g, -0.5 * np.sum(pts**2, axis=-1), side)
+            assert np.isnan(grid_invariants(fu)["logrho"][inner]).all()
+            assert np.isnan(grid_invariants(fu)["Phi"][inner]).all()
+            assert np.isnan(grid_xx_hessian_logrho(fu)[inner]).all()
 
 
 class TestInvariantKernel:
@@ -343,10 +388,12 @@ class TestInvariantKernel:
     @pytest.mark.parametrize("side", ["primal", "dual"])
     @pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.name)
     def test_batch_equals_geometry_sample(self, oracle, side, rng):
+        oracle = copy.copy(oracle)
+        oracle.side = side  # the same closed form, as a potential on `side`
         pts = np.c_[rng.uniform(0.5, 2.0, 8), rng.uniform(-1.0, 1.0, 8)]
         inv = invariants(oracle.hessian(pts), oracle.third(pts), side)
         for k, x in enumerate(pts):
-            s = geometry_sample(oracle, x, side)
+            s = geometry_sample(oracle, x)
             assert inv["rho"][k] == s.rho
             assert np.array_equal(inv["rho"][k] * inv["grad_logrho"][k], s.grad_rho)
             assert inv["Phi"][k] == s.Phi

@@ -252,7 +252,7 @@ def test_csv_bytes_match_row_by_row_golden(tmp_path, rng):
         node = tuple(node)
         rows.append(",".join(f"{v:.17g}" for v in [*g.point(node), fu.values[node]]))
     assert (tmp_path / "f.csv").read_bytes() == ("\r\n".join(rows) + "\r\n").encode()
-    meta = json.dumps(g.meta_json(), indent=2, sort_keys=True) + "\n"
+    meta = json.dumps({**g.meta_json(), "side": "dual"}, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "f.meta.json").read_bytes() == meta.encode()
 
 
@@ -265,6 +265,49 @@ def test_csv_off_grid_point_rejected(tmp_path):
     lines[5] = b"%.17g," % (float(x1) + g.spacing[0] / 3) + rest
     csv.write_bytes(b"\r\n".join(lines))
     with pytest.raises(DomainError, match="not a grid node"):
+        read_gridfunction(csv, meta)
+
+
+def _planted_row(tmp_path, node):
+    """A written ball grid function plus one CSV row of value 123.0 at `node`."""
+    g = Grid.build(Ball(np.zeros(2), 1.0), 17)
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.meta.json"
+    write_gridfunction(sample_oracle(ExpSolution(2), g), csv, meta)
+    row = ",".join("%.17g" % v for v in [*g.point(node), 123.0])
+    csv.write_bytes(csv.read_bytes() + row.encode() + b"\r\n")
+    return g, csv, meta
+
+
+def test_csv_repeated_node_rejected(tmp_path):
+    """A node listed twice raises; the last row does not silently win."""
+    g, csv, meta = _planted_row(tmp_path, (8, 8))
+    with pytest.raises(DomainError, match="repeats a node"):
+        read_gridfunction(csv, meta)
+
+
+def test_csv_outside_node_rejected(tmp_path):
+    """A row at an outside node raises instead of being dropped."""
+    g, csv, meta = _planted_row(tmp_path, (0, 0))
+    assert g.mask[0, 0] == OUTSIDE
+    with pytest.raises(DomainError, match="outside the domain"):
+        read_gridfunction(csv, meta)
+
+
+@pytest.mark.parametrize("side", [None, "both"], ids=["missing", "unknown"])
+def test_sidecar_side_is_required(tmp_path, side):
+    """The sidecar names the potential's side; a read gives it back, and a
+    sidecar without a known side raises."""
+    g = Grid.build(Ball(np.zeros(2), 1.0), 17)
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.meta.json"
+    write_gridfunction(sample_oracle(ExpSolution(2), g), csv, meta)
+    assert read_gridfunction(csv, meta).side == "primal"
+    payload = json.loads(meta.read_text())
+    if side is None:
+        del payload["side"]
+    else:
+        payload["side"] = side
+    meta.write_text(json.dumps(payload))
+    with pytest.raises(DomainError):
         read_gridfunction(csv, meta)
 
 

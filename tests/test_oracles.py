@@ -23,7 +23,7 @@ def test_expsolution_drift_constants(n):
 def test_expsolution_pde_gate(n, rng):
     ex = ExpSolution(n)
     pts = rng.uniform(-1, 1, size=(100, n))
-    r = pde_residual(ex, pts, ex.drift(), PRIMAL)
+    r = pde_residual(ex, pts, ex.drift())
     assert np.abs(r).max() <= 1e-12
 
 
@@ -31,7 +31,7 @@ def test_expsolution_pde_gate(n, rng):
 def test_duallog_pde_gate(n, rng):
     dl = DualLog(n)
     pts = np.c_[rng.uniform(0.2, 3.0, 100), rng.uniform(-1, 1, (100, n - 1))]
-    r = pde_residual(dl, pts, dl.drift(), DUAL)
+    r = pde_residual(dl, pts, dl.drift())
     assert np.abs(r).max() <= 1e-12
     assert dl.drift().d0 == pytest.approx(0.0)
 
@@ -41,17 +41,15 @@ def test_concave_potential_fails_pde_residual():
     refuses it rather than reading 0."""
     concave = AffineImageOracle(Quadratic.unit(2), AffineMap(np.eye(2), np.zeros(2)), scale=-1.0)
     with pytest.raises(DomainError):
-        pde_residual(concave, np.zeros((3, 2)), DriftCoefficients.zero(2), PRIMAL)
+        pde_residual(concave, np.zeros((3, 2)), DriftCoefficients.zero(2))
 
 
 def test_quadratic_drift_both_sides():
     A = np.diag([2.0, 0.5])
-    q = Quadratic(A)
-    assert q.drift(PRIMAL).d0 == pytest.approx(0.0)
-    assert q.drift(DUAL).d0 == pytest.approx(0.0)
-    q2 = Quadratic(2.0 * np.eye(2))
-    assert q2.drift(PRIMAL).d0 == pytest.approx(np.log(4.0))
-    assert q2.drift(DUAL).d0 == pytest.approx(-np.log(4.0))
+    assert Quadratic(A, side=PRIMAL).drift().d0 == pytest.approx(0.0)
+    assert Quadratic(A, side=DUAL).drift().d0 == pytest.approx(0.0)
+    assert Quadratic(2.0 * np.eye(2), side=PRIMAL).drift().d0 == pytest.approx(np.log(4.0))
+    assert Quadratic(2.0 * np.eye(2), side=DUAL).drift().d0 == pytest.approx(-np.log(4.0))
 
 
 def test_derivatives_match_fd(rng):
@@ -94,9 +92,9 @@ def test_normalize_at_shifts_minimum():
     assert u.value(p) == pytest.approx(0.0, abs=1e-14)
     assert np.abs(u.gradient(p)).max() < 1e-14
     # shifted potential still solves the dual equation with adjusted d0
-    d = u.drift(DUAL)
+    assert u.side == DUAL
     pts = np.c_[np.linspace(0.5, 2, 9), np.zeros(9)]
-    assert np.abs(pde_residual(u, pts, d, DUAL)).max() < 1e-12
+    assert np.abs(pde_residual(u, pts, u.drift())).max() < 1e-12
     # and the minimum is global on a probe set
     assert (u.value(pts) >= -1e-12).all()
 

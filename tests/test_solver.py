@@ -113,7 +113,7 @@ class TestResidualField:
     def test_quadratic_residual_exact(self):
         g = Grid.build(Box([-1, -1], [1, 1]), 17)
         fu = sample_oracle(Quadratic.unit(2), g)
-        r = residual_field(fu, DriftCoefficients.zero(2), "dual")
+        r = residual_field(fu, DriftCoefficients.zero(2))
         assert np.nanmax(np.abs(r.values)) < 1e-13
         assert np.array_equal(np.isfinite(r.values), g.mask == INTERIOR)
 
