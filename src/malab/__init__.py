@@ -2,7 +2,7 @@
 exponential drift and the Hessian-metric geometry of convex graphs."""
 
 from .domains import (AffineMap, Ball, Box, ConvexDomain, Ellipsoid, Polytope,
-                      centered_mvee, normalize_domain)
+                      centered_mvee, halfspace_polytope, normalize_domain)
 from .grids import Grid, GridFunction, check_convex, sample_oracle
 from .legendre import (LegendrePair, involution_residual, legendre_grid,
                        legendre_point)

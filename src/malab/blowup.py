@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .checks import (SECTION_RAYS, BarrierConstants, barrier_functionals,
                      require_normalized, section_sample, trace_ray)
@@ -54,9 +53,7 @@ def extract_section(u, p, C):
     if defect > 1e-6 * max(C, 1e-12):
         raise PreconditionError("section boundary located too coarsely",
                                 defect=defect)
-    hull = ConvexHull(pts)
-    poly = Polytope(hull.equations[:, :-1], -hull.equations[:, -1])
-    T = normalize_domain(poly)
+    T = normalize_domain(Polytope(pts))
     w = AffineImageOracle(u, T, scale=C, name=f"{u.name}_section_{C:g}")
     return SectionData(p=p, C=float(C), support_points=pts, map=T,
                        normalized_potential=w, level_defect=defect)

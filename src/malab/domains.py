@@ -1,15 +1,17 @@
 """Bounded convex domains, centered minimum-volume ellipsoids, and the
 affine normalization that sends the ellipsoid to the unit ball.
 
-Supported domains are boxes, balls and halfspace polytopes. The centered
-MVEE of a box or polytope follows a log-barrier Newton path over the
-n(n+1)/2 entries of its shape matrix (Boyd & Vandenberghe, sec. 8.4.1; Sun &
-Freund 2004); a ball is its own. Support points take batched directions.
+Supported domains are boxes, balls and polytopes, a polytope being the convex
+hull of its points; `halfspace_polytope` validates halfspace input (configs,
+sidecars). The centered MVEE of a box or polytope follows a log-barrier Newton
+path over the n(n+1)/2 entries of its shape matrix (Boyd & Vandenberghe, sec.
+8.4.1; Sun & Freund 2004); a ball is its own. Support points take batched
+directions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -105,58 +107,24 @@ class Ball:
         return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius}
 
 
-@dataclass(frozen=True)
 class Polytope:
-    """Intersection of halfspaces {x : normals[k].x <= offsets[k]}."""
+    """Convex hull of a point cloud; its facets are the unit-normal
+    halfspaces {x : normals[k].x <= offsets[k]}."""
 
-    normals: np.ndarray
-    offsets: np.ndarray
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        N = np.asarray(self.normals, dtype=float)
-        b = np.asarray(self.offsets, dtype=float)
-        if N.ndim != 2 or len(b) != len(N):
-            raise DomainError("polytope needs matching normals and offsets")
-        if N.shape[1] < 2:
-            raise DomainError("polytopes need at least two dimensions", n=int(N.shape[1]))
-        norms = np.linalg.norm(N, axis=1)
-        if np.any(norms <= 0):
-            raise DomainError("zero normal in polytope")
-        object.__setattr__(self, "normals", N / norms[:, None])
-        object.__setattr__(self, "offsets", b / norms)
-        self._check_interior_and_bounded()
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] < 2:
+            raise DomainError("polytopes need at least two dimensions")
+        try:
+            self.hull = ConvexHull(pts)
+        except QhullError:
+            raise DomainError("polytope has empty interior") from None
+        self.normals = self.hull.equations[:, :-1]
+        self.offsets = -self.hull.equations[:, -1]
 
     @property
     def dim(self):
-        return self.normals.shape[1]
-
-    def _check_interior_and_bounded(self):
-        n = self.dim
-        # Chebyshev center: max t s.t. N x + t <= b
-        res = linprog(
-            c=np.r_[np.zeros(n), -1.0],
-            A_ub=np.c_[self.normals, np.ones(len(self.offsets))],
-            b_ub=self.offsets,
-            bounds=[(None, None)] * n + [(0, None)],
-            method="highs",
-        )
-        if res.status == 3:
-            raise DomainError("polytope is unbounded")
-        if not res.success or res.x[-1] <= 1e-12:
-            raise DomainError("polytope has empty interior")
-        self._cache["interior_point"] = res.x[:n]
-        # bounded iff 0 lies strictly inside the convex hull of the normals;
-        # normals that are not full-dimensional leave a direction unbounded
-        try:
-            inside = ConvexHull(self.normals).equations[:, -1].max() < -1e-12
-        except QhullError:
-            inside = False
-        if not inside:
-            raise DomainError("polytope is unbounded")
-
-    def interior_point(self):
-        return self._cache["interior_point"].copy()
+        return self.hull.ndim
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
@@ -164,33 +132,63 @@ class Polytope:
         return np.all(slack <= _CONTAIN_TOL * (np.abs(self.offsets) + 1.0), axis=-1)
 
     def vertices(self):
-        if "vertices" not in self._cache:
-            hs = np.c_[self.normals, -self.offsets]
-            inter = HalfspaceIntersection(hs, self.interior_point())
-            v = np.unique(np.round(inter.intersections, 12), axis=0)
-            self._cache["vertices"] = v
-        return self._cache["vertices"].copy()
+        return self.hull.points[self.hull.vertices]
 
     def support_point(self, direction):
         v = self.vertices()
         return v[np.argmax(np.asarray(direction, dtype=float) @ v.T, axis=-1)]
 
     def centroid(self):
-        """Exact centroid: the hull's facet simplices fanned from an interior
-        point, in one batched determinant (in 2-D, the shoelace sum)."""
-        v = self.vertices()
-        p = self.interior_point()
-        fan = v[ConvexHull(v).simplices] - p
+        """Exact centroid: the hull's facet simplices fanned from the vertex
+        mean, in one batched determinant (in 2-D, the shoelace sum)."""
+        p = self.vertices().mean(axis=0)
+        fan = self.hull.points[self.hull.simplices] - p
         vol = np.abs(np.linalg.det(fan))
         return p + (vol @ fan.sum(axis=1)) / ((self.dim + 1) * vol.sum())
 
     def bounding_box(self):
-        v = self.vertices()
-        return v.min(axis=0), v.max(axis=0)
+        return self.hull.min_bound.copy(), self.hull.max_bound.copy()
 
     def to_json(self):
         return {"kind": "polytope", "normals": self.normals.tolist(),
                 "offsets": self.offsets.tolist()}
+
+
+def halfspace_polytope(normals, offsets):
+    """The polytope {x : normals[k].x <= offsets[k]}, checked to be bounded
+    with nonempty interior, as the hull of its vertices."""
+    N = np.asarray(normals, dtype=float)
+    b = np.asarray(offsets, dtype=float)
+    if N.ndim != 2 or len(b) != len(N):
+        raise DomainError("polytope needs matching normals and offsets")
+    if N.shape[1] < 2:
+        raise DomainError("polytopes need at least two dimensions", n=int(N.shape[1]))
+    norms = np.linalg.norm(N, axis=1)
+    if np.any(norms <= 0):
+        raise DomainError("zero normal in polytope")
+    N, b = N / norms[:, None], b / norms
+    n = N.shape[1]
+    # Chebyshev center: max t s.t. N x + t <= b
+    res = linprog(
+        c=np.r_[np.zeros(n), -1.0],
+        A_ub=np.c_[N, np.ones(len(b))],
+        b_ub=b,
+        bounds=[(None, None)] * n + [(0, None)],
+        method="highs",
+    )
+    if res.status == 3:
+        raise DomainError("polytope is unbounded")
+    if not res.success or res.x[-1] <= 1e-12:
+        raise DomainError("polytope has empty interior")
+    # bounded iff 0 lies strictly inside the convex hull of the normals;
+    # normals that are not full-dimensional leave a direction unbounded
+    try:
+        inside = ConvexHull(N).equations[:, -1].max() < -1e-12
+    except QhullError:
+        inside = False
+    if not inside:
+        raise DomainError("polytope is unbounded")
+    return Polytope(HalfspaceIntersection(np.c_[N, -b], res.x[:n]).intersections)
 
 
 ConvexDomain = Box | Ball | Polytope
@@ -203,7 +201,7 @@ def domain_from_json(obj):
     if kind == "ball":
         return Ball(np.asarray(obj["center"]), float(obj["radius"]))
     if kind == "polytope":
-        return Polytope(np.asarray(obj["normals"]), np.asarray(obj["offsets"]))
+        return halfspace_polytope(obj["normals"], obj["offsets"])
     raise DomainError("unknown domain kind", kind=kind)
 
 
@@ -257,25 +255,17 @@ class AffineMap(Report):
         det = np.linalg.det(A)
         if abs(det) <= 0:
             raise DomainError("affine map is singular")
-        object.__setattr__(self, "_inv_linear", np.linalg.inv(A))
+        object.__setattr__(self, "inv_linear", np.linalg.inv(A))
 
     @property
     def dim(self):
         return len(self.offset)
 
-    @property
-    def inv_linear(self):
-        return self._inv_linear
-
     def apply(self, x):
         return np.asarray(x, dtype=float) @ self.linear.T + self.offset
 
     def apply_inverse(self, y):
-        return (np.asarray(y, dtype=float) - self.offset) @ self._inv_linear.T
-
-    def roundtrip_defect(self):
-        n = self.dim
-        return np.abs(self.linear @ self._inv_linear - np.eye(n)).max()
+        return (np.asarray(y, dtype=float) - self.offset) @ self.inv_linear.T
 
 
 # ---------------------------------------------------------------------------

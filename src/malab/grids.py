@@ -296,9 +296,11 @@ def read_gridfunction(csv_path, meta_path):
         meta = json.load(fh)
     domain = domain_from_json(meta["domain"])
     grid = Grid.build(domain, tuple(meta["resolution"]))
-    got_lo = np.asarray(meta["bounds"]["lo"])
-    if np.abs(got_lo - grid.lo).max() > 1e-9:
-        raise DomainError("sidecar bounds do not match the rebuilt grid")
+    layout = lambda m: np.hstack([m["bounds"]["lo"], m["bounds"]["hi"], m["spacing"],
+                                  m["mask_margin"]])
+    got, want = layout(meta), layout(grid.meta_json())
+    if got.shape != want.shape or np.abs(got - want).max() > 1e-9:
+        raise DomainError("sidecar bounds, spacing or mask margin do not match the grid")
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != grid.dim + 1:
         raise DomainError("CSV rows must hold a grid point and a value",

@@ -16,7 +16,7 @@ def rng():
 
 def random_polytope(rng, n=2, max_halfspaces=12):
     """Bounded random polytope: random direction normals around a box core."""
-    from malab.domains import Polytope
+    from malab.domains import halfspace_polytope
 
     m = int(rng.integers(n + 1, max_halfspaces + 1))
     normals = rng.normal(size=(m, n))
@@ -25,17 +25,14 @@ def random_polytope(rng, n=2, max_halfspaces=12):
     # cap every axis so the polytope is guaranteed bounded
     normals = np.vstack([normals, np.eye(n), -np.eye(n)])
     offsets = np.r_[offsets, rng.uniform(1.0, 3.0, 2 * n)]
-    return Polytope(normals, offsets)
+    return halfspace_polytope(normals, offsets)
 
 
 def random_hull(rng, n=2, max_points=40):
     """Polytope of the convex hull of a random Gaussian point cloud."""
-    from scipy.spatial import ConvexHull
-
     from malab.domains import Polytope
 
-    hull = ConvexHull(rng.normal(size=(int(rng.integers(n + 2, max_points + 1)), n)))
-    return Polytope(hull.equations[:, :-1], -hull.equations[:, -1])
+    return Polytope(rng.normal(size=(int(rng.integers(n + 2, max_points + 1)), n)))
 
 
 def last_pivot(n):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import malab.domains as domains
 from malab.blowup import extract_section, run_blowup
 from malab.domains import AffineMap
 from malab.errors import PreconditionError, UnboundedSectionError
@@ -37,6 +38,18 @@ class TestExtractSection:
         assert sec.support_points[:, 0].min() > 0.0
         with pytest.raises(UnboundedSectionError):
             extract_section(u, [1, 0], 10.0)
+
+    def test_runs_no_lp_or_vertex_enumeration(self, monkeypatch):
+        """A section is the hull of its ray points: building its polytope
+        solves no linear program and intersects no halfspaces."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the section path must not call this")
+
+        monkeypatch.setattr(domains, "linprog", forbidden)
+        monkeypatch.setattr(domains, "HalfspaceIntersection", forbidden)
+        p = np.array([1.0, 0.0])
+        sec = extract_section(normalize_at(DualLog(2), p), p, 0.2)
+        assert sec.level_defect <= 1e-6 * 0.2
 
     def test_requires_minimum_at_p(self):
         with pytest.raises(PreconditionError):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from malab.domains import AffineMap, Ball, Box
+from malab.domains import AffineMap, Ball, Box, domain_from_json, halfspace_polytope
 from malab.errors import DomainError, StencilError
 from malab.grids import (Grid, GridFunction, INTERIOR, OUTSIDE, box_grid, check_convex,
                          read_gridfunction, sample_oracle, third_field, write_gridfunction)
@@ -309,6 +309,41 @@ def test_sidecar_side_is_required(tmp_path, side):
     meta.write_text(json.dumps(payload))
     with pytest.raises(DomainError):
         read_gridfunction(csv, meta)
+
+
+@pytest.mark.parametrize("key, value", [("hi", [5.0, 5.0]), ("spacing", [9.0, 9.0]),
+                                        ("mask_margin", 7)])
+def test_sidecar_layout_must_match_grid(tmp_path, key, value):
+    """Bounds, spacing and mask margin in the sidecar describe the grid that
+    its domain and resolution rebuild; an edited one raises."""
+    g = Grid.build(Ball(np.zeros(2), 1.0), 17)
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.meta.json"
+    write_gridfunction(sample_oracle(ExpSolution(2), g), csv, meta)
+    payload = json.loads(meta.read_text())
+    if key == "hi":
+        payload["bounds"]["hi"] = value
+    else:
+        payload[key] = value
+    meta.write_text(json.dumps(payload))
+    with pytest.raises(DomainError, match="do not match the grid"):
+        read_gridfunction(csv, meta)
+
+
+def test_csv_round_trip_on_polytope(tmp_path, rng):
+    """A grid on a hexagon reads back with the same mask and values; the
+    sidecar's hull facets rebuild the same bounding box."""
+    th = np.pi / 3 * np.arange(6) + 0.2
+    hexagon = halfspace_polytope(np.stack([np.cos(th), np.sin(th)], axis=1),
+                                 np.array([1.0, 0.8, 1.2, 1.0, 0.9, 1.1]))
+    g = Grid.build(hexagon, 33)
+    fu = GridFunction(g, rng.standard_normal(g.shape))
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.meta.json"
+    write_gridfunction(fu, csv, meta)
+    back = read_gridfunction(csv, meta)
+    assert np.array_equal(back.grid.mask, g.mask)
+    assert np.array_equal(back.values, fu.values, equal_nan=True)
+    lo, hi = domain_from_json(json.loads(meta.read_text())["domain"]).bounding_box()
+    assert np.abs(np.r_[lo - g.lo, hi - g.hi]).max() <= 1e-12
 
 
 class _DiskFullAfterHalf:
