@@ -1,11 +1,10 @@
 """malab: a desk-scale numerical laboratory for Monge-Ampere equations with
 exponential drift and the Hessian-metric geometry of convex graphs."""
 
-from .domains import (AffineMap, Ball, Box, ConvexDomain, Ellipsoid, Polytope,
+from .domains import (AffineMap, Ball, Box, Ellipsoid, Polytope,
                       centered_mvee, halfspace_polytope, normalize_domain)
 from .grids import Grid, GridFunction, check_convex, sample_oracle
-from .legendre import (LegendrePair, involution_residual, legendre_grid,
-                       legendre_point)
+from .legendre import LegendrePair, involution_residual, legendre_grid
 from .oracles import (DriftCoefficients, DualLog, ExpSolution, FieldOracle,
                       Quadratic, catalog, normalize_at)
 from .solver import SolverConfig, SolverReport, newton_solve, residual_field

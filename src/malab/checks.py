@@ -29,6 +29,7 @@ PDE_GATE_TOL = 1e-8
 PHI_TOL_SCALE = 1e-4   # a Phi-inequality margin may fall this far below 0, times max(1, Phi^2)
 PHI_FLOOR = 1e-10      # probes with Phi at most this are on the vacuous zero branch
 DET_BARRIER_ROUNDS = 6  # coarse-to-fine descent rounds of det_barrier_probe
+SCALE_FACTOR = 4.0     # the rescaling u -> u/SCALE_FACTOR of the phi_scaling_rel column
 # rays traced from the base point to locate a section boundary, by dimension
 SECTION_RAYS = defaultdict(lambda: 512, {2: 128})
 
@@ -91,7 +92,7 @@ def _gate(potential, probes, drift):
 # identity suite
 
 
-def identity_suite(potential, probes, drift=None, scale_factor=4.0):
+def identity_suite(potential, probes, drift=None):
     """Residuals of the solution identities at analytic probes, on the
     potential's side.
 
@@ -99,7 +100,8 @@ def identity_suite(potential, probes, drift=None, scale_factor=4.0):
     rho_laplacian           Lap rho = (n+4)/2 |grad rho|^2 / rho;
     primal_value_laplacian  Lap f = n + (n+2)/(2 rho) <grad rho, grad f>;
     dual_value_laplacian    Lap u = n - (n+2)/(2 rho) <grad rho, grad u>;
-    phi_scaling_rel         Phi of (potential/scale) = scale * Phi pointwise.
+    phi_scaling_rel         Phi of (potential/SCALE_FACTOR) = SCALE_FACTOR * Phi
+                            pointwise.
 
     Only logrho_flat, rho_laplacian and the PDE gate test the equation;
     the other three columns hold for every convex potential.
@@ -112,7 +114,7 @@ def identity_suite(potential, probes, drift=None, scale_factor=4.0):
     inv = invariants(H, T, side)
     Hi, glr, gld = inv["Ginv"], inv["grad_logrho"], inv["grad_logdet"]
     rho, phi = inv["rho"], inv["Phi"]
-    scaled = AffineImageOracle(potential, AffineMap(np.eye(n), np.zeros(n)), scale=scale_factor)
+    scaled = AffineImageOracle(potential, AffineMap(np.eye(n), np.zeros(n)), scale=SCALE_FACTOR)
     phi_new = invariants(scaled.hessian(probes), scaled.third(probes), side)["Phi"]
     rho_hess = fd_hessian(rho_value_rule(potential, side), probes, fd_step(probes))
 
@@ -125,7 +127,7 @@ def identity_suite(potential, probes, drift=None, scale_factor=4.0):
     half = (n + 2.0) / 2.0
     inner_f = half * np.einsum("...ij,...i,...j->...", Hi, glr, f_grad)
     inner_u = half * np.einsum("...ij,...i,...j->...", Hi, glr, u_grad)
-    want = scale_factor * phi
+    want = SCALE_FACTOR * phi
     res = {
         "logrho_flat": np.abs(xx_hessian_logrho(potential, probes)).max(axis=(-2, -1)),
         "rho_laplacian": (metric_laplacian(Hi, gld, rho[..., None] * glr, rho_hess)
@@ -257,14 +259,10 @@ def trace_ray(u, p, directions, C, window=None, rel_tol=1e-8):
     leaves the active set at the step where it is decided. Returns
     (points, kinds): kind is 'level' when u hits C on the ray, 'window' when
     the ray leaves the window box with u still below C, and 'domain' when it
-    leaves the oracle's domain below C. One direction (n,) gives
-    (point, kind).
+    leaves the oracle's domain below C.
     """
     p = np.asarray(p, dtype=float)
     D = np.asarray(directions, dtype=float)
-    if D.ndim == 1:
-        x, kind = trace_ray(u, p, D[None, :], C, window, rel_tol)
-        return x[0], str(kind[0])
 
     def below(t, rows):
         """Whether u < C at p + t d on the given rays, and u there (NaN

@@ -184,8 +184,7 @@ def _run_verify(cfg):
     out = _out_dir(cfg)
 
     if suite == "identities":
-        report = identity_suite(oracle, _probe_points(cfg, oracle),
-                                scale_factor=float(cfg.get("scale_factor", 4.0)))
+        report = identity_suite(oracle, _probe_points(cfg, oracle))
         line = f"passed={report.passed}"
     elif suite == "phi_inequality":
         report = phi_inequality_check(oracle, _probe_points(cfg, oracle))

@@ -1,16 +1,17 @@
 """Bounded convex domains, centered minimum-volume ellipsoids, and the
 affine normalization that sends the ellipsoid to the unit ball.
 
-Supported domains are boxes, balls and polytopes, a polytope being the convex
-hull of its points; `halfspace_polytope` validates halfspace input (configs,
-sidecars). The centered MVEE of a box or polytope follows a log-barrier Newton
-path over the n(n+1)/2 entries of its shape matrix (Boyd & Vandenberghe, sec.
-8.4.1; Sun & Freund 2004); a ball is its own. Support points take batched
-directions.
+Supported domains are balls and polytopes, a polytope being the convex hull
+of its points and a box the polytope of its corners; `halfspace_polytope`
+validates halfspace input (configs, sidecars). The centered MVEE of a
+polytope follows a log-barrier Newton path over the n(n+1)/2 entries of its
+shape matrix (Boyd & Vandenberghe, sec. 8.4.1; Sun & Freund 2004); a ball is
+its own. Support points take batched directions.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,47 +32,6 @@ CHECK_DIRECTIONS = 1024  # support directions that check a normalized image
 
 # ---------------------------------------------------------------------------
 # domain types
-
-
-@dataclass(frozen=True)
-class Box:
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
-        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
-        if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
-            raise DomainError("box bounds must be equal-length vectors")
-        if not np.all(self.lo < self.hi):
-            raise DomainError("box has empty interior", lo=self.lo.tolist(), hi=self.hi.tolist())
-
-    @property
-    def dim(self):
-        return len(self.lo)
-
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        tol = _CONTAIN_TOL * (np.maximum(np.abs(self.lo), np.abs(self.hi)) + 1.0)
-        return np.all((x >= self.lo - tol) & (x <= self.hi + tol), axis=-1)
-
-    def support_point(self, direction):
-        d = np.asarray(direction, dtype=float)
-        return np.where(d >= 0.0, self.hi, self.lo)
-
-    def vertices(self):
-        n = self.dim
-        corners = np.array(np.meshgrid(*[(self.lo[i], self.hi[i]) for i in range(n)], indexing="ij"))
-        return corners.reshape(n, -1).T
-
-    def centroid(self):
-        return 0.5 * (self.lo + self.hi)
-
-    def bounding_box(self):
-        return self.lo.copy(), self.hi.copy()
-
-    def to_json(self):
-        return {"kind": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
 
 @dataclass(frozen=True)
@@ -108,8 +68,8 @@ class Ball:
 
 
 class Polytope:
-    """Convex hull of a point cloud; its facets are the unit-normal
-    halfspaces {x : normals[k].x <= offsets[k]}."""
+    """Convex hull of a point cloud; its faces are the unit-normal
+    halfspaces {x : normals[k].x <= offsets[k]}, each listed once."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -119,8 +79,11 @@ class Polytope:
             self.hull = ConvexHull(pts)
         except QhullError:
             raise DomainError("polytope has empty interior") from None
-        self.normals = self.hull.equations[:, :-1]
-        self.offsets = -self.hull.equations[:, -1]
+        # Qhull lists a face once per simplex of its triangulation
+        eq = self.hull.equations
+        eq = eq[np.sort(np.unique(eq.round(12), axis=0, return_index=True)[1])]
+        self.normals, self.offsets = eq[:, :-1], -eq[:, -1]
+        self._bound = self.offsets + _CONTAIN_TOL * (np.abs(self.offsets) + 1.0)
 
     @property
     def dim(self):
@@ -128,8 +91,10 @@ class Polytope:
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
-        slack = x @ self.normals.T - self.offsets
-        return np.all(slack <= _CONTAIN_TOL * (np.abs(self.offsets) + 1.0), axis=-1)
+        inside = np.ones(x.shape[:-1], dtype=bool)
+        for a, b in zip(self.normals, self._bound):
+            inside &= x @ a <= b
+        return inside
 
     def vertices(self):
         return self.hull.points[self.hull.vertices]
@@ -152,6 +117,24 @@ class Polytope:
     def to_json(self):
         return {"kind": "polytope", "normals": self.normals.tolist(),
                 "offsets": self.offsets.tolist()}
+
+
+class Box(Polytope):
+    """The axis-aligned box [lo, hi], the hull of its 2^n corners."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
+            raise DomainError("box bounds must be equal-length vectors")
+        if not np.all(self.lo < self.hi):
+            raise DomainError("box has empty interior", lo=self.lo.tolist(), hi=self.hi.tolist())
+        super().__init__(list(itertools.product(*zip(self.lo, self.hi))))
+
+    def centroid(self):
+        return 0.5 * (self.lo + self.hi)
+
+    def to_json(self):
+        return {"kind": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
 
 def halfspace_polytope(normals, offsets):
@@ -191,13 +174,10 @@ def halfspace_polytope(normals, offsets):
     return Polytope(HalfspaceIntersection(np.c_[N, -b], res.x[:n]).intersections)
 
 
-ConvexDomain = Box | Ball | Polytope
-
-
 def domain_from_json(obj):
     kind = obj.get("kind")
     if kind == "box":
-        return Box(np.asarray(obj["lo"]), np.asarray(obj["hi"]))
+        return Box(obj["lo"], obj["hi"])
     if kind == "ball":
         return Ball(np.asarray(obj["center"]), float(obj["radius"]))
     if kind == "polytope":

@@ -223,10 +223,6 @@ class GeometrySample(Report):
     Phi: float
     conormal: np.ndarray
 
-    def phi_recomputed(self):
-        return float(np.einsum("ij,i,j->", self.Ginv, self.grad_rho, self.grad_rho)
-                     / self.rho**2)
-
 
 def _node(grid, x):
     """A tuple of integers is a node index; any other point snaps to the

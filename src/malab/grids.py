@@ -49,6 +49,8 @@ class Grid:
         if np.isscalar(resolution):
             resolution = (int(resolution),) * n
         shape = tuple(int(r) for r in resolution)
+        if len(shape) != n:
+            raise DomainError("resolution needs one entry per axis", shape=shape, dim=n)
         if any(r < 2 * MASK_MARGIN + 1 for r in shape):
             raise DomainError("resolution too small for the stencil margin", shape=shape)
         coords = tuple(np.linspace(lo[i], hi[i], shape[i]) for i in range(n))
@@ -328,4 +330,4 @@ def read_gridfunction(csv_path, meta_path):
 
 def box_grid(lo, hi, resolution):
     """Convenience: grid over a plain box domain."""
-    return Grid.build(Box(np.asarray(lo, float), np.asarray(hi, float)), resolution)
+    return Grid.build(Box(lo, hi), resolution)

@@ -17,21 +17,10 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ConvexityError, DegeneracyError, ExtrapolationError
-from .geometry import invariants
 from .grids import INTERIOR, OUTSIDE, GridFunction, box_grid, check_convex
 from .oracles import DUAL, PRIMAL
 
 _HULL_TOL = 1e-9
-
-
-def legendre_point(oracle, x):
-    """Pointwise transform: returns (xi, u_value) with xi = grad f(x)."""
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(invariants(oracle.hessian(x), None, oracle.side)["logdet"]):
-        raise DegeneracyError("Hessian not positive definite at transform point",
-                              point=x.tolist())
-    xi = oracle.gradient(x)
-    return xi, float(x @ xi - oracle.value(x))
 
 
 @dataclass(frozen=True)
@@ -46,12 +35,6 @@ class LegendrePair:
         x = np.asarray(x, dtype=float)
         xi = self.primal.gradient(x)
         return float(self.dual.value(xi) + self.primal.value(x) - x @ xi)
-
-    def gradient_roundtrip_defect(self, x):
-        """|grad u(grad f(x)) - x| for analytic pairs."""
-        x = np.asarray(x, dtype=float)
-        xi = self.primal.gradient(x)
-        return float(np.abs(self.dual.gradient(xi) - x).max())
 
 
 def _conjugate_1d(xs, vals, xis):

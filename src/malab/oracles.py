@@ -48,6 +48,8 @@ class DriftCoefficients(Report):
         """The equation's residual from log det of the Hessians and y, the
         points x on the primal side (log det - d.x - d0) and the gradients
         grad u on the dual side (log det + d.grad u + d0)."""
+        if y.shape[-1] != len(self.d):
+            raise DomainError("drift needs one coefficient per axis", d=len(self.d), n=y.shape[-1])
         if side == DUAL:
             return logdet + y @ self.d + self.d0
         return logdet - y @ self.d - self.d0

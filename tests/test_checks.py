@@ -77,7 +77,7 @@ class TestIdentitySuite:
     def test_scaling_law_explicit(self, rng):
         dl = DualLog(2)
         pts = np.c_[rng.uniform(0.5, 2, 50), rng.uniform(-1, 1, 50)]
-        rep = identity_suite(dl, pts, scale_factor=4.0)
+        rep = identity_suite(dl, pts)
         assert rep.stats["phi_scaling_rel"]["max"] <= 1e-8
 
     def test_gate_rejects_non_solution(self, rng):
@@ -153,10 +153,10 @@ class TestPhiInequality:
 class TestSectionMachinery:
     def test_trace_ray_kinds(self):
         u = duallog_normalized()
-        x, kind = trace_ray(u, [1, 0], np.array([-1.0, 0.0]), 0.3, WINDOW)
+        (x,), (kind,) = trace_ray(u, [1, 0], np.array([[-1.0, 0.0]]), 0.3, WINDOW)
         assert kind == "level"
         assert u.value(x) == pytest.approx(0.3, abs=1e-6)
-        x, kind = trace_ray(u, [1, 0], np.array([-1.0, 0.0]), 10.0, WINDOW)
+        _, (kind,) = trace_ray(u, [1, 0], np.array([[-1.0, 0.0]]), 10.0, WINDOW)
         assert kind == "window"
 
     @pytest.mark.parametrize("u, C, window, expected", [
@@ -172,8 +172,9 @@ class TestSectionMachinery:
         dirs = direction_fan(2, 32)
         pts, kinds = trace_ray(u, [1, 0], dirs, C, window)
         assert set(kinds) == expected
-        for ref in (trace_ray, trace_ray_loop):
-            single = [ref(u, [1, 0], d, C, window) for d in dirs]
+        rows = [trace_ray(u, [1, 0], d[None], C, window) for d in dirs]
+        loop = [trace_ray_loop(u, [1, 0], d, C, window) for d in dirs]
+        for single in ([(x[0], kind[0]) for x, kind in rows], loop):
             assert np.array_equal(pts, np.array([x for x, _ in single]))
             assert np.array_equal(kinds, [kind for _, kind in single])
 

@@ -221,6 +221,28 @@ def test_computational_error_exit_code(tmp_path, capsys):
     assert err["error"] == "WindowError"
 
 
+@pytest.mark.parametrize("resolution, d", [("[33]", "[1, 0]"), ("[33, 33, 33]", "[1, 0]"),
+                                           ("33", "[1, 0, 0]")],
+                         ids=["resolution-short", "resolution-long", "drift-long"])
+def test_dimension_mismatch_is_a_domain_error(resolution, d, tmp_path, capsys):
+    """A resolution or drift whose length is not the domain's dimension exits
+    1 with a JSON DomainError, not a traceback."""
+    rc = run_cli(["solve", "--set", 'domain={"kind": "box", "lo": [1, -1], "hi": [2, 1]}',
+                  "--set", f"resolution={resolution}", "--set", f'drift={{"d0": 0, "d": {d}}}',
+                  "--set", 'boundary={"kind": "fixture", "name": "duallog"}',
+                  "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError" and "one" in err["message"]
+
+
+def test_scale_factor_key_rejected(tmp_path, capsys):
+    """The identity suite's rescaling is a constant, not a config key."""
+    assert run_cli(["verify", "--set", "fixture=quadratic", "--set", "suite=identities",
+                    "--set", "scale_factor=4.0", "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+
+
 def test_missing_config_file():
     assert run_cli(["solve", "--config", "/nonexistent.json"]) == 2
 

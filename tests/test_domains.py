@@ -264,6 +264,44 @@ class TestDomainTypes:
         with pytest.raises(DomainError):
             Polytope(points)
 
+    def test_one_dimensional_box_rejected(self):
+        with pytest.raises(DomainError, match="at least two dimensions"):
+            Box([0.0], [1.0])
+
+    def test_box_is_the_hull_of_its_corners(self):
+        """A box keeps only its constructor, its midpoint centroid and its
+        JSON; everything else is the polytope's."""
+        assert not {"contains", "support_point", "vertices", "bounding_box",
+                    "dim"} & set(vars(Box))
+        B = Box([-1.0, 0.5], [2.0, 3.0])
+        assert isinstance(B, Polytope) and B.dim == 2 and len(B.vertices()) == 4
+        lo, hi = B.bounding_box()
+        assert np.array_equal(lo, B.lo) and np.array_equal(hi, B.hi)
+        assert np.array_equal(B.support_point(np.array([[1.0, -1.0], [-1.0, 1.0]])),
+                              [[2.0, 0.5], [-1.0, 3.0]])
+
+    @pytest.mark.parametrize("lo, hi", [([0, 0, 0], [1, 1, 1]),
+                                        ([-1.0, -0.5, 0.2], [3.0, 0.5, 0.7])],
+                             ids=["unit_cube", "box"])
+    def test_3d_box_lists_each_face_once(self, lo, hi):
+        """Qhull triangulates each square face into two simplices; the
+        polytope keeps one row per face."""
+        corners = Box(lo, hi).vertices()
+        assert len(ConvexHull(corners).equations) == 12
+        for P in (Box(lo, hi), Polytope(corners),
+                  halfspace_polytope(np.vstack([np.eye(3), -np.eye(3)]),
+                                     np.r_[hi, -np.asarray(lo, float)])):
+            assert len(P.normals) == len(P.offsets) == 6
+            assert np.array_equal(np.sort(np.abs(P.normals).argmax(axis=1)), [0, 0, 1, 1, 2, 2])
+
+    def test_2d_hull_keeps_every_facet_row(self, rng):
+        for _ in range(20):
+            pts = rng.normal(size=(int(rng.integers(4, 60)), 2))
+            eq = ConvexHull(pts).equations
+            P = Polytope(pts)
+            assert np.array_equal(P.normals, eq[:, :-1])
+            assert np.array_equal(P.offsets, -eq[:, -1])
+
     def test_polytope_centroid_matches_box(self):
         P = halfspace_polytope(np.vstack([np.eye(2), -np.eye(2)]), np.array([2.0, 1.0, 0.0, 1.0]))
         assert np.allclose(P.centroid(), [1.0, 0.0], atol=1e-12)
@@ -287,6 +325,8 @@ class TestDomainTypes:
                     random_polytope(rng)):
             back = domain_from_json(dom.to_json())
             assert type(back) is type(dom)
+            if type(dom) is not Polytope:  # a hull's facets are recomputed from its vertices
+                assert back.to_json() == dom.to_json()
             pts = rng.uniform(-3, 3, size=(100, 2))
             assert np.array_equal(dom.contains(pts), back.contains(pts))
 

@@ -8,8 +8,9 @@ import pytest
 
 from malab.domains import AffineMap, Ball, Box, domain_from_json, halfspace_polytope
 from malab.errors import DomainError, StencilError
-from malab.grids import (Grid, GridFunction, INTERIOR, OUTSIDE, box_grid, check_convex,
-                         read_gridfunction, sample_oracle, third_field, write_gridfunction)
+from malab.grids import (BOUNDARY, INTERIOR, MASK_MARGIN, OUTSIDE, Grid, GridFunction, box_grid,
+                         check_convex, read_gridfunction, sample_oracle, third_field,
+                         write_gridfunction)
 from malab.oracles import AffineImageOracle, DualLog, ExpSolution, Quadratic
 
 
@@ -17,6 +18,38 @@ def test_grid_spacing_consistency():
     g = box_grid([-1, 0], [1, 4], (21, 11))
     assert np.allclose(g.spacing, [0.1, 0.4], rtol=1e-12)
     assert g.shape == (21, 11)
+
+
+def box_mask_reference(lo, hi, resolution):
+    """A box grid's mask from the explicit test lo - tol <= x <= hi + tol and
+    an erosion by the full (2 MASK_MARGIN + 1)^n neighborhood."""
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    axes = [np.linspace(lo[i], hi[i], r) for i, r in enumerate(resolution)]
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    tol = 1e-12 * (np.maximum(np.abs(lo), np.abs(hi)) + 1.0)
+    inside = np.all((x >= lo - tol) & (x <= hi + tol), axis=-1)
+    m = MASK_MARGIN
+    padded = np.pad(inside, m, constant_values=False)
+    interior = inside.copy()
+    for off in itertools.product(range(-m, m + 1), repeat=len(lo)):
+        interior &= padded[tuple(slice(m + o, m + o + r) for o, r in zip(off, resolution))]
+    return np.where(interior, INTERIOR, np.where(inside, BOUNDARY, OUTSIDE))
+
+
+@pytest.mark.parametrize("lo, hi, resolution", [
+    ([1, -1], [2, 1], (33, 65)), ([-1, -1], [1, 1], (33, 33)), ([-1, -1], [1, 1], (257, 257)),
+    ([1, -1, -1], [2, 1, 1], (15, 15, 15)), ([2.1, -0.5, -0.5], [3.1, 0.5, 0.5], (15, 15, 15)),
+])
+def test_box_mask_matches_explicit_bounds(lo, hi, resolution):
+    g = Grid.build(Box(lo, hi), resolution)
+    assert np.array_equal(g.lo, lo) and np.array_equal(g.hi, hi)
+    assert np.array_equal(g.mask, box_mask_reference(lo, hi, resolution))
+
+
+@pytest.mark.parametrize("resolution", [(33,), (33, 33, 33)], ids=["short", "long"])
+def test_resolution_needs_one_entry_per_axis(resolution):
+    with pytest.raises(DomainError, match="one entry per axis"):
+        Grid.build(Box([-1, -1], [1, 1]), resolution)
 
 
 def test_mask_margin_on_ball():
@@ -326,6 +359,18 @@ def test_sidecar_layout_must_match_grid(tmp_path, key, value):
         payload[key] = value
     meta.write_text(json.dumps(payload))
     with pytest.raises(DomainError, match="do not match the grid"):
+        read_gridfunction(csv, meta)
+
+
+@pytest.mark.parametrize("resolution", [[17], [17, 17, 17]], ids=["short", "long"])
+def test_sidecar_resolution_length_must_match_domain(tmp_path, resolution):
+    g = Grid.build(Ball(np.zeros(2), 1.0), 17)
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.meta.json"
+    write_gridfunction(sample_oracle(ExpSolution(2), g), csv, meta)
+    payload = json.loads(meta.read_text())
+    payload["resolution"] = resolution
+    meta.write_text(json.dumps(payload))
+    with pytest.raises(DomainError, match="one entry per axis"):
         read_gridfunction(csv, meta)
 
 
