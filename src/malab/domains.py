@@ -68,10 +68,11 @@ class Ball:
 
 
 class Polytope:
-    """Convex hull of a point cloud; its faces are the unit-normal
-    halfspaces {x : normals[k].x <= offsets[k]}, each listed once."""
+    """Convex hull of a point cloud; its faces are the unit-normal halfspaces
+    {x : normals[k].x <= offsets[k]}, each listed once. A face within 1e-12 of
+    a given `faces` row (normal, -offset) is listed as that row, in row order."""
 
-    def __init__(self, points):
+    def __init__(self, points, faces=None):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] < 2:
             raise DomainError("polytopes need at least two dimensions")
@@ -82,6 +83,10 @@ class Polytope:
         # Qhull lists a face once per simplex of its triangulation
         eq = self.hull.equations
         eq = eq[np.sort(np.unique(eq.round(12), axis=0, return_index=True)[1])]
+        if faces is not None:
+            near = np.abs(faces[:, None] - eq).max(axis=2) <= 1e-12
+            hit = near.any(axis=0)
+            eq = np.r_[faces[np.unique(near.argmax(axis=0)[hit])], eq[~hit]]
         self.normals, self.offsets = eq[:, :-1], -eq[:, -1]
         self._bound = self.offsets + _CONTAIN_TOL * (np.abs(self.offsets) + 1.0)
 
@@ -149,7 +154,7 @@ def halfspace_polytope(normals, offsets):
     norms = np.linalg.norm(N, axis=1)
     if np.any(norms <= 0):
         raise DomainError("zero normal in polytope")
-    N, b = N / norms[:, None], b / norms
+    faces, N, b = np.c_[N, -b], N / norms[:, None], b / norms
     n = N.shape[1]
     # Chebyshev center: max t s.t. N x + t <= b
     res = linprog(
@@ -171,7 +176,7 @@ def halfspace_polytope(normals, offsets):
         inside = False
     if not inside:
         raise DomainError("polytope is unbounded")
-    return Polytope(HalfspaceIntersection(np.c_[N, -b], res.x[:n]).intersections)
+    return Polytope(HalfspaceIntersection(np.c_[N, -b], res.x[:n]).intersections, faces)
 
 
 def domain_from_json(obj):

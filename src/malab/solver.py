@@ -11,10 +11,10 @@ use too (`geometry.pde_residual`). The batched Cholesky kernel
 `geometry.cholesky`, which `geometry.invariants` also calls, gives every
 interior FD Hessian its positive definiteness test and its log det, and the
 Jacobian its inverse; a line-search trial asks for no inverse. Each solve
-lays out the Jacobian's sparsity structure once and orders it by minimum
-degree at its first factorization only. Convexity is enforced by step
-rejection: a trial step must keep every interior FD Hessian positive definite
-and reduce the max residual, else it is halved down to a hard floor.
+orders its unknowns once, by nested dissection of the grid, and lays out the
+Jacobian's sparsity structure once in that order. Convexity is enforced by
+step rejection: a trial step must keep every interior FD Hessian positive
+definite and reduce the max residual, else it is halved down to a hard floor.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ __all__ = ["DriftCoefficients", "SolverConfig", "SolverReport",
 DET_FLOOR = 1e-14  # smallest FD Hessian determinant a Newton iterate may reach
 DAMPING = 0.5  # a rejected trial step is scaled by this
 MIN_STEP = 2.0**-20  # smallest Newton step and continuation step before giving up
+LEAF = 4  # nested dissection leaves a box whose longest side has fewer nodes
+# symmetric mode for the symmetric stencil pattern; pivoting for the drift term
 _LU_OPTIONS = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 
 
@@ -94,20 +96,14 @@ def residual_field(u, drift, side=None):
 
 def _quadratic_init(grid, bidx, bvals):
     """Least-squares convex paraboloid through the boundary data."""
-    n = grid.dim
+    n, (i, j) = grid.dim, np.triu_indices(grid.dim)  # Q's upper triangle, row by row
     pts_all = grid.points()
     pts = pts_all[bidx]
-    cols = [np.ones(len(pts))]
-    cols += [pts[:, i] for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    for i, j in pairs:
-        cols.append(pts[:, i] * pts[:, j] * (1.0 if i == j else 2.0))
-    Adesign = np.stack(cols, axis=1)
+    Adesign = np.c_[np.ones(len(pts)), pts, pts[:, i] * pts[:, j] * np.where(i == j, 1.0, 2.0)]
     coef, *_ = np.linalg.lstsq(Adesign, bvals, rcond=None)
     c0, lin = coef[0], coef[1:n + 1]
     Q = np.zeros((n, n))
-    for k, (i, j) in enumerate(pairs):
-        Q[i, j] = Q[j, i] = coef[n + 1 + k]
+    Q[i, j] = Q[j, i] = coef[n + 1:]
     w, V = np.linalg.eigh(Q)
     floor = max(1e-2, 1e-2 * w.max()) if w.max() > 0 else 1e-2
     Q = (V * np.maximum(w, floor)) @ V.T
@@ -115,29 +111,49 @@ def _quadratic_init(grid, bidx, bvals):
             + pts_all @ lin + c0)
 
 
+def _dissection_order(nodes):
+    """Nested dissection order of grid nodes (George, SIAM J. Numer. Anal. 10,
+    1973): box b splits at the middle of its longest side into boxes 2b, 2b + 1
+    and the one-node-thick separator that every +-1-node arm between them
+    crosses. A pass splits a level; node keys append 0 | 1 | 2 in that order."""
+    key, live = np.zeros(len(nodes), dtype=np.int64), np.arange(len(nodes))
+    box, lo, hi = np.zeros_like(live), nodes.min(axis=0)[None], nodes.max(axis=0)[None]
+    while len(live):
+        b = np.arange(len(lo))
+        axis = (hi - lo).argmax(axis=1)
+        side = hi[b, axis] - lo[b, axis] + 1
+        mid = lo[b, axis] + side // 2
+        c = nodes[live, axis[box]] - mid[box]
+        key *= 3
+        key[live] += np.where((side >= LEAF)[box], np.where(c == 0, 2, c > 0), 0)
+        lo, hi = lo.repeat(2, axis=0), hi.repeat(2, axis=0)
+        hi[2 * b, axis], lo[2 * b + 1, axis] = mid - 1, mid + 1
+        keep = (side >= LEAF)[box] & (c != 0)
+        live, box = live[keep], (2 * box + (c > 0))[keep]
+    return np.argsort(key, kind="stable")
+
+
 class _Jacobian:
-    """The Newton Jacobians of one solve. Each arm of d_ij and d_i links an
-    interior row to the interior column it reaches, no (row, col) pair twice,
-    so the CSC structure and the (arm, row) weight of each entry are laid out
-    once. The first factorization orders the unknowns by minimum degree
-    (`_factor`); every later Jacobian is laid out in that order, factored as is."""
+    """The Newton Jacobians of one solve, rows and columns in the dissection
+    order of the interior nodes (`order`; `rank` is its inverse), so SuperLU
+    factors each as it comes. Each arm of d_ij and d_i links an interior row
+    to the interior column it reaches, no (row, col) pair twice, so the CSC
+    structure and the (arm, node) weight of each entry are laid out once."""
 
     def __init__(self, grid):
         st, n = grid.stencil, grid.dim
-        self.grid, self.size = grid, int((grid.mask == INTERIOR).sum())
+        self.grid, self.order = grid, _dissection_order(grid.interior_nodes())
+        self.size, self.rank = len(self.order), np.argsort(self.order)
         unknown = np.full(grid.shape, -1)
-        unknown[grid.mask == INTERIOR] = np.arange(self.size)
+        unknown[grid.mask == INTERIOR] = self.rank
         unknown = st.pad(unknown, -1)
         self.arms = {o: k for k, o in enumerate(sorted({  # node offset -> arm number
             o for i in range(n) for j in range(i, n)
             for axes in ((i, j), (i,)) for o, _ in difference(axes, n)[0]}))}
         cols = np.stack([st.arm(unknown, o, interior=True) for o in self.arms])
-        fill = np.flatnonzero(cols >= 0)  # flat (arm, row) of each entry
-        self.perm = None
-        self._lay_out(fill, fill % self.size, cols.ravel()[fill])
-
-    def _lay_out(self, fill, rows, cols):  # entries at (rows, cols) take weights[fill]
-        S = sp.csc_matrix((fill + 1, (rows, cols)), shape=(self.size,) * 2)
+        fill = np.flatnonzero(cols >= 0)  # flat (arm, node) of each entry
+        S = sp.csc_matrix((fill + 1, (self.rank[fill % self.size], cols.ravel()[fill])),
+                          shape=(self.size,) * 2)
         self.indices, self.indptr, self.fill = S.indices, S.indptr, S.data - 1
 
     def assemble(self, H, drift, side):
@@ -160,24 +176,7 @@ class _Jacobian:
 
     def solve(self, J, rhs):
         """Solve J x = rhs for an assembled Jacobian, with x and rhs in node order."""
-        if self.perm is None:  # the solve's first Jacobian fixes the order
-            lu = _factor(J)
-            x, self.perm = lu.solve(rhs), lu.perm_c.copy()  # perm_c is a view that holds lu
-            del lu  # freed first, so the new layout can reuse its memory
-            cols = self.perm.repeat(np.diff(self.indptr))
-            self._lay_out(self.fill, self.perm[self.indices], cols)
-            return x
-        lu = splu(J, permc_spec="NATURAL", **_LU_OPTIONS)
-        return lu.solve(rhs[np.argsort(self.perm)])[self.perm]
-
-
-def _factor(J):
-    """Sparse LU of a Newton Jacobian or the lift's Laplace matrix. Their
-    stencils give a symmetric pattern with a large diagonal, so the columns
-    are ordered by minimum degree on A + A^T in SuperLU's symmetric mode;
-    the pivot threshold keeps partial pivoting, since the dual-side drift
-    term makes J nonsymmetric."""
-    return splu(J, permc_spec="MMD_AT_PLUS_A", **_LU_OPTIONS)
+        return splu(J, permc_spec="NATURAL", **_LU_OPTIONS).solve(rhs[self.order])[self.rank]
 
 
 def _harmonic_lift(jacobian, collar_idx, collar_vals):
@@ -190,7 +189,7 @@ def _harmonic_lift(jacobian, collar_idx, collar_vals):
     laplace = jacobian.assemble(np.broadcast_to(np.eye(n), H.shape),
                                 DriftCoefficients.zero(n), PRIMAL).copy()
     laplace.eliminate_zeros()  # mixed-stencil entries of an identity Hessian
-    lift[grid.mask == INTERIOR] = _factor(laplace).solve(-np.trace(H, axis1=1, axis2=2))
+    lift[grid.mask == INTERIOR] = jacobian.solve(laplace, -np.trace(H, axis1=1, axis2=2))
     return lift
 
 
@@ -205,11 +204,9 @@ def _newton_core(jacobian, values, drift, side, config):
     rnorm = float(np.abs(r).max())
     history = [rnorm]
     halvings = 0
-    it = 0
-    while rnorm > config.residual_tol and it < config.max_newton_iters:
+    while rnorm > config.residual_tol and len(history) <= config.max_newton_iters:
         delta = jacobian.solve(jacobian.assemble(H, drift, side), -r)
         lam = 1.0
-        accepted = False
         while lam >= MIN_STEP:
             trial = values.copy()
             trial[grid.mask == INTERIOR] += lam * delta
@@ -218,18 +215,16 @@ def _newton_core(jacobian, values, drift, side, config):
                 r_try_norm = float(np.abs(r_try).max())
                 if r_try_norm < rnorm:
                     values, r, H, rnorm = trial, r_try, H_try, r_try_norm
-                    accepted = True
                     break
             lam *= DAMPING
             halvings += 1
-        if not accepted:
+        else:  # no trial step was accepted
             if mindet < DET_FLOOR:
                 raise ConvexityError("Newton step lost Hessian positivity at the damping floor",
                                      residual=rnorm, history=history)
             raise ConvergenceError("damping floor reached without residual decrease",
                                    residual=rnorm, history=history)
         history.append(rnorm)
-        it += 1
     if rnorm > config.residual_tol:
         raise ConvergenceError("Newton iteration cap reached",
                                residual=rnorm, history=history)

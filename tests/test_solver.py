@@ -12,8 +12,8 @@ from malab.oracles import (DUAL, AffineImageOracle, DriftCoefficients, DualLog, 
                            Quadratic)
 import malab.solver
 from malab.geometry import cholesky
-from malab.solver import (SolverConfig, _factor, _Jacobian, _log_residual, newton_solve,
-                          residual_field)
+from malab.solver import (_LU_OPTIONS, LEAF, SolverConfig, _dissection_order, _Jacobian,
+                          _log_residual, newton_solve, residual_field)
 
 from conftest import last_pivot
 
@@ -279,60 +279,112 @@ class TestJacobian:
 
         eps = 1e-7
         fd = (residual(eps) - residual(-eps)) / (2 * eps)
-        J = _Jacobian(g).assemble(_log_residual(g, u, drift, side, 0.0)[1], drift, side)
-        assert np.linalg.norm(J @ delta - fd) <= 1e-6 * np.linalg.norm(fd)
+        jac = _Jacobian(g)  # J comes in dissection order: compare in node order
+        J = jac.assemble(_log_residual(g, u, drift, side, 0.0)[1], drift, side)
+        assert np.linalg.norm((J @ delta[jac.order])[jac.rank] - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def drifted_jacobian(g, d0, d):
+    """A dual-side Jacobian on g, at a convex potential whose FD Hessians
+    have off-diagonal entries, and its _Jacobian."""
+    x = g.points()
+    u = 0.5 * (x**2).sum(axis=-1) + 0.25 * x[..., 0] * x[..., 1] + 0.1 * np.exp(x[..., 0])
+    if g.dim == 3:
+        u += 0.15 * x[..., 0] * x[..., 2] + 0.1 * x[..., 1] * x[..., 2]
+    jac = _Jacobian(g)
+    H = g.stencil.hessian(g.stencil.pad(u), interior=True)
+    return jac.assemble(H, DriftCoefficients(d0, np.array(d)), DUAL), jac
+
+
+def lu_fill(J, order):
+    lu = splu(J, permc_spec=order, **_LU_OPTIONS)
+    return lu.L.nnz + lu.U.nnz
+
+
+def recursive_dissection(idx, nodes, lo, hi):
+    """Reference for `_dissection_order`, one call per box: split [lo, hi] at
+    the middle index of its longest side; the halves, then the separator."""
+    a = np.argmax(hi - lo)
+    if len(idx) == 0 or hi[a] - lo[a] + 1 < LEAF:
+        return list(idx)
+    mid, c = lo[a] + (hi[a] - lo[a] + 1) // 2, nodes[idx, a]
+    first_hi, second_lo = hi.copy(), lo.copy()
+    first_hi[a], second_lo[a] = mid - 1, mid + 1
+    return (recursive_dissection(idx[c < mid], nodes, lo, first_hi)
+            + recursive_dissection(idx[c > mid], nodes, second_lo, hi) + list(idx[c == mid]))
 
 
 class TestFactor:
-    def test_later_jacobians_come_out_in_the_first_order(self):
-        """After the first factorization the unknowns are renumbered by its
-        column order: a later Jacobian is the first one permuted, entry for
-        entry, and in its natural order it factors with the same fill and
-        the same solution."""
+    """The nested dissection order is pinned by counts, the LU fill and the
+    zero blocks between separated halves, not by a time."""
+
+    def test_jacobian_is_laid_out_in_dissection_order(self):
+        """Rows and columns follow the dissection order: in node order each
+        entry links stencil neighbours, a second assembly gives the same
+        matrix, and `solve` takes and returns node order."""
         g = Grid.build(Ball(np.zeros(2), 1.0), 33)
-        x = g.points()
-        u = 0.5 * (x**2).sum(axis=-1) + 0.25 * x[..., 0] * x[..., 1] + 0.1 * np.exp(x[..., 0])
-        d0, d = BALL_DRIFTS[3]
-        drift = DriftCoefficients(d0, np.array(d))
-        H = g.stencil.hessian(g.stencil.pad(u), interior=True)
-        jac = _Jacobian(g)
-        J = jac.assemble(H, drift, DUAL)
+        J, jac = drifted_jacobian(g, *BALL_DRIFTS[3])
         assert J.has_canonical_format
-        b = np.cos(np.arange(J.shape[0]))
-        x1 = jac.solve(J, b)
-        lu = _factor(J)
-        assert np.array_equal(jac.perm, lu.perm_c)
-        assert jac.perm.base is None  # a view of perm_c would keep the first LU alive
-        Jp = jac.assemble(H, drift, DUAL)
-        assert Jp.has_canonical_format and Jp.nnz == J.nnz
-        assert np.array_equal(Jp.toarray()[np.ix_(jac.perm, jac.perm)], J.toarray())
-        natural = splu(Jp, permc_spec="NATURAL", diag_pivot_thresh=0.1,
-                       options=dict(SymmetricMode=True))
-        assert natural.L.nnz + natural.U.nnz == lu.L.nnz + lu.U.nnz
-        x2 = jac.solve(Jp, b)
-        assert np.abs(x2 - x1).max() <= 1e-12 * np.abs(x1).max()
+        assert np.array_equal(np.sort(jac.order), np.arange(jac.size))
+        assert np.array_equal(jac.order[jac.rank], np.arange(jac.size))
+        assert abs(J - drifted_jacobian(g, *BALL_DRIFTS[3])[0]).max() == 0.0
+        in_nodes = J[jac.rank][:, jac.rank].tocoo()
+        nodes = g.interior_nodes()
+        assert np.abs(nodes[in_nodes.row] - nodes[in_nodes.col]).max() == 1
+        b = np.cos(np.arange(jac.size))
+        assert np.linalg.norm(in_nodes @ jac.solve(J, b) - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_fill_of_a_drifted_ball_jacobian(self):
-        """The ordering is pinned by a count, the LU fill, not by a time: on a
-        ball Jacobian at 97 with the strongest benchmark drift, minimum degree
-        on A + A^T in symmetric mode stores at most 0.7x the factors of
-        SuperLU's default ordering, and still solves to rounding."""
-        g = Grid.build(Ball(np.zeros(2), 1.0), 97)
-        x = g.points()
-        u = 0.5 * (x**2).sum(axis=-1) + 0.25 * x[..., 0] * x[..., 1] + 0.1 * np.exp(x[..., 0])
+        """On a ball Jacobian at 97 with the strongest benchmark drift, the
+        dissection order stores at most 0.7x the factors of SuperLU's default
+        ordering of the node-order matrix, and still solves to rounding."""
         angle = np.pi / 8 + 3 * np.pi / 2
-        drift = DriftCoefficients(-0.225, 1.8125 * np.array([np.cos(angle), np.sin(angle)]))
-        J = _Jacobian(g).assemble(g.stencil.hessian(g.stencil.pad(u), interior=True), drift, DUAL)
+        g = Grid.build(Ball(np.zeros(2), 1.0), 97)
+        J, jac = drifted_jacobian(g, -0.225, 1.8125 * np.array([np.cos(angle), np.sin(angle)]))
         assert abs(J - J.T).max() > 1.0  # the drift makes J nonsymmetric
-        lu, default = _factor(J), splu(J)
+        lu = splu(J, permc_spec="NATURAL", **_LU_OPTIONS)
+        default = splu(J[jac.rank][:, jac.rank].tocsc())
         assert lu.L.nnz + lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
-        b = J @ np.cos(np.arange(J.shape[0]))
+        b = J @ np.cos(np.arange(jac.size))
         assert np.linalg.norm(J @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_fill_of_a_3d_jacobian(self):
+        """In 3-D the separators are planes: at 15^3 the dissection order
+        stores at most 0.75x the factors of minimum degree on A + A^T."""
+        J, _ = drifted_jacobian(Grid.build(Box([-1] * 3, [1] * 3), 15), 0.1, (0.8, -0.5, 0.3))
+        assert lu_fill(J, "NATURAL") <= 0.75 * lu_fill(J, "MMD_AT_PLUS_A")
+
+    @pytest.mark.parametrize("domain, res", [(Ball(np.zeros(2), 1.0), 33), (BOX, (33, 65)),
+                                             (Ball(np.zeros(3), 1.0), 15)],
+                             ids=["ball", "box", "ball-3d"])
+    def test_order_matches_recursive_reference(self, domain, res):
+        nodes = Grid.build(domain, res).interior_nodes()
+        ref = recursive_dissection(np.arange(len(nodes)), nodes, nodes.min(axis=0),
+                                   nodes.max(axis=0))
+        assert np.array_equal(_dissection_order(nodes), ref)
+
+    @pytest.mark.parametrize("domain, res", [(Ball(np.zeros(2), 1.0), 33),
+                                             (Box([-1] * 3, [1] * 3), 15)], ids=["2d", "3d"])
+    def test_top_level_separator(self, domain, res):
+        """The first split halves the nodes' bounding box across its longest
+        side: the order lists one half, the other, then the separator, and J
+        has no entry between the halves, while the separator reaches both."""
+        g = Grid.build(domain, res)
+        J, jac = drifted_jacobian(g, 0.1, (0.8, -0.5, 0.3)[:g.dim])
+        nodes = g.interior_nodes()
+        lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+        a = np.argmax(hi - lo)
+        half = np.sign(nodes[jac.order, a] - (lo[a] + (hi[a] - lo[a] + 1) // 2))  # 0: separator
+        k1, k2 = (half == -1).sum(), (half != 0).sum()
+        assert np.array_equal(half, np.repeat([-1, 1, 0], [k1, k2 - k1, half.size - k2]))
+        assert J[:k1, k1:k2].nnz == J[k1:k2, :k1].nnz == 0
+        assert J[:k1, k2:].nnz > 0 and J[k1:k2, k2:].nnz > 0
 
 
 class TestOrderOncePerSolve:
-    """Each solve orders its Jacobian by minimum degree once; every other
-    Jacobian is factored in the order that one fixed. Pinned by counts."""
+    """Each solve orders its unknowns once, by nested dissection, before any
+    factorization: every LU, the lift's Laplace matrix first, is taken in
+    its natural order. Pinned by counts."""
 
     @pytest.fixture
     def orders(self, monkeypatch):
@@ -350,8 +402,7 @@ class TestOrderOncePerSolve:
     def test_ball_drifts(self, k, counts, orders):
         u, rep = ball_solve(Grid.build(Ball(np.zeros(2), 1.0), 65), k)
         assert (rep.total_iterations, rep.rejected_steps) == counts
-        # the lift's Laplace LU, then the first Jacobian
-        assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * (rep.total_iterations - 1)
+        assert orders == ["NATURAL"] * (rep.total_iterations + 1)  # the lift's LU, then J
 
     def test_rotated_duallog_legs(self, orders):
         rot, drift = rotated_duallog()
@@ -359,7 +410,7 @@ class TestOrderOncePerSolve:
         u, rep = newton_solve(g, drift, lambda p: float(rot.value(p)),
                               SolverConfig(residual_tol=1e-11))
         assert (rep.continuation_steps, rep.total_iterations, rep.rejected_steps) == (1, 10, 2)
-        assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * (rep.total_iterations - 1)
+        assert orders == ["NATURAL"] * (rep.total_iterations + 1)
 
     def test_same_inputs_same_bytes(self):
         """No order outlives its solve: a rerun on the same grid object and a
