@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import AffineMap, direction_fan
+from .domains import direction_fan
 from .errors import CounterexampleError, DomainError, PreconditionError, Report, WindowError
 from .geometry import (fd_step, grid_invariants, grid_phi_inequality_fields, invariants,
                        metric_laplacian, pde_residual, phi_inequality_residual, phi_rule,
@@ -114,7 +114,7 @@ def identity_suite(potential, probes, drift=None):
     inv = invariants(H, T, side)
     Hi, glr, gld = inv["Ginv"], inv["grad_logrho"], inv["grad_logdet"]
     rho, phi = inv["rho"], inv["Phi"]
-    scaled = AffineImageOracle(potential, AffineMap(np.eye(n), np.zeros(n)), scale=SCALE_FACTOR)
+    scaled = AffineImageOracle(potential, scale=SCALE_FACTOR)
     phi_new = invariants(scaled.hessian(probes), scaled.third(probes), side)["Phi"]
     rho_hess = fd_hessian(rho_value_rule(potential, side), probes, fd_step(probes))
 

@@ -242,10 +242,6 @@ class AffineMap(Report):
             raise DomainError("affine map is singular")
         object.__setattr__(self, "inv_linear", np.linalg.inv(A))
 
-    @property
-    def dim(self):
-        return len(self.offset)
-
     def apply(self, x):
         return np.asarray(x, dtype=float) @ self.linear.T + self.offset
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import AffineMap
 from .errors import DomainError, Report
 
 PRIMAL = "primal"
@@ -144,8 +145,6 @@ class ExpSolution(FieldOracle):
     """f(x) = exp(x1) + q sum_{i>=2} x_i^2; solves the primal equation with
     d = (1,0,...,0) and d0 = (n-1) ln(2q)."""
 
-    side = PRIMAL
-
     def __init__(self, n, quad_coeff=1.0, name="expsolution"):
         if n < 2:
             raise DomainError("need n >= 2")
@@ -244,55 +243,6 @@ class DualLog(FieldOracle):
 # wrappers
 
 
-class TangentShiftedOracle(FieldOracle):
-    """base - [base(p) + grad base(p).(x - p)]: zero minimum at p.
-
-    Keeps the Hessian and third derivatives of the base potential, so it
-    solves the same equation up to a shifted d0 on the dual side.
-    """
-
-    def __init__(self, base, p):
-        self.base = base
-        self.n = base.n
-        self.side = base.side
-        self.p = np.asarray(p, dtype=float)
-        self.name = base.name + "_shifted"
-        self._v0 = float(base.value(self.p))
-        self._g0 = base.gradient(self.p)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.base.value(x) - self._v0 - (x - self.p) @ self._g0
-
-    def gradient(self, x):
-        return self.base.gradient(x) - self._g0
-
-    def hessian(self, x):
-        return self.base.hessian(x)
-
-    def third(self, x):
-        return self.base.third(x)
-
-    def contains(self, x):
-        return self.base.contains(x)
-
-    def drift(self):
-        base = self.base.drift()
-        if base is not None and self.side == DUAL:
-            # det D^2 u unchanged; grad u shifted by -g0
-            return DriftCoefficients(base.d0 + float(base.d @ self._g0), base.d)
-        return base
-
-    def domain_note(self):
-        return self.base.domain_note()
-
-
-def normalize_at(oracle, p):
-    """Apply the standard reduction: subtract the tangent plane at p so the
-    potential has minimum value 0 there."""
-    return TangentShiftedOracle(oracle, p)
-
-
 def _pull_back(S, B, order):
     """S_{a..c} B_ai .. B_ck, summed over the `order` trailing axes of S: one
     (P n^(order-1), n) @ (n, n) product per axis, whose result axis is then
@@ -303,38 +253,72 @@ def _pull_back(S, B, order):
 
 
 class AffineImageOracle(FieldOracle):
-    """w(y) = base(T^{-1} y) / scale for an invertible AffineMap T.
+    """w(y) = [base(x) - base(p) - grad base(p).(x - p)] / scale at x = T^{-1} y:
+    the tangent shift at p, the rescaling u -> u/scale and the blow-up's
+    John-normalized sections in one wrapper, with exact chain-rule derivatives
+    (see _pull_back). No map T skips the pull-back; no p subtracts nothing."""
 
-    This realizes the rescaled, John-normalized potentials of the blow-up
-    construction with exact chain-rule derivatives (see _pull_back).
-    """
-
-    def __init__(self, base, affine_map, scale=1.0, name=None):
+    def __init__(self, base, affine_map=None, scale=1.0, p=None, name=None):
         self.base = base
         self.map = affine_map
         self.scale = float(scale)
+        self.p = None if p is None else np.asarray(p, dtype=float)
         self.n = base.n
         self.side = base.side
         self.name = name or (base.name + "_affine")
-        self._B = affine_map.inv_linear  # x = B (y - t)
+        if p is not None:
+            self._v0 = float(base.value(self.p))
+            self._g0 = base.gradient(self.p)
+
+    def _x(self, y):
+        return np.asarray(y, dtype=float) if self.map is None else self.map.apply_inverse(y)
+
+    def _image(self, S, order):
+        if self.map is not None:
+            S = _pull_back(S, self.map.inv_linear, order)  # x = B (y - t)
+        return S if self.scale == 1.0 else S / self.scale  # no copy for a bare shift
 
     def value(self, y):
-        return self.base.value(self.map.apply_inverse(y)) / self.scale
+        x = self._x(y)
+        v = self.base.value(x)
+        return self._image(v if self.p is None else v - self._v0 - (x - self.p) @ self._g0, 0)
 
     def gradient(self, y):
-        return _pull_back(self.base.gradient(self.map.apply_inverse(y)), self._B, 1) / self.scale
+        g = self.base.gradient(self._x(y))
+        return self._image(g if self.p is None else g - self._g0, 1)
 
     def hessian(self, y):
-        return _pull_back(self.base.hessian(self.map.apply_inverse(y)), self._B, 2) / self.scale
+        return self._image(self.base.hessian(self._x(y)), 2)
 
     def third(self, y):
-        return _pull_back(self.base.third(self.map.apply_inverse(y)), self._B, 3) / self.scale
+        return self._image(self.base.third(self._x(y)), 3)
 
     def contains(self, y):
-        return self.base.contains(self.map.apply_inverse(y))
+        return self.base.contains(self._x(y))
+
+    def drift(self):
+        """The base drift carried through x = B (y - t), A = B^{-1}, and the
+        scale s: (B^T d, d0 - d.B t - 2 ln|det A| - n ln s) on the primal side,
+        (s A d, d0 + d.grad base(p) + 2 ln|det A| + n ln s) on the dual side."""
+        base = self.base.drift()
+        if base is None or self.scale <= 0:
+            return None
+        T = self.map or AffineMap(np.eye(self.n), np.zeros(self.n))
+        log_jac = 2.0 * np.linalg.slogdet(T.linear)[1] + self.n * np.log(self.scale)
+        if self.side == PRIMAL:
+            d0 = base.d0 - float(base.d @ T.inv_linear @ T.offset) - log_jac
+            return DriftCoefficients(d0, T.inv_linear.T @ base.d)
+        shift = 0.0 if self.p is None else float(base.d @ self._g0)
+        return DriftCoefficients(base.d0 + shift + log_jac, self.scale * (T.linear @ base.d))
 
     def domain_note(self):
-        return "affine image of " + self.base.domain_note()
+        return ("" if self.map is None else "affine image of ") + self.base.domain_note()
+
+
+def normalize_at(oracle, p):
+    """Apply the standard reduction: subtract the tangent plane at p so the
+    potential has minimum value 0 there."""
+    return AffineImageOracle(oracle, p=p, name=oracle.name + "_shifted")
 
 
 # ---------------------------------------------------------------------------

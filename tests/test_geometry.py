@@ -12,7 +12,7 @@ import malab.blowup
 import malab.checks
 import malab.geometry
 import malab.legendre
-from malab.domains import AffineMap, Ball, Box
+from malab.domains import Ball, Box
 from malab.errors import DegeneracyError, DomainError
 from malab.geometry import (calabi_laplacian, geometry_sample, grid_invariants,
                             grid_xx_hessian_logrho, invariants, pde_residual,
@@ -120,7 +120,7 @@ def test_u_over_c_scaling_law(n, kind, C, x):
          "exp": ExpSolution(n), "log": DualLog(n)}[kind]
     x = np.array(x[:n])
     x[0] += 1.5 if kind == "log" else 0.0  # DualLog lives on x1 > 0
-    w = AffineImageOracle(u, AffineMap(np.eye(n), np.zeros(n)), scale=C)
+    w = AffineImageOracle(u, scale=C)
     a = invariants(u.hessian(x), u.third(x), u.side)
     b = invariants(w.hessian(x), w.third(x), w.side)
     primal = u.side == "primal"

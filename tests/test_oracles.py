@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from malab.checks import identity_suite
 from malab.domains import AffineMap
-from malab.errors import DomainError
+from malab.errors import DomainError, PreconditionError
 from malab.geometry import pde_residual
 from malab.oracles import (DUAL, PRIMAL, AffineImageOracle, DriftCoefficients, DualLog,
                            ExpSolution, Quadratic, catalog, normalize_at)
@@ -39,7 +42,7 @@ def test_duallog_pde_gate(n, rng):
 def test_concave_potential_fails_pde_residual():
     """-|x|^2/2 in 2-D has det D^2 = +1 but is not convex: the residual
     refuses it rather than reading 0."""
-    concave = AffineImageOracle(Quadratic.unit(2), AffineMap(np.eye(2), np.zeros(2)), scale=-1.0)
+    concave = AffineImageOracle(Quadratic.unit(2), scale=-1.0)
     with pytest.raises(DomainError):
         pde_residual(concave, np.zeros((3, 2)), DriftCoefficients.zero(2))
 
@@ -97,6 +100,47 @@ def test_normalize_at_shifts_minimum():
     assert np.abs(pde_residual(u, pts, u.drift())).max() < 1e-12
     # and the minimum is global on a probe set
     assert (u.value(pts) >= -1e-12).all()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["quadratic", "sqnorm", "expsolution", "duallog"])
+@given(entries=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+       offset=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       scale=st.floats(0.05, 20.0), seed=st.integers(0, 2**16))
+def test_affine_image_drift(name, n, entries, offset, scale, seed):
+    """The image of a fixture under an invertible affine map, a scale and the
+    tangent shift at a point solves the equation with the drift it publishes,
+    and moving that drift's d0 by 1% (of max(1, |d0|)) fails the identity
+    suite's PDE gate. The scale alone gives (d, d0 - n ln C) on the primal
+    side and (C d, d0 + n ln C) on the dual side, exactly."""
+    L = np.reshape(entries[:n * n], (n, n))
+    # log det of a pulled-back Hessian loses about cond(L)^2 ulps
+    assume(abs(np.linalg.det(L)) >= 0.3 and np.linalg.cond(L) < 20.0)
+    u = catalog(n)[name]
+    xs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(21, n))
+    xs[:, 0] += 1.5 if u.side == DUAL else 0.0  # DualLog lives on x1 > 0
+    T = AffineMap(L, np.array(offset[:n]))
+    w = AffineImageOracle(u, T, scale=scale, p=xs[0])
+    probes, drift = T.apply(xs[1:]), w.drift()
+    assert np.abs(pde_residual(w, probes, drift)).max() <= 1e-12
+    moved = DriftCoefficients(drift.d0 + 0.01 * max(1.0, abs(drift.d0)), drift.d)
+    with pytest.raises(PreconditionError, match="PDE residual gate"):
+        identity_suite(w, probes, moved)
+
+    d, scaled = u.drift(), AffineImageOracle(u, scale=scale).drift()
+    if u.side == DUAL:
+        assert scaled.d0 == d.d0 + n * np.log(scale) and np.array_equal(scaled.d, scale * d.d)
+    else:
+        assert scaled.d0 == d.d0 - n * np.log(scale) and np.array_equal(scaled.d, d.d)
+
+
+def test_affine_image_drift_needs_a_base_drift_and_positive_scale():
+    class NoDrift(Quadratic):
+        def drift(self):
+            return None
+
+    assert AffineImageOracle(Quadratic.unit(2), scale=-1.0).drift() is None
+    assert AffineImageOracle(NoDrift(np.eye(2)), scale=2.0).drift() is None
 
 
 def test_catalog_contents():

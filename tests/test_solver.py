@@ -8,8 +8,8 @@ from scipy.sparse.linalg import splu
 from malab.domains import AffineMap, Ball, Box
 from malab.errors import ConvergenceError, ConvexityError
 from malab.grids import Grid, INTERIOR, GridFunction, sample_oracle
-from malab.oracles import (DUAL, AffineImageOracle, DriftCoefficients, DualLog, ExpSolution,
-                           Quadratic)
+from malab.oracles import (DUAL, PRIMAL, AffineImageOracle, DriftCoefficients, DualLog,
+                           ExpSolution, Quadratic)
 import malab.solver
 from malab.geometry import cholesky
 from malab.solver import (_LU_OPTIONS, LEAF, SolverConfig, _dissection_order, _Jacobian,
@@ -35,8 +35,8 @@ def rotated_duallog(degrees=30.0):
     equation with drift R d. Its leading truncation errors do not cancel."""
     th = np.radians(degrees)
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    d = DL.drift()
-    return AffineImageOracle(DL, AffineMap(R, np.zeros(2))), DriftCoefficients(d.d0, R @ d.d)
+    rot = AffineImageOracle(DL, AffineMap(R, np.zeros(2)))
+    return rot, rot.drift()
 
 
 # the four solve-ball drifts of seed 1, as (d0, d)
@@ -454,6 +454,28 @@ class TestProperties:
         v2 = np.flip(u2.values, axis=0).T
         assert np.nanmax(np.abs(v1 - v2)) <= 1e-9
 
+    @pytest.mark.parametrize("side", [DUAL, PRIMAL])
+    @pytest.mark.parametrize("law", ["scale", "tangent_shift"])
+    def test_wrapper_covariance(self, law, side):
+        """Solving with the drift and data of u/3, or of u minus its tangent
+        plane at an interior node, gives the same map of the base solve to
+        rounding, along the same Newton path: the wrapper's drift law and the
+        discrete scheme agree exactly."""
+        u, box = ((DL, Box([0.6, -0.5], [1.6, 0.5])) if side == DUAL
+                  else (ExpSolution(2), Box([-1, -1], [1, 1])))
+        g = Grid.build(box, 33)
+        base, base_rep = newton_solve(g, u.drift(), lambda q: float(u.value(q)), side=side)
+        x, p = g.points(), g.point((10, 20))
+        if law == "scale":
+            w, want = AffineImageOracle(u, scale=3.0), base.values / 3.0
+        else:
+            w = AffineImageOracle(u, p=p)
+            want = base.values - float(u.value(p)) - (x - p) @ u.gradient(p)
+        image, rep = newton_solve(g, w.drift(), lambda q: float(w.value(q)), side=side)
+        assert np.nanmax(np.abs(image.values - want)) <= 1e-12 * np.nanmax(np.abs(want))
+        assert ((rep.total_iterations, rep.rejected_steps)
+                == (base_rep.total_iterations, base_rep.rejected_steps))
+
     def test_iteration_cap_raises(self):
         g = Grid.build(BOX, (17, 33))
         with pytest.raises(ConvergenceError):
@@ -486,8 +508,7 @@ class TestProperties:
         dl3 = DualLog(3)
         rot = AffineImageOracle(dl3, AffineMap(R, np.zeros(3)))
         g = Grid.build(Box([2.1, -0.5, -0.5], [3.1, 0.5, 0.5]), 15)  # 1.5 < s1 < 3.1
-        u, rep = newton_solve(g, DriftCoefficients(dl3.drift().d0, R @ dl3.drift().d),
-                              lambda p: float(rot.value(p)))
+        u, rep = newton_solve(g, rot.drift(), lambda p: float(rot.value(p)))
         H = u.hessian_field()[g.mask == INTERIOR]
         assert np.abs(H[:, [0, 0, 1], [1, 2, 2]]).min() >= 1e-2
         # 1.2e-6 here; a Cholesky factor without its mixed L_21 term gives 3.2e-4
