@@ -10,9 +10,9 @@ from .oracles import (DriftCoefficients, DualLog, ExpSolution, FieldOracle,
 from .solver import SolverConfig, SolverReport, newton_solve, residual_field
 from .geometry import (GeometrySample, calabi_laplacian, geometry_sample,
                        pde_residual, structure_residuals)
-from .checks import (BarrierConstants, CheckReport, det_barrier_probe,
-                     identity_suite, phi_barrier_ladder, phi_inequality_check,
-                     section_functionals)
-from .blowup import BlowupReport, SectionData, extract_section, run_blowup
+from .checks import (BarrierConstants, CheckReport, SectionData, det_barrier_probe,
+                     extract_section, identity_suite, phi_barrier_ladder,
+                     phi_inequality_check, section_functionals)
+from .blowup import BlowupReport, run_blowup
 
 __version__ = "0.1.0"

@@ -15,48 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import (SECTION_RAYS, BarrierConstants, barrier_functionals,
-                     require_normalized, section_sample, trace_ray)
-from .domains import Polytope, direction_fan, normalize_domain
-from .errors import PreconditionError, Report, UnboundedSectionError
+from .checks import (BarrierConstants, barrier_functionals, extract_section,
+                     require_normalized, section_probes, section_sample)
+from .domains import direction_fan
+from .errors import Report
 from .geometry import phi_rule
-from .oracles import AffineImageOracle
 
 NORMAL_DIRECTIONS = 64   # directions of the normal-mapping coverage check
 COVERAGE_MARGIN = 1e-3   # a covered direction's probe sits this far below 1/2
-
-
-@dataclass
-class SectionData(Report):
-    p: np.ndarray
-    C: float
-    support_points: np.ndarray
-    map: object                 # AffineMap sending the section MVEE to B(0,1)
-    normalized_potential: object = field(repr=False)
-    level_defect: float
-
-
-def extract_section(u, p, C):
-    """Boundary of {u < C} by ray bisection, plus its John normalization.
-
-    Raises UnboundedSectionError when a ray leaves the oracle's domain
-    before reaching the level.
-    """
-    p = require_normalized(u, p)
-    dirs = direction_fan(u.n, SECTION_RAYS[u.n])
-    pts, kinds = trace_ray(u, p, dirs, C, window=None, rel_tol=1e-9)
-    if (kinds != "level").any():
-        raise UnboundedSectionError(
-            "section ray leaves the domain before the level",
-            direction=dirs[np.argmax(kinds != "level")].tolist(), level=C)
-    defect = float(np.abs(u.value(pts) - C).max())
-    if defect > 1e-6 * max(C, 1e-12):
-        raise PreconditionError("section boundary located too coarsely",
-                                defect=defect)
-    T = normalize_domain(Polytope(pts))
-    w = AffineImageOracle(u, T, scale=C, name=f"{u.name}_section_{C:g}")
-    return SectionData(p=p, C=float(C), support_points=pts, map=T,
-                       normalized_potential=w, level_defect=defect)
 
 
 @dataclass
@@ -91,17 +57,6 @@ class BlowupReport(Report):
     records: list = field(default_factory=list)
 
 
-def _normalized_probes(w, probes_per_axis):
-    """Probes of the unit-ball bounding box with w finite, as (pts, values)."""
-    n = w.n
-    axes = [np.linspace(-1.0, 1.0, probes_per_axis)] * n
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    keep = w.contains(pts)
-    pts = pts[keep]
-    vals = w.value(pts)
-    return pts, vals
-
-
 def _normal_map_coverage(pts, vals):
     """Check the gradient image of {w < 1/2} covers the sphere of radius
     1/(2R), where {w < 1/2} sits inside the ball of radius R/2 about 0."""
@@ -122,19 +77,17 @@ def run_blowup(u, p, ladder, probes_per_axis=161):
     suprema of the barrier functionals over the half-section, and the
     normal-mapping ball coverage."""
     p = require_normalized(u, p)
-    n = u.n
     ladder = sorted(float(C) for C in ladder)
-    phi_base = float(phi_rule(u, u.side)(np.asarray(p, dtype=float)))
+    phi_base = float(phi_rule(u, u.side)(p))
 
     sections = [extract_section(u, p, C) for C in ladder]
-    lattices = [_normalized_probes(sec.normalized_potential, probes_per_axis)
-                for sec in sections]
+    probes = [section_probes(sec, probes_per_axis) for sec in sections]
+    lattices = [(y, sec.normalized_potential.value(y)) for sec, y in zip(sections, probes)]
     samples = [section_sample(sec.normalized_potential, pts[vals < 1.0], vals[vals < 1.0])
                for sec, (pts, vals) in zip(sections, lattices)]
-    params = BarrierConstants.fit(n, 1.0, samples)
+    params = BarrierConstants.fit(u.n, 1.0, samples)
 
-    report = BlowupReport(base_point=np.asarray(p, float), phi_base=phi_base,
-                          params=params)
+    report = BlowupReport(base_point=p, phi_base=phi_base, params=params)
     a = params.alpha
     for sec, sample, lattice in zip(sections, samples, lattices):
         w = sec.normalized_potential

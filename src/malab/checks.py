@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import direction_fan
-from .errors import CounterexampleError, DomainError, PreconditionError, Report, WindowError
+from .domains import Polytope, direction_fan, normalize_domain
+from .errors import (CounterexampleError, DomainError, PreconditionError, Report,
+                     UnboundedSectionError, WindowError)
 from .geometry import (fd_step, grid_invariants, grid_phi_inequality_fields, invariants,
                        metric_laplacian, pde_residual, phi_inequality_residual, phi_rule,
                        rho_value_rule, xx_hessian_logrho)
@@ -309,30 +310,62 @@ def trace_ray(u, p, directions, C, window=None, rel_tol=1e-8):
     return p + t[:, None] * D, kinds
 
 
-def section_probes(u, p, C, window, probes_per_axis=201, allow_clipped=False):
-    """Dense probe set of the sublevel section {u < C}.
+@dataclass
+class SectionData(Report):
+    p: np.ndarray
+    C: float
+    support_points: np.ndarray
+    map: object                 # AffineMap sending the section MVEE to B(0,1)
+    normalized_potential: object = field(repr=False)
+    level_defect: float         # worst |u - C| on the level rays: at most 1e-6 C (trace_ray)
+    clipped_ends: np.ndarray    # ends of the rays that leave the window or domain below C
 
-    Rays from p locate the section boundary by bisection; rays that leave
-    the window or the oracle domain before the level mark the section as
-    clipped (an error unless allow_clipped). Returns (points, values,
-    clipped_rays).
+
+def extract_section(u, p, C, window=None, allow_clipped=False):
+    """Boundary of {u < C} by ray bisection, plus its John normalization.
+
+    A ray that leaves the window box or the oracle's domain below the level
+    clips the section and ends there (clipped_ends): WindowError with a
+    window, UnboundedSectionError without, unless allow_clipped.
     """
     p = require_normalized(u, p)
-    n = u.n
-    hits, kinds = trace_ray(u, p, direction_fan(n, SECTION_RAYS[n]), C, window)
-    clipped = int((kinds != "level").sum())
-    if clipped and not allow_clipped:
-        raise WindowError("section is not compactly contained in the window",
-                          clipped_rays=clipped, rays=len(hits))
-    lo_w, hi_w = np.asarray(window[0], float), np.asarray(window[1], float)
-    lo = np.maximum(hits.min(axis=0), lo_w)
-    hi = np.minimum(hits.max(axis=0), hi_w)
-    axes = [np.linspace(lo[i], hi[i], probes_per_axis) for i in range(n)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    pts = pts[u.contains(pts)]
-    vals = u.value(pts)
-    inside = vals < C
-    return pts[inside], vals[inside], clipped
+    dirs = direction_fan(u.n, SECTION_RAYS[u.n])
+    pts, kinds = trace_ray(u, p, dirs, C, window, rel_tol=1e-9)
+    level = kinds == "level"
+    if not (allow_clipped or level.all()):
+        raise (WindowError if window is not None else UnboundedSectionError)(
+            "section ray leaves the window or the domain before the level",
+            clipped_rays=int((~level).sum()), rays=len(pts), level=C)
+    T = normalize_domain(Polytope(pts))
+    w = AffineImageOracle(u, T, scale=C, name=f"{u.name}_section_{C:g}")
+    return SectionData(p=p, C=float(C), support_points=pts, map=T, normalized_potential=w,
+                       level_defect=float(np.abs(u.value(pts[level]) - C).max(initial=0.0)),
+                       clipped_ends=pts[~level])
+
+
+def section_probes(section, probes_per_axis, window=None):
+    """The section's probe lattice in normalized coordinates y = T x: the
+    unit ball's box [-1, 1]^n, where the normalized potential is finite and,
+    given a window box, T^{-1} y lies in the window."""
+    w = section.normalized_potential
+    axes = [np.linspace(-1.0, 1.0, probes_per_axis)] * w.n
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, w.n)
+    keep = w.contains(pts)
+    if window is not None:
+        x = section.map.apply_inverse(pts)
+        keep &= np.all((x >= window[0]) & (x <= window[1]), axis=1)
+    return pts[keep]
+
+
+def _section_points(u, p, C, window, probes_per_axis, allow_clipped):
+    """Probes of {u < C}: its section's lattice mapped back to u's coordinates
+    and every ray end as traced (a sup without a barrier, such as the gradient
+    ratio's, sits on the level), as (points, values, clipped_rays)."""
+    section = extract_section(u, p, C, window, allow_clipped)
+    x = np.vstack([section.map.apply_inverse(section_probes(section, probes_per_axis, window)),
+                   section.support_points])
+    vals = u.value(x)
+    return x[vals < C], vals[vals < C], len(section.clipped_ends)
 
 
 def choose_shift_constant(u_vals, f_vals):
@@ -368,6 +401,11 @@ def section_sample(u, pts, vals):
             "rho": inv["rho"], "phi": inv["Phi"], "trace": np.einsum("kii->k", H)}
 
 
+def phi_barrier(n, C, u_vals, phi):
+    """The Phi-barrier functional exp(-8(n-1)C/(C-u)) Phi on {u < C}."""
+    return np.exp(-8.0 * (n - 1.0) * C / (C - u_vals)) * phi
+
+
 def barrier_functionals(params, sample):
     """Integrands of the barrier functionals over the section
     {u < params.C}, at the probes of a section_sample. Returns a dict of
@@ -378,7 +416,7 @@ def barrier_functionals(params, sample):
     ratio = gradient_ratio(sample["grad"], f_vals, d)
     pw = (d + f_vals) ** (2.0 * n * a / (n + 2.0))
     return {
-        "phi_barrier": np.exp(-params.m_phi / (C - u_vals)) * phi,
+        "phi_barrier": phi_barrier(n, C, u_vals, phi),
         "weighted_phi": np.exp(-params.m_weighted / (C - u_vals)) * rho**a * phi / pw,
         "weighted_barrier": np.exp(-params.m_weighted / (C - u_vals)
                                    + params.epsilon * ratio)
@@ -404,14 +442,13 @@ class SectionFunctionalReport(Report):
 
 
 def section_functionals(u, p, C, window, probes_per_axis=201, allow_clipped=False):
-    """Suprema of the barrier functionals over a dense probe set of {u < C}.
+    """Suprema of the barrier functionals over the probes of {u < C}.
 
     The potential must be normalized at p. The constants are fitted to the
     probes (BarrierConstants.fit): d so |u+f| <= d+f holds, and epsilon so
     the auxiliary exponent H stays below 1/30.
     """
-    pts, uv, clipped = section_probes(u, p, C, window, probes_per_axis,
-                                      allow_clipped=allow_clipped)
+    pts, uv, clipped = _section_points(u, p, C, window, probes_per_axis, allow_clipped)
     sample = section_sample(u, pts, uv)
     params = BarrierConstants.fit(u.n, C, [sample])
     w = barrier_functionals(params, sample)
@@ -425,7 +462,7 @@ def section_functionals(u, p, C, window, probes_per_axis=201, allow_clipped=Fals
         sup_weighted_trace=float(w["weighted_trace"].max()),
         sup_gradient_ratio=float(w["gradient_ratio"].max()),
         argmax_phi_barrier=pts[k], level_fraction_at_argmax=float(uv[k] / C),
-        probe_count=int(len(pts)), clipped_rays=int(clipped))
+        probe_count=int(len(pts)), clipped_rays=clipped)
 
 
 @dataclass
@@ -446,7 +483,8 @@ class LadderReport(Report):
 def phi_barrier_ladder(u, p, levels, window, probes_per_axis=201,
                        allow_clipped=True):
     """sup of the barrier-weighted Phi functional across a ladder of section
-    heights, with the bound constant b calibrated from the first level.
+    heights, probed as section_functionals does, with the bound constant b
+    calibrated from the first level.
 
     The potential is normalized at p, so u >= 0: the weight
     exp(-8(n-1)C/(C-u)) does not decrease as C grows, and the sections
@@ -464,10 +502,10 @@ def phi_barrier_ladder(u, p, levels, window, probes_per_axis=201,
     """
     sups, clipped = [], []
     for C in levels:
-        rep = section_functionals(u, p, C, window, probes_per_axis,
-                                  allow_clipped=allow_clipped)
-        sups.append(rep.sup_phi_barrier)
-        clipped.append(rep.clipped_rays)
+        pts, uv, clipped_rays = _section_points(u, p, C, window, probes_per_axis, allow_clipped)
+        phi = invariants(u.hessian(pts), u.third(pts), u.side)["Phi"]
+        sups.append(float(phi_barrier(u.n, C, uv, phi).max()))
+        clipped.append(clipped_rays)
     b = levels[0] * sups[0]
     decreasing = all(sups[i + 1] < sups[i] for i in range(len(sups) - 1))
     within = all(s <= 2.0 * b / C for s, C in zip(sups, levels))

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from malab.checks import (PDE_GATE_TOL, BarrierConstants, choose_shift_constant,
+from malab.checks import (PDE_GATE_TOL, BarrierConstants, choose_shift_constant, gradient_ratio,
                           identity_suite, det_barrier_constant, det_barrier_probe,
-                          section_functionals, phi_inequality_check, phi_barrier_ladder,
-                          section_probes, trace_ray)
+                          extract_section, section_functionals, phi_inequality_check,
+                          phi_barrier_ladder, section_probes, trace_ray)
 from malab.domains import Ball, Box, direction_fan
 from malab.errors import (CounterexampleError, DomainError, PreconditionError, WindowError)
-from malab.geometry import grid_phi_inequality_fields
+from malab.geometry import grid_phi_inequality_fields, invariants
 from malab.grids import INTERIOR, Grid, box_grid, sample_oracle
 from malab.oracles import (DriftCoefficients, DualLog, ExpSolution, Quadratic,
                            normalize_at)
@@ -179,20 +179,34 @@ class TestSectionMachinery:
             assert np.array_equal(kinds, [kind for _, kind in single])
 
     def test_section_probes_compact_level(self):
+        """The lattice is the unit ball's box in normalized coordinates; mapped
+        back, its probes below the level fill the section and nothing more."""
         u = duallog_normalized()
-        pts, vals, clipped = section_probes(u, [1, 0], 0.3, WINDOW, probes_per_axis=101)
-        assert clipped == 0
-        assert np.array_equal(vals, u.value(pts)) and (vals < 0.3).all()
+        sec = extract_section(u, [1, 0], 0.3, WINDOW)
+        assert len(sec.clipped_ends) == 0
+        y = section_probes(sec, 101, WINDOW)
+        assert 1000 < len(y) <= 101**2 and np.abs(y).max() == 1.0
+        assert np.array_equal(y, section_probes(sec, 101))   # the window cuts nothing
+        pts = sec.map.apply_inverse(y)
+        pts = pts[u.value(pts) < 0.3]
         assert pts[:, 0].min() > 0.3 and pts[:, 0].max() < 1.9
+        assert np.ptp(pts, axis=0) == pytest.approx(np.ptp(sec.support_points, axis=0), rel=0.05)
 
     def test_window_error_when_strict(self):
         u = duallog_normalized()
         with pytest.raises(WindowError):
-            section_probes(u, [1, 0], 2.0, WINDOW, allow_clipped=False)
+            extract_section(u, [1, 0], 2.0, WINDOW, allow_clipped=False)
+        # allowed, the clipped rays end on the window edge s1 = 1e-3, below the level
+        sec = extract_section(u, [1, 0], 2.0, WINDOW, allow_clipped=True)
+        ends = sec.clipped_ends
+        assert len(ends) > 0 and (u.value(ends) < 2.0).all()
+        assert np.abs(ends[:, 0] - 1e-3).max() <= 1e-12
+        x = sec.map.apply_inverse(section_probes(sec, 101, WINDOW))
+        assert (x[:, 0] >= 1e-3).all()
 
     def test_requires_normalized_potential(self):
         with pytest.raises(PreconditionError):
-            section_probes(DualLog(2), [1, 0], 0.3, WINDOW)
+            extract_section(DualLog(2), [1, 0], 0.3, WINDOW)
 
 
 class TestSectionFunctionals:
@@ -225,6 +239,20 @@ class TestSectionFunctionals:
         for k, vals in sups.items():
             spread = (max(vals) - min(vals)) / max(vals)
             assert spread <= 0.01, (k, vals)
+
+    def test_gradient_ratio_sup_reaches_the_level(self):
+        """The gradient ratio carries no barrier and peaks on the level set,
+        where the normalized lattice has no probe: the traced ray ends carry
+        its sup, so epsilon keeps H below 1/30 there too, at any density."""
+        u = duallog_normalized()
+        x = extract_section(u, [1, 0], 0.5, WINDOW).support_points
+        g = u.gradient(x)
+        f = np.einsum("ki,ki->k", x, g) - u.value(x)
+        for ppa in (101, 201):
+            rep = section_functionals(u, [1, 0], 0.5, WINDOW, probes_per_axis=ppa)
+            on_level = gradient_ratio(g, f, rep.params.d).max()
+            assert rep.sup_gradient_ratio >= on_level
+            assert rep.params.epsilon * on_level < 1.0 / 30.0
 
     def test_epsilon_keeps_H_small(self):
         u = duallog_normalized()
@@ -277,6 +305,44 @@ class TestBarrierLadder:
         assert all(s1 >= 0.99 * s0 for s0, s1 in zip(rep.sups, rep.sups[1:]))
         # nested sections keep sup_8 >= sup_1 > 2 b/8: not flat, so not passed
         assert not rep.passed
+
+    @pytest.mark.parametrize("base, p, C, window", [
+        (ExpSolution(2), [0.0, 0.0], 1.0, ([-50.0, -50.0], [50.0, 50.0])),
+        (DualLog(2), [16.0, 0.0], 4.0, ([1e-3, -8.0], [64.0, 8.0])),
+    ], ids=["expsolution", "duallog"])
+    def test_ladder_reads_the_normalized_lattice(self, base, p, C, window):
+        """On a compact rung the ladder's sup is the blow-up's: with
+        w = (u/C) o T^{-1}, Phi_w = C Phi_u and 1 - w = (C - u)/C, so it is
+        (1/C) max exp(-8(n-1)/(1-w)) Phi_w over section_probes of the section."""
+        u = normalize_at(base, np.array(p))
+        window = (np.array(window[0]), np.array(window[1]))
+        rep = phi_barrier_ladder(u, p, [C], window, probes_per_axis=201)
+        assert rep.clipped == [0]
+        sec = extract_section(u, p, C, window)
+        w = sec.normalized_potential
+        y = section_probes(sec, 201, window)
+        wv = w.value(y)
+        y, wv = y[wv < 1.0], wv[wv < 1.0]
+        phi_w = invariants(w.hessian(y), w.third(y), w.side)["Phi"]
+        want = float((np.exp(-8.0 * (w.n - 1.0) / (1.0 - wv)) * phi_w).max()) / C
+        assert rep.sups[0] == pytest.approx(want, rel=1e-9)
+
+    def test_duallog_self_similarity(self):
+        """DualLog normalized at (16, 0) is 16 u_1(s1/16, s2/4), with u_1 the
+        one normalized at (1, 0), so the ladder invariant C sup at C equals
+        u_1's at C/16. Every rung is compact; the two sections' ray fans are
+        not images of each other, so the normalized lattices agree only to
+        probe resolution."""
+        levels = [1.0, 2.0, 4.0, 8.0]
+        big = phi_barrier_ladder(normalize_at(DualLog(2), np.array([16.0, 0.0])), [16, 0],
+                                 levels, (np.array([1e-3, -8.0]), np.array([64.0, 8.0])),
+                                 probes_per_axis=201)
+        small = phi_barrier_ladder(duallog_normalized(), [1, 0], [C / 16.0 for C in levels],
+                                   (np.array([1e-4, -2.0]), np.array([4.0, 2.0])),
+                                   probes_per_axis=201)
+        assert big.clipped == small.clipped == [0, 0, 0, 0]
+        for C, s_big, s_small in zip(levels, big.sups, small.sups):
+            assert C * s_big == pytest.approx(C / 16.0 * s_small, rel=1e-3)
 
 
 class TestDetBarrier:

@@ -99,7 +99,7 @@ def test_blowup_cli_schema(tmp_path):
 def test_blowup_dump_fields(tmp_path):
     """One CSV per rung: the normalized potential on the probe lattice, equal
     to what a fresh extraction of that rung's section gives."""
-    from malab.blowup import _normalized_probes, extract_section
+    from malab.checks import extract_section, section_probes
     from malab.oracles import catalog, normalize_at
 
     ladder = [0.1, 0.2]
@@ -111,8 +111,9 @@ def test_blowup_dump_fields(tmp_path):
     p = np.array([1.0, 0.0])
     u = normalize_at(catalog(2)["duallog"], p)
     for k, C in enumerate(ladder):
-        w = extract_section(u, p, C).normalized_potential
-        pts, vals = _normalized_probes(w, 61)
+        sec = extract_section(u, p, C)
+        pts = section_probes(sec, 61)
+        vals = sec.normalized_potential.value(pts)
         rows = ["x1,x2,value"] + [",".join(f"{v:.17g}" for v in (*pt, val))
                                   for pt, val in zip(pts, vals)]
         assert len(rows) > 1000

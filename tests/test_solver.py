@@ -476,6 +476,26 @@ class TestProperties:
         assert ((rep.total_iterations, rep.rejected_steps)
                 == (base_rep.total_iterations, base_rep.rejected_steps))
 
+    @pytest.mark.parametrize("law", ["reflection", "dilation"])
+    def test_reflection_and_dilation(self, law):
+        """x1 -> -x1 with d1 -> -d1 on the unit ball, and u_2(xi) = 4 u(xi/2)
+        on the ball of radius 2 with drift d/2: both maps fix the data
+        |xi|^2/2, and the dual solves agree node for node to rounding, along
+        the same Newton path."""
+        drift = DriftCoefficients(0.1, np.array([0.8, -0.5]))
+        data = lambda q: 0.5 * float(q @ q)
+        base, base_rep = newton_solve(Grid.build(Ball(np.zeros(2), 1.0), 65), drift, data)
+        if law == "reflection":
+            radius, d, want = 1.0, drift.d * [-1.0, 1.0], np.flip(base.values, axis=0)
+        else:
+            radius, d, want = 2.0, drift.d / 2.0, 4.0 * base.values
+        g = Grid.build(Ball(np.zeros(2), radius), 65)
+        image, rep = newton_solve(g, DriftCoefficients(drift.d0, d), data)
+        assert np.array_equal(np.isnan(image.values), np.isnan(want))
+        assert np.nanmax(np.abs(image.values - want)) <= 1e-12 * np.nanmax(np.abs(want))
+        assert ((rep.total_iterations, rep.rejected_steps)
+                == (base_rep.total_iterations, base_rep.rejected_steps))
+
     def test_iteration_cap_raises(self):
         g = Grid.build(BOX, (17, 33))
         with pytest.raises(ConvergenceError):
