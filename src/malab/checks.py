@@ -31,6 +31,7 @@ PHI_TOL_SCALE = 1e-4   # a Phi-inequality margin may fall this far below 0, time
 PHI_FLOOR = 1e-10      # probes with Phi at most this are on the vacuous zero branch
 DET_BARRIER_ROUNDS = 6  # coarse-to-fine descent rounds of det_barrier_probe
 SCALE_FACTOR = 4.0     # the rescaling u -> u/SCALE_FACTOR of the phi_scaling_rel column
+PHI_BARRIER = 8.0      # the Phi barrier's exponent is -PHI_BARRIER (n-1) C/(C-u)
 # rays traced from the base point to locate a section boundary, by dimension
 SECTION_RAYS = defaultdict(lambda: 512, {2: 128})
 
@@ -224,7 +225,7 @@ class BarrierConstants(Report):
         return BarrierConstants(
             n=n, C=C,
             alpha=(n + 2.0) * (n - 3.0) / 2.0 + (n - 1.0) / 4.0,
-            m_phi=8.0 * (n - 1.0) * C,
+            m_phi=PHI_BARRIER * (n - 1.0) * C,
             m_weighted=32.0 * (n + 2.0) * C,
             m_trace=64.0 * (n - 1.0) * C,
             d=d, epsilon=epsilon)
@@ -403,7 +404,7 @@ def section_sample(u, pts, vals):
 
 def phi_barrier(n, C, u_vals, phi):
     """The Phi-barrier functional exp(-8(n-1)C/(C-u)) Phi on {u < C}."""
-    return np.exp(-8.0 * (n - 1.0) * C / (C - u_vals)) * phi
+    return np.exp(-PHI_BARRIER * (n - 1.0) * C / (C - u_vals)) * phi
 
 
 def barrier_functionals(params, sample):

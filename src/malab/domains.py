@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import ConvergenceError, DomainError, Report
@@ -145,6 +144,7 @@ class Box(Polytope):
 def halfspace_polytope(normals, offsets):
     """The polytope {x : normals[k].x <= offsets[k]}, checked to be bounded
     with nonempty interior, as the hull of its vertices."""
+    from scipy.optimize import linprog  # imported here: only polytope JSON needs it
     N = np.asarray(normals, dtype=float)
     b = np.asarray(offsets, dtype=float)
     if N.ndim != 2 or len(b) != len(N):

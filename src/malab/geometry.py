@@ -15,9 +15,11 @@ graph expressed in gradient coordinates. The drift term, (n+2)/(2 rho)
 sum G^{ij} rho_j d_i on the primal side and its negative on the dual side,
 is the log det term above on both, so Lap needs no side.
 
-Quantities that need fourth derivatives (the flat-direction curvature,
-second derivatives of rho or Phi) are obtained by centered differencing of
-the exact third-order rules, with one Richardson level.
+One chain turns grad log det (tr(H^{-1} T_i) of an oracle, the FD gradient of
+a grid's log det field) into grad log rho and Phi, and one chain rule turns
+the Hessian of log rho in a potential's own coordinates into its x-Hessian.
+Oracles get that Hessian, and second derivatives of rho or Phi, by centered
+differencing of exact third-order rules with one Richardson level.
 """
 
 from __future__ import annotations
@@ -109,8 +111,7 @@ def invariants(H, T, side):
         grad_logrho  grad_logdet/(n+2), negated likewise    (None if T is None)
         Phi          |grad log rho|^2_G                     (None if T is None)
     A row whose H (or T) is not finite, or whose H is not positive definite,
-    is NaN in every output. grid_invariants passes T = None and fills the
-    last three from the FD gradients of the log det and log rho fields.
+    is NaN in every output.
     """
     H = np.asarray(H, dtype=float)
     n = H.shape[-1]
@@ -122,16 +123,25 @@ def invariants(H, T, side):
     piv, Ginv = cholesky(np.where(ok[:, None, None], flat, np.nan), inverse=True)
     ok &= (piv > 0.0).all(axis=1)
     logdet = np.log(np.where(ok[:, None], piv, np.nan)).sum(axis=1)
-    s = (-1.0 if side == PRIMAL else 1.0) / (n + 2.0)
-    logrho = s * logdet.reshape(lead)
+    logrho = _exponent(side, n) * logdet.reshape(lead)
     out = {"logdet": logdet.reshape(lead), "logrho": logrho, "rho": np.exp(logrho),
            "Ginv": Ginv.reshape(H.shape), "grad_logdet": None, "grad_logrho": None,
            "Phi": None}
-    if T is not None:
-        out["grad_logdet"] = np.einsum("...ab,...abi->...i", out["Ginv"], T)
-        g = out["grad_logrho"] = s * out["grad_logdet"]
-        out["Phi"] = np.einsum("...ij,...i,...j->...", out["Ginv"], g, g)
-    return out
+    return out if T is None else _grad_chain(
+        out, np.einsum("...ab,...abi->...i", out["Ginv"], T), side)
+
+
+def _exponent(side, n):
+    """s with rho = det^s: -1/(n+2) on the primal side, +1/(n+2) on the dual."""
+    return (-1.0 if side == PRIMAL else 1.0) / (n + 2.0)
+
+
+def _grad_chain(inv, gld, side):
+    """The invariants `inv` completed from grad log det `gld`: grad_logrho = s gld
+    and Phi = |grad_logrho|^2_G; the one place where grad log det enters."""
+    g = inv["grad_logrho"] = _exponent(side, gld.shape[-1]) * gld
+    inv.update(grad_logdet=gld, Phi=np.einsum("...ij,...i,...j->...", inv["Ginv"], g, g))
+    return inv
 
 
 def _spd_invariants(H, T, side, x):
@@ -179,26 +189,26 @@ def fd_step(x):
 
 
 def xx_hessian_logrho(oracle, x):
-    """Second derivatives of log rho with respect to the primal coordinates,
-    at points x (..., n) of the oracle's side.
+    """Second derivatives of log rho with respect to the primal coordinates, at
+    points x (..., n) of the oracle's side: _xx_chain over the exact H and T and
+    the FD Jacobian of the exact grad log rho."""
+    side, x = oracle.side, np.asarray(x, dtype=float)
+    T, D = oracle.third(x), fd_gradient(grad_logrho_rule(oracle, side), x, fd_step(x))
+    return _xx_chain(invariants(oracle.hessian(x), T, side), T, D, side)
 
-    On the dual side d/dx_j is the directional derivative along the columns
-    of (D^2 u)^{-1}; centered differencing along those straight lines agrees
-    with the true chained derivative to O(h^2).
-    """
-    side = oracle.side
-    x = np.asarray(x, dtype=float)
-    h = fd_step(x)
+
+def _xx_chain(inv, T, ddphi, side):
+    """The x-Hessian of log rho from the invariants `inv`, third derivatives T and
+    the Hessian (or Jacobian of the gradient) `ddphi` of log rho in the potential's
+    own coordinates. On the dual side d/dx_i = G^ia d/dxi_a, whose G^ia brings in T."""
     if side == PRIMAL:
-        D = fd_directional(grad_logrho_rule(oracle, side), x, np.eye(oracle.n), h)
+        out = ddphi
     else:
-        def s_of(xi):
-            inv = invariants(oracle.hessian(xi), oracle.third(xi), side)
-            return (inv["Ginv"] @ inv["grad_logrho"][..., None])[..., 0]
-
-        # the columns of (D^2 u)^{-1}; the kernel's inverse is exactly symmetric
-        D = fd_directional(s_of, x, invariants(oracle.hessian(x), None, side)["Ginv"], h)
-    return 0.5 * (D + np.swapaxes(D, -1, -2))  # D[..., j, :] is along direction j
+        Hi = inv["Ginv"]
+        v = np.einsum("...qa,...a->...q", Hi, inv["grad_logrho"])  # x-gradient of log rho
+        out = (np.einsum("...ia,...jb,...ab->...ij", Hi, Hi, ddphi)
+               - Hi @ np.einsum("...pqc,...q->...pc", T, v) @ Hi)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +381,11 @@ def structure_residuals(potential, x):
 
 def grid_invariants(fu):
     """The invariant kernel over the grid Hessian field on the grid's side,
-    cached. No third derivatives: grad_logdet and grad_logrho are the FD
-    gradients of the log det and log rho fields, and Phi is the G-norm of the
-    latter."""
+    cached. No third derivatives: grad_logdet is the FD gradient of the log
+    det field, and _grad_chain takes grad_logrho and Phi from it."""
     def build():
         inv = invariants(fu.hessian_field(), None, fu.side)
-        inv["grad_logdet"] = gradient_field(inv["logdet"], fu.grid)
-        g = inv["grad_logrho"] = gradient_field(inv["logrho"], fu.grid)
-        inv["Phi"] = np.einsum("...ij,...i,...j->...", inv["Ginv"], g, g)
-        return inv
+        return _grad_chain(inv, gradient_field(inv["logdet"], fu.grid), fu.side)
 
     return fu.field("invariants", build)
 
@@ -394,21 +400,8 @@ def grid_phi_inequality_fields(fu):
 
 
 def grid_xx_hessian_logrho(fu):
-    """Second x-derivatives of log rho on the grid.
-
-    Primal side: straight FD Hessian of the log rho field. Dual side: chain
-    through x = grad u, using only node fields.
-    """
-    def build():
-        inv = grid_invariants(fu)
-        ddphi = hessian_field(inv["logrho"], fu.grid)   # phi_ab
-        if fu.side == PRIMAL:
-            return ddphi
-        Hi, dphi = inv["Ginv"], inv["grad_logrho"]      # phi_a
-        T = fu.third_field()                            # u_pqc
-        term1 = np.einsum("...ia,...jb,...ab->...ij", Hi, Hi, ddphi)
-        v = np.einsum("...qa,...a->...q", Hi, dphi)      # x-gradient of log rho
-        out = term1 - Hi @ np.einsum("...pqc,...q->...pc", T, v) @ Hi
-        return 0.5 * (out + out.transpose(*range(out.ndim - 2), -1, -2))
-
-    return fu.field("xxlogrho", build)
+    """Second x-derivatives of log rho on the grid: _xx_chain over the node
+    fields, with the FD Hessian of the log rho field and the FD third field."""
+    inv = grid_invariants(fu)
+    return fu.field("xxlogrho", lambda: _xx_chain(
+        inv, fu.third_field(), hessian_field(inv["logrho"], fu.grid), fu.side))

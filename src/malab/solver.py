@@ -5,14 +5,15 @@ The residual is kept in log form, r = log det D^2 u + d.grad u + d0 on the
 dual side (r = log det D^2 f - d.x - d0 on the primal side), so the Newton
 linearization trace((D^2 u)^{-1} D^2 .) + d.grad(.) is elliptic as long as
 iterates stay convex. The residual applies the one difference table,
-`stencils.TABLE`, at interior nodes, and the Jacobian walks the same arms.
-Its drift terms are `DriftCoefficients.residual`, which analytic oracles
-use too (`geometry.pde_residual`). The batched Cholesky kernel
-`geometry.cholesky`, which `geometry.invariants` also calls, gives every
-interior FD Hessian its positive definiteness test and its log det, and the
-Jacobian its inverse; a line-search trial asks for no inverse. Each solve
-orders its unknowns once, by nested dissection of the grid, and lays out the
-Jacobian's sparsity structure once in that order. Convexity is enforced by
+`stencils.TABLE`, at interior nodes, and the Jacobian walks the same arms. Its
+drift terms are `DriftCoefficients.residual`, which analytic oracles use too
+(`geometry.pde_residual`). The batched Cholesky kernel `geometry.cholesky`
+gives each Newton iterate's interior FD Hessians their positive definiteness
+test and log det, and the Jacobian its inverse; a line-search trial asks for
+no inverse. `residual_field` reads log det from the cached
+`geometry.grid_invariants`, and `grids.check_convex` reports eigenvalues. Each
+solve orders its unknowns once, by nested dissection of the grid, and lays out
+the Jacobian's sparsity structure once in that order. Convexity is enforced by
 step rejection: a trial step must keep every interior FD Hessian positive
 definite and reduce the max residual, else it is halved down to a hard floor.
 """
@@ -26,8 +27,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, ConvexityError, DomainError, Report
-from .geometry import cholesky
-from .grids import INTERIOR, GridFunction
+from .geometry import cholesky, grid_invariants
+from .grids import INTERIOR, GridFunction, check_convex
 from .oracles import DUAL, PRIMAL, DriftCoefficients
 from .stencils import difference
 
@@ -64,33 +65,32 @@ class SolverReport(Report):
     rejected_steps: int = 0      # damping halvings plus halved continuation steps
 
 
-def _log_residual(grid, values, drift, side, det_floor):
-    """(residual vector, Hessian stack, min det) or None when convexity fails."""
+def _log_residual(grid, values, drift, side):
+    """(residual vector, Hessian stack); no residual if a det is below DET_FLOOR."""
     st = grid.stencil
     padded = st.pad(values)
     H = st.hessian(padded, interior=True)
     piv = cholesky(H)
-    mindet = float(np.where((piv > 0.0).all(axis=1), piv.prod(axis=1), 0.0).min())  # 0: not PD
-    if mindet <= 0.0 or mindet < det_floor:
-        return None, H, mindet
+    if np.where((piv > 0.0).all(axis=1), piv.prod(axis=1), 0.0).min() < DET_FLOOR:
+        return None, H
     y = st.gradient(padded, interior=True) if side == DUAL else grid.interior_points
-    return drift.residual(np.log(piv).sum(axis=1), y, side), H, mindet
+    return drift.residual(np.log(piv).sum(axis=1), y, side), H
 
 
 def residual_field(u, drift, side=None):
-    """Pointwise PDE residual of a GridFunction on its interior nodes, on its
-    side; `side`, if given, must be that side."""
+    """Pointwise PDE residual of a GridFunction on its interior nodes, on its side
+    (`side`, if given, must be that side), from its cached grid_invariants."""
     if side not in (None, u.side):
         raise DomainError("a potential is read on its own side", side=side, own=u.side)
-    grid = u.grid
-    r, H, _ = _log_residual(grid, u.values, drift, u.side, det_floor=0.0)
-    if r is None:
-        eigs = np.linalg.eigvalsh(H)
-        raise ConvexityError("non-convex FD Hessian in residual",
-                             node=grid.interior_nodes()[np.argmin(eigs[:, 0])].tolist(),
-                             min_det=float(eigs.prod(axis=1).min()))
+    grid, interior = u.grid, u.grid.mask == INTERIOR
+    logdet = grid_invariants(u)["logdet"][interior]
+    if not np.isfinite(logdet).all():
+        rep = check_convex(u)
+        raise ConvexityError("non-convex FD Hessian in residual", node=list(rep.worst_node),
+                             min_eigenvalue=rep.min_eigenvalue)
+    y = u.gradient_field()[interior] if u.side == DUAL else grid.interior_points
     out = np.full(grid.shape, np.nan)
-    out[grid.mask == INTERIOR] = r
+    out[interior] = drift.residual(logdet, y, u.side)
     return GridFunction.on_interior(grid, out)
 
 
@@ -195,10 +195,10 @@ def _harmonic_lift(jacobian, collar_idx, collar_vals):
 
 def _newton_core(jacobian, values, drift, side, config):
     """Damped Newton at fixed boundary values from the start iterate `values`.
-    Returns (values, residual history, final residual, halvings, FD Hessians),
-    or None when the start is not convex."""
+    Returns (values, residual history, final residual, halvings), or None when
+    the start is not convex."""
     grid = jacobian.grid
-    r, H, mindet = _log_residual(grid, values, drift, side, DET_FLOOR)
+    r, H = _log_residual(grid, values, drift, side)
     if r is None:
         return None
     rnorm = float(np.abs(r).max())
@@ -210,7 +210,7 @@ def _newton_core(jacobian, values, drift, side, config):
         while lam >= MIN_STEP:
             trial = values.copy()
             trial[grid.mask == INTERIOR] += lam * delta
-            r_try, H_try, mindet = _log_residual(grid, trial, drift, side, DET_FLOOR)
+            r_try, H_try = _log_residual(grid, trial, drift, side)
             if r_try is not None:
                 r_try_norm = float(np.abs(r_try).max())
                 if r_try_norm < rnorm:
@@ -219,7 +219,7 @@ def _newton_core(jacobian, values, drift, side, config):
             lam *= DAMPING
             halvings += 1
         else:  # no trial step was accepted
-            if mindet < DET_FLOOR:
+            if r_try is None:  # the last trial fell below DET_FLOOR
                 raise ConvexityError("Newton step lost Hessian positivity at the damping floor",
                                      residual=rnorm, history=history)
             raise ConvergenceError("damping floor reached without residual decrease",
@@ -228,7 +228,7 @@ def _newton_core(jacobian, values, drift, side, config):
     if rnorm > config.residual_tol:
         raise ConvergenceError("Newton iteration cap reached",
                                residual=rnorm, history=history)
-    return values, history, rnorm, halvings, H
+    return values, history, rnorm, halvings
 
 
 def newton_solve(grid, drift, boundary, config=None, side=DUAL):
@@ -277,7 +277,7 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL):
                 raise ConvexityError("continuation cannot keep the iterate convex",
                                      t_reached=t)
             continue
-        values, history, rnorm, halvings, H = solved
+        values, history, rnorm, halvings = solved
         t = t_try
         dt *= 2.0
         legs += 1
@@ -285,9 +285,9 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL):
         rejected_steps += halvings
 
     out = GridFunction(grid, np.where(grid.mask == 0, 0.0, values), side)
-    min_eig = float(np.linalg.eigvalsh(H)[:, 0].min())
     report = SolverReport(iterations=len(history) - 1, final_residual=rnorm,
-                          residual_history=history, min_hessian_eigenvalue=min_eig,
+                          residual_history=history,
+                          min_hessian_eigenvalue=check_convex(out).min_eigenvalue,
                           continuation_steps=legs - 1, total_iterations=total_iterations,
                           rejected_steps=rejected_steps)
     return out, report

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -45,7 +46,7 @@ class TestExtractSection:
         def forbidden(*args, **kwargs):
             raise AssertionError("the section path must not call this")
 
-        monkeypatch.setattr(domains, "linprog", forbidden)
+        monkeypatch.setattr(scipy.optimize, "linprog", forbidden)
         monkeypatch.setattr(domains, "HalfspaceIntersection", forbidden)
         p = np.array([1.0, 0.0])
         sec = extract_section(normalize_at(DualLog(2), p), p, 0.2)

@@ -12,15 +12,18 @@ import malab.blowup
 import malab.checks
 import malab.geometry
 import malab.legendre
+import malab.solver
 from malab.domains import Ball, Box
 from malab.errors import DegeneracyError, DomainError
-from malab.geometry import (calabi_laplacian, geometry_sample, grid_invariants,
-                            grid_xx_hessian_logrho, invariants, pde_residual,
-                            rho_value_rule, structure_residuals)
+from malab.geometry import (calabi_laplacian, fd_step, geometry_sample, grad_logrho_rule,
+                            grid_invariants, grid_xx_hessian_logrho, invariants,
+                            pde_residual, rho_value_rule, structure_residuals,
+                            xx_hessian_logrho)
 from malab.grids import Grid, GridFunction, INTERIOR, sample_oracle
 from malab.oracles import (AffineImageOracle, DriftCoefficients, DualLog, ExpSolution,
                            FieldOracle, Quadratic)
 from malab.solver import newton_solve, residual_field
+from malab.stencils import fd_directional
 
 from conftest import last_pivot
 
@@ -383,6 +386,76 @@ class TestGridGeometry:
             assert np.isnan(grid_xx_hessian_logrho(fu)[inner]).all()
 
 
+class OffSolution(FieldOracle):
+    """f = exp(x1) + x2^4/12 + x2^2 + 0.3 x1 x2, convex on [-1, 1]^2 and no
+    solution of the drift equation, read as a potential of either side."""
+
+    n = 2
+
+    def __init__(self, side):
+        self.side, self.name = side, f"offsolution-{side}"
+
+    def value(self, x):
+        x1, x2 = x[..., 0], x[..., 1]
+        return np.exp(x1) + x2**4 / 12.0 + x2**2 + 0.3 * x1 * x2
+
+    def gradient(self, x):
+        x1, x2 = x[..., 0], x[..., 1]
+        return np.stack([np.exp(x1) + 0.3 * x2, x2**3 / 3.0 + 2.0 * x2 + 0.3 * x1], axis=-1)
+
+    def hessian(self, x):
+        H = np.full(x.shape[:-1] + (2, 2), 0.3)
+        H[..., 0, 0], H[..., 1, 1] = np.exp(x[..., 0]), x[..., 1] ** 2 + 2.0
+        return H
+
+    def third(self, x):
+        T = np.zeros(x.shape[:-1] + (2, 2, 2))
+        T[..., 0, 0, 0], T[..., 1, 1, 1] = np.exp(x[..., 0]), 2.0 * x[..., 1]
+        return T
+
+
+def directional_xx_hessian_logrho(oracle, x):
+    """The x-Hessian of log rho by centered differences along the directions
+    d/dx_j: the axes on the primal side, and on the dual side the columns of
+    (D^2 u)^{-1}, along which G^{-1} grad log rho (the x-gradient) is
+    differenced. An independent route to the chain rule."""
+    side, h = oracle.side, fd_step(x)
+    if side == "primal":
+        D = fd_directional(grad_logrho_rule(oracle, side), x, np.eye(oracle.n), h)
+    else:
+        def x_gradient(xi):
+            inv = invariants(oracle.hessian(xi), oracle.third(xi), side)
+            return (inv["Ginv"] @ inv["grad_logrho"][..., None])[..., 0]
+
+        D = fd_directional(x_gradient, x, invariants(oracle.hessian(x), None, side)["Ginv"], h)
+    return 0.5 * (D + np.swapaxes(D, -1, -2))
+
+
+class TestXXHessianOffSolution:
+    """The x-Hessian of log rho where it is far from zero, so a wrong factor
+    in the chain rule shows."""
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_oracle_matches_directional_route(self, side, rng):
+        f = OffSolution(side)
+        x = rng.uniform(-0.9, 0.9, size=(40, 2))
+        got = xx_hessian_logrho(f, x)
+        assert np.abs(got).max() >= 0.1
+        assert np.abs(got - directional_xx_hessian_logrho(f, x)).max() <= 1e-9
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_grid_converges_to_oracle_at_second_order(self, side):
+        f = OffSolution(side)
+        errors = []
+        for res in (33, 65, 129):
+            g = Grid.build(Box([-1, -1], [1, 1]), res)
+            deep = np.abs(g.points()).max(axis=-1) <= 0.5
+            got = grid_xx_hessian_logrho(sample_oracle(f, g))[deep]
+            errors.append(np.abs(got - xx_hessian_logrho(f, g.points()[deep])).max())
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert errors[0] <= 1e-3 and orders.min() >= 1.8, (errors, orders)
+
+
 class TestInvariantKernel:
     ORACLES = [Quadratic(np.array([[2.0, 0.4], [0.4, 1.0]]), b=[0.3, -0.1]),
                ExpSolution(2), DualLog(2)]
@@ -440,6 +513,15 @@ class TestInvariantKernel:
                     found += [f"line {node.lineno}: import {a.name}"
                               for a in node.names if a.name in banned]
             assert not found, (mod.__name__, found)
+
+    def test_solver_calls_no_eigvalsh(self):
+        """The solver's Hessian eigenvalue reports come from grids.check_convex;
+        its one eigh, of the fitted quadratic form in _quadratic_init, is not
+        a Hessian stack."""
+        tree = ast.parse(Path(malab.solver.__file__).read_text())
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and ast.unparse(node.func).split(".")[-1] == "eigvalsh"]
+        assert not found
 
 
 def _einsum_cholesky(H):

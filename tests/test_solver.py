@@ -275,12 +275,12 @@ class TestJacobian:
         def residual(t):
             v = u.copy()
             v[interior] += t * delta
-            return _log_residual(g, v, drift, side, 0.0)[0]
+            return _log_residual(g, v, drift, side)[0]
 
         eps = 1e-7
         fd = (residual(eps) - residual(-eps)) / (2 * eps)
         jac = _Jacobian(g)  # J comes in dissection order: compare in node order
-        J = jac.assemble(_log_residual(g, u, drift, side, 0.0)[1], drift, side)
+        J = jac.assemble(_log_residual(g, u, drift, side)[1], drift, side)
         assert np.linalg.norm((J @ delta[jac.order])[jac.rank] - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
@@ -476,20 +476,24 @@ class TestProperties:
         assert ((rep.total_iterations, rep.rejected_steps)
                 == (base_rep.total_iterations, base_rep.rejected_steps))
 
-    @pytest.mark.parametrize("law", ["reflection", "dilation"])
-    def test_reflection_and_dilation(self, law):
+    @pytest.mark.parametrize("law, n", [("reflection", 2), ("dilation", 2),
+                                        ("reflection", 3), ("dilation", 3)],
+                             ids=["reflection", "dilation", "reflection-3d", "dilation-3d"])
+    def test_reflection_and_dilation(self, law, n):
         """x1 -> -x1 with d1 -> -d1 on the unit ball, and u_2(xi) = 4 u(xi/2)
         on the ball of radius 2 with drift d/2: both maps fix the data
         |xi|^2/2, and the dual solves agree node for node to rounding, along
-        the same Newton path."""
-        drift = DriftCoefficients(0.1, np.array([0.8, -0.5]))
+        the same Newton path; at 65^2 and at 15^3."""
+        res = 65 if n == 2 else 15
+        drift = DriftCoefficients(0.1, np.array([0.8, -0.5, 0.3][:n]))
         data = lambda q: 0.5 * float(q @ q)
-        base, base_rep = newton_solve(Grid.build(Ball(np.zeros(2), 1.0), 65), drift, data)
+        base, base_rep = newton_solve(Grid.build(Ball(np.zeros(n), 1.0), res), drift, data)
         if law == "reflection":
-            radius, d, want = 1.0, drift.d * [-1.0, 1.0], np.flip(base.values, axis=0)
+            radius, want = 1.0, np.flip(base.values, axis=0)
+            d = drift.d * np.r_[-1.0, np.ones(n - 1)]
         else:
             radius, d, want = 2.0, drift.d / 2.0, 4.0 * base.values
-        g = Grid.build(Ball(np.zeros(2), radius), 65)
+        g = Grid.build(Ball(np.zeros(n), radius), res)
         image, rep = newton_solve(g, DriftCoefficients(drift.d0, d), data)
         assert np.array_equal(np.isnan(image.values), np.isnan(want))
         assert np.nanmax(np.abs(image.values - want)) <= 1e-12 * np.nanmax(np.abs(want))
