@@ -4,9 +4,9 @@ affine normalization that sends the ellipsoid to the unit ball.
 Supported domains are balls and polytopes, a polytope being the convex hull
 of its points and a box the polytope of its corners; `halfspace_polytope`
 validates halfspace input (configs, sidecars). The centered MVEE of a
-polytope follows a log-barrier Newton path over the n(n+1)/2 entries of its
-shape matrix (Boyd & Vandenberghe, sec. 8.4.1; Sun & Freund 2004); a ball is
-its own. Support points take batched directions.
+polytope comes from a primal-dual interior-point iteration over the n(n+1)/2
+entries of its shape matrix (Sun & Freund 2004; Mehrotra 1992); a ball is its
+own. Support points take batched directions.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ from .errors import ConvergenceError, DomainError, Report
 
 _CONTAIN_TOL = 1e-12
 MAX_AXIS_RATIO = 1e6
-BARRIER_FACTOR = 1000.0  # growth of t between centerings of the MVEE path
-CENTERED = 1e-6  # squared Newton decrement that ends a centering
-FULL_STEP = 1.0 / 16.0  # squared decrement below which Newton steps are full
-MVEE_MAX_STEPS = 500  # Newton steps over the whole MVEE path
-MAX_BARRIER_T = 1e14  # the Newton matrix's condition grows like t
+MVEE_MAX_STEPS = 50  # primal-dual iterations of one MVEE
 CHECK_DIRECTIONS = 1024  # support directions that check a normalized image
 
 
@@ -281,11 +277,13 @@ def centered_mvee(domain, tol=1e-9):
     min -log det M s.t. q_i^T M q_i <= 1 over the vertices q_i - c, a convex
     problem in the n(n+1)/2 entries of M (Boyd & Vandenberghe, Convex
     Optimization, 2004, sec. 8.4.1; Sun & Freund, Oper. Res. 52, 2004).
-    Newton steps follow its log-barrier path, in coordinates that whiten the
-    vertices, from the uniform-weight ellipsoid until the duality gap m/t is
-    at most `tol` (a `tol` below m / MAX_BARRIER_T raises ConvergenceError);
-    the result is rescaled to contain every vertex exactly. A ball is its
-    own centered MVEE.
+    In whitened coordinates, Mehrotra's primal-dual predictor-corrector
+    (SIAM J. Optim. 2, 1992) carries x, the slacks s of A x <= 1 and their
+    multipliers lam from the uniform-weight ellipsoid (dual feasible) until
+    the duality gap lam^T s is at most `tol` and the dual residual is at
+    rounding level: `tol` bounds -log det M above its minimum, and one near
+    rounding (below about 1e-13) may raise ConvergenceError. The result is
+    rescaled to contain every vertex exactly. A ball is its own centered MVEE.
     """
     if not (0.0 < tol <= 1e-3):
         raise DomainError("tol must lie in (0, 1e-3]", tol=tol)
@@ -305,55 +303,48 @@ def centered_mvee(domain, tol=1e-9):
     E[np.arange(len(r)), r * n + k] = E[np.arange(len(r)), k * n + r] = 1.0
     A = q[:, r] * q[:, k] * np.where(r == k, 1.0, 2.0)
 
-    def barrier(x):
-        lam = np.linalg.eigvalsh((x @ E).reshape(n, n))
-        s = 1.0 - A @ x
-        if lam[0] <= 0.0 or s.min() <= 0.0:
-            return np.inf
-        return -t * np.log(lam).sum() - np.log(s).sum()
-
     x = np.where(r == k, 0.5 / np.einsum("ij,ij->i", q, q).max(), 0.0)
-    t, last = 1.0, np.inf
-    for _ in range(MVEE_MAX_STEPS):
-        W = np.linalg.inv((x @ E).reshape(n, n))
-        d = 1.0 / (1.0 - A @ x)
-        g = -t * (E @ W.ravel()) + A.T @ d
-        WW = (W[:, None, :, None] * W[:, None]).reshape(n * n, -1)  # kron(W, W)
-        H = t * E @ WW @ E.T + (A.T * d**2) @ A
-        dx = -np.linalg.solve(H, g)
-        dec2 = -g @ dx
-        # centered, or a full step no longer shrinks dec2 (rounding floor)
-        if dec2 < CENTERED or dec2 >= last:
-            if m / t <= tol:
+    s = 1.0 - A @ x
+    lam = np.full(m, 1.0 / (m * x[0]))  # sum lam_i q_i q_i^T = M^-1: dual feasible
+    last = np.inf
+    try:
+        for _ in range(MVEE_MAX_STEPS):
+            W = np.linalg.inv((x @ E).reshape(n, n))
+            g = E @ W.ravel()
+            rd, rp, gap = A.T @ lam - g, A @ x + s - 1.0, lam @ s
+            # the dual residual is at rounding level once it is below 1e-10 of
+            # grad log det M or stops shrinking
+            res = np.abs(rd).max()
+            if gap <= tol and (res <= 1e-10 * np.abs(g).max() or res >= last):
                 break
-            t, last = min(BARRIER_FACTOR * t, MAX_BARRIER_T), np.inf
-            continue
-        if dec2 < FULL_STEP:
-            step, last = 1.0, dec2
+            last = res
+            WW = (W[:, None, :, None] * W[:, None]).reshape(n * n, -1)  # kron(W, W)
+            K = E @ WW @ E.T + (A.T * (lam / s)) @ A
+
+            def newton(rc):  # KKT step with complementarity residual rc; its longest step
+                dx = np.linalg.solve(K, A.T @ ((rc - lam * rp) / s) - rd)
+                ds = -rp - A @ dx
+                dl = -(rc + lam * ds) / s
+                return dx, ds, dl, 1.0 / max(1.0, (-ds / s).max(), (-dl / lam).max())
+
+            dx, ds, dl, a = newton(lam * s)  # predictor (affine scaling), then corrector
+            sigma = ((s + a * ds) @ (lam + a * dl) / gap) ** 3
+            dx, ds, dl, a = newton(lam * s + ds * dl - sigma * gap / m)
+            a *= 0.99  # fraction to the boundary
+            while np.linalg.eigvalsh(((x + a * dx) @ E).reshape(n, n))[0] <= 0.0:
+                a *= 0.5
+            x, s, lam = x + a * dx, s + a * ds, lam + a * dl
         else:
-            # keep a hundredth of every slack (slacks at rounding level make
-            # barrier values meaningless), then backtrack (Armijo)
-            step = 0.99 / max(0.99, (d * (A @ dx)).max())
-            f0 = barrier(x)
-            while barrier(x + step * dx) > f0 - 0.25 * step * dec2:
-                step *= 0.5
-        x = x + step * dx
-    else:
-        raise ConvergenceError("centered MVEE did not converge", gap=m / t, tol=tol)
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:  # out of steps, or K singular: a tol below rounding
+        raise ConvergenceError("centered MVEE did not converge", gap=lam @ s, tol=tol) from None
 
     # rescale for exact containment of the vertices
     M = S @ (x @ E).reshape(n, n) @ S / (A @ x).max()
-    ell = Ellipsoid(c, M)
-    axes = ell.semi_axes()
-    if axes[0] / axes[-1] > MAX_AXIS_RATIO:
-        raise DomainError("domain too flat for normalization",
-                          axis_ratio=float(axes[0] / axes[-1]))
-    return ell
-
-
-def sqrtm_spd(M):
-    w, Q = np.linalg.eigh(M)
-    return (Q * np.sqrt(w)) @ Q.T
+    ratio = np.sqrt(np.linalg.cond(M))  # of the longest to the shortest semi-axis
+    if ratio > MAX_AXIS_RATIO:
+        raise DomainError("domain too flat for normalization", axis_ratio=float(ratio))
+    return Ellipsoid(c, M)
 
 
 def normalize_domain(domain, tol=1e-9):
@@ -364,7 +355,8 @@ def normalize_domain(domain, tol=1e-9):
     point of T(domain) along d is T of the domain's along A^T d, A = T.linear.
     """
     ell = centered_mvee(domain, tol=tol)
-    W = sqrtm_spd(ell.shape)
+    w, Q = np.linalg.eigh(ell.shape)
+    W = (Q * np.sqrt(w)) @ Q.T  # the symmetric square root of the shape
     T = AffineMap(W, -W @ ell.center)
     n = domain.dim
     dirs = direction_fan(n, CHECK_DIRECTIONS)

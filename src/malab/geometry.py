@@ -401,7 +401,8 @@ def grid_phi_inequality_fields(fu):
 
 def grid_xx_hessian_logrho(fu):
     """Second x-derivatives of log rho on the grid: _xx_chain over the node
-    fields, with the FD Hessian of the log rho field and the FD third field."""
+    fields, with the FD Hessian of the log rho field and (dual side) the FD third field."""
     inv = grid_invariants(fu)
+    T = None if fu.side == PRIMAL else fu.third_field()
     return fu.field("xxlogrho", lambda: _xx_chain(
-        inv, fu.third_field(), hessian_field(inv["logrho"], fu.grid), fu.side))
+        inv, T, hessian_field(inv["logrho"], fu.grid), fu.side))

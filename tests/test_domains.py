@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
 import malab.domains as domains
@@ -81,6 +83,19 @@ def assert_equivariant(P, S, t, tol):
     assert np.abs(e2.shape - want).max() <= tol * np.abs(want).max()
 
 
+def john_defect(q, M):
+    """Relative defect of John's conditions for {q^T M q <= 1} around the
+    vertices q: nonnegative least-squares multipliers lam on the contact
+    vertices (q^T M q >= 1 - 1e-6) should give M^-1 = sum lam_i q_i q_i^T and,
+    by its trace against M, sum lam = n. Returns the larger relative miss."""
+    n = len(M)
+    contact = q[np.einsum("ki,ij,kj->k", q, M, q) >= 1.0 - 1e-6]
+    r, k = np.triu_indices(n)
+    Mi = np.linalg.inv(M)[r, k]
+    lam, miss = nnls((contact[:, r] * contact[:, k]).T, Mi)
+    return max(miss / np.linalg.norm(Mi), abs(lam.sum() - n) / n)
+
+
 class TestMVEE:
     def test_ball_is_its_own_mvee(self):
         e = centered_mvee(Ball(np.array([0.3, -0.2]), 2.0))
@@ -123,6 +138,24 @@ class TestMVEE:
         assume(np.linalg.cond(S) < 100.0)
         P = random_polytope(np.random.default_rng(seed), n=n)
         assert_equivariant(P, S, np.array(shift[:n]), 1e-8)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), hull=st.booleans())
+    def test_john_conditions(self, seed, n, hull):
+        """The MVEE is optimal: it contains every vertex and touches one, and
+        its contact vertices satisfy John's conditions. The same check fails
+        on the shape moved by 1e-3 and rescaled to touch a vertex again."""
+        rng = np.random.default_rng(seed)
+        P = random_hull(rng, n=n) if hull else random_polytope(rng, n=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            e = centered_mvee(P, tol=1e-11)
+        q = P.vertices() - e.center
+        assert abs(e.quadratic(P.vertices()).max() - 1.0) <= 1e-12
+        assert john_defect(q, e.shape) <= 1e-6
+        tilt = np.diag(np.r_[1.0, np.zeros(n - 2), -1.0])
+        moved = e.shape + 1e-3 * np.abs(e.shape).max() * tilt
+        moved /= np.einsum("ki,ij,kj->k", q, moved, q).max()
+        assert john_defect(q, moved) > 1e-6
 
     def test_box_3d_closed_form(self):
         # centered MVEE of a box with half-widths a_i: diag(1 / (3 a_i^2))

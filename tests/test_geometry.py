@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import malab.blowup
 import malab.checks
 import malab.geometry
+import malab.grids
 import malab.legendre
 import malab.solver
 from malab.domains import Ball, Box
@@ -454,6 +455,17 @@ class TestXXHessianOffSolution:
             errors.append(np.abs(got - xx_hessian_logrho(f, g.points()[deep])).max())
         orders = np.log2(np.array(errors[:-1]) / errors[1:])
         assert errors[0] <= 1e-3 and orders.min() >= 1.8, (errors, orders)
+
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_grid_builds_third_field_on_dual_side_only(self, side, monkeypatch):
+        """_xx_chain reads T on the dual side only: a primal GridFunction's
+        x-Hessian of log rho computes no FD third field."""
+        calls = []
+        third = malab.grids.third_field
+        monkeypatch.setattr(malab.grids, "third_field", lambda *a: calls.append(1) or third(*a))
+        g = Grid.build(Box([-1, -1], [1, 1]), 17)
+        grid_xx_hessian_logrho(sample_oracle(OffSolution(side), g))
+        assert len(calls) == (side == "dual")
 
 
 class TestInvariantKernel:

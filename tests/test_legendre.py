@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from malab.errors import DegeneracyError, ExtrapolationError
+import malab.legendre
+from malab.errors import ConvexityError, DegeneracyError, ExtrapolationError
 from malab.grids import GridFunction, box_grid, check_convex, sample_oracle
 from malab.legendre import (LegendrePair, _conjugate_1d, conjugate_factorized,
                             involution_residual, legendre_grid)
@@ -144,8 +145,6 @@ def test_involution_of_degenerate_gradient_set_rejected(field):
 
 
 def test_nonconvex_input_rejected():
-    from malab.errors import ConvexityError
-
     g = box_grid([-1, -1], [1, 1], 21)
     pts = g.points()
     saddle = GridFunction(g, 0.5 * (pts[..., 0] ** 2 - pts[..., 1] ** 2))
@@ -153,6 +152,31 @@ def test_nonconvex_input_rejected():
         legendre_grid(saddle, box_grid([-0.5, -0.5], [0.5, 0.5], 9))
     with pytest.raises(ConvexityError):
         involution_residual(saddle)
+
+
+@pytest.mark.parametrize("lam_min, passes", [(-0.5e-8, True), (-2e-8, False)])
+def test_convexity_gate_boundary(lam_min, passes, monkeypatch):
+    """The gate admits FD Hessian eigenvalues down to -1e-8. On a sampled
+    quadratic with eigenvalues 1 and lam_min, one batched Cholesky decides a
+    pass and check_convex runs only to report a failure, with its details."""
+    g = box_grid([-1, -1], [1, 1], 21)
+    x = g.points()
+    fu = GridFunction(g, 0.5 * (x[..., 0] ** 2 + lam_min * x[..., 1] ** 2))
+    reports = []
+    monkeypatch.setattr(malab.legendre, "check_convex",
+                        lambda f: reports.append(check_convex(f)) or reports[-1])
+    dual = box_grid([-0.5, -1e-9], [0.5, 1e-9], 5)  # inside the thin gradient hull
+    if passes:
+        assert np.isfinite(legendre_grid(fu, dual).values).all()
+        assert reports == []
+        return
+    with pytest.raises(ConvexityError) as err:
+        legendre_grid(fu, dual)
+    rep = check_convex(fu)
+    assert rep.min_eigenvalue < -1e-8
+    assert err.value.details == {"min_eigenvalue": rep.min_eigenvalue,
+                                 "worst_node": list(rep.worst_node)}
+    assert reports == [rep]
 
 
 def test_involution_residuals():
