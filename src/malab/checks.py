@@ -62,13 +62,9 @@ def _stats(arrs):
     out = {}
     for k, v in arrs.items():
         v = np.asarray(v, dtype=float)
-        good = np.isfinite(v)
-        if not good.any():
-            out[k] = {"count": 0}
-            continue
-        out[k] = {"count": int(good.sum()),
-                  "min": float(np.nanmin(v)), "max": float(np.nanmax(v)),
-                  "argmin": int(np.nanargmin(v)), "argmax": int(np.nanargmax(v))}
+        count = int(np.isfinite(v).sum())
+        out[k] = {"count": count, "min": float(np.nanmin(v)),
+                  "max": float(np.nanmax(v))} if count else {"count": 0}
     return out
 
 
@@ -195,8 +191,7 @@ def _phi_inequality_report(name, points, residuals, phis, skipped):
     margins = residuals + PHI_TOL_SCALE * np.maximum(1.0, phis**2)
     passed = bool(len(margins) == 0 or margins.min() >= 0.0)
     arrs = {"residual": residuals, "phi": phis, "margin": margins}
-    stats = _stats(arrs)
-    stats["skipped_zero_phi"] = skipped
+    stats = {**_stats(arrs), "skipped_zero_phi": skipped}
     return CheckReport(name, passed, {"tol_scale": PHI_TOL_SCALE}, stats,
                        points=points, residuals=arrs)
 

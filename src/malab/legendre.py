@@ -2,11 +2,11 @@
 
 The discrete conjugate runs dimension by dimension (one 1-D conjugation per
 axis), which equals the full max over the sampled lattice. Each 1-D pass is
-an exact monotone-argmax search (Lucet, Numer. Algorithms 16, 1997) over N
-samples onto M dual nodes: O(lines (M + N) log M) work and O(lines (M + N))
-memory, evaluating the full max's own scores only where its argmax can be.
-Dual evaluations outside the sampled gradient hull are reported, never
-extrapolated.
+Lucet's linear-time Legendre transform (Numer. Algorithms 16, 1997) of N
+samples onto M dual nodes: O(lines N) pruning sweeps to a lower hull (1-6 on
+smooth samples, N at worst), then one merge of its slopes with the nodes,
+giving the full max's own floats. Dual evaluations outside the sampled
+gradient hull are reported, never extrapolated.
 """
 
 from __future__ import annotations
@@ -42,46 +42,55 @@ def _conjugate_1d(xs, vals, xis):
     """1-D discrete conjugate max_j [xis_i xs_j - vals_j] of every line.
 
     vals has shape (lines, len(xs)); +inf marks missing samples, whose
-    scores are -inf. xs and xis are increasing and xi x has increasing
-    differences, so each line's leftmost argmax is nondecreasing in i. The
-    end rows are solved over the whole line, then each level solves the
-    midpoints between known rows over [arg[left], arg[right]] as one flat
-    pass over all (line, row) windows. The scores are the full max's own
-    floats; only a near-tie within rounding of xi x could sit outside a
-    window, and then by no more than that rounding.
+    scores are -inf. xs and xis are increasing. Sweeps drop each sample
+    whose slope to its left neighbour is not below the one to its right,
+    leaving the lower hull, its slopes increasing in floats. One searchsorted
+    of them gives each dual node its vertex, whose score is the full max's
+    float when xi is t = T / min(diff(xs)) inside both adjacent slopes: all
+    other samples then trail by T, 2^-40 of the scores' size. Nearer nodes
+    are rescored out to the first vertex past those within T of theirs.
     """
-    lines, n = vals.shape
-    m = len(xis)
+    (lines, n), m = vals.shape, len(xis)
+    live = np.isfinite(vals).any(axis=1)
+    if not live.all():  # a line without samples conjugates to -inf
+        out = np.full((lines, m), -np.inf)
+        out[live] = _conjugate_1d(xs, vals[live], xis) if live.any() else -np.inf
+        return out
     flat_vals, flat_xs = vals.ravel(), np.tile(xs, lines)
-    line_start = np.arange(lines)[:, None] * n
-    out = np.empty((lines, m))
-    arg = np.empty((lines, m), dtype=np.intp)
-
-    def solve(rows, lo, hi):
-        # every window [lo, hi] of one level, laid end to end
-        counts = (hi - lo + 1).ravel()
-        starts = np.cumsum(counts) - counts
-        flat = np.arange(starts[-1] + counts[-1]) + np.repeat(
-            (line_start + lo).ravel() - starts, counts)
-        xi = np.repeat(np.tile(xis[rows], lines), counts)
-        score = xi * flat_xs[flat] - flat_vals[flat]
-        best = np.maximum.reduceat(score, starts)
-        at_best = np.where(score == np.repeat(best, counts), flat, flat_vals.size)
-        out[:, rows] = best.reshape(lo.shape)
-        arg[:, rows] = np.minimum.reduceat(at_best, starts).reshape(lo.shape) - line_start
-
-    known = np.unique([0, m - 1])
-    first = np.zeros((lines, len(known)), dtype=np.intp)
-    solve(known, first, first + n - 1)
+    pts = np.flatnonzero(np.isfinite(flat_vals))  # live samples, line by line
+    lid, hx, hv = pts // n, flat_xs[pts], flat_vals[pts]
     while True:
-        left, right = known[:-1], known[1:]
-        gap = right - left > 1
-        if not gap.any():
-            return out
-        left, right = left[gap], right[gap]
-        mids = (left + right) // 2
-        solve(mids, arg[:, left], arg[:, right])
-        known = np.union1d(known, mids)
+        same = lid[:-1] == lid[1:]
+        slope = np.divide(np.diff(hv), np.diff(hx), out=np.full(len(pts) - 1, np.inf), where=same)
+        drop = (slope[:-1] >= slope[1:]) & same[:-1] & same[1:]
+        if not drop.any():
+            break
+        keep = np.r_[True, ~drop, True]
+        pts, lid, hx, hv = pts[keep], lid[keep], hx[keep], hv[keep]
+    # a line's last vertex takes the nodes up to m, by its slope +inf
+    counts = np.diff(np.searchsorted(xis, np.r_[slope, np.inf]) + lid * m, prepend=0)
+    q, xi = np.repeat(np.arange(len(pts)), counts), np.tile(xis, lines)
+    score = xi * hx[q] - hv[q]
+    T = 2.0**-40 * (np.abs(xis).max() * np.abs(xs).max() + np.abs(hv).max())  # near-tie width
+    t = T / np.diff(xs).min(initial=np.inf)
+    lo, hi = np.r_[-np.inf, np.where(same, slope + t, -np.inf)], np.r_[slope - t, np.inf]
+    k = np.flatnonzero((xi < lo[q]) | (xi > hi[q]))
+    if len(k):
+        xk, s0, v = xi[k, None], score[k, None], np.repeat(q[k, None], 2, axis=1)
+        while True:  # out to the first vertex on each side past those within T
+            w = np.clip(v + [-1, 1], 0, len(pts) - 1)
+            inline = (w != v) & (lid[w] == lid[v])
+            ok = inline & (xk * hx[w] - hv[w] >= s0 - T)
+            if not ok.any():
+                break
+            v = np.where(ok, w, v)
+        first, last = pts[np.where(inline, w, v)].T
+        cnt = last - first + 1
+        starts = np.cumsum(cnt) - cnt
+        flat = np.arange(starts[-1] + cnt[-1]) + np.repeat(first - starts, cnt)
+        near = np.repeat(xi[k], cnt) * flat_xs[flat] - flat_vals[flat]
+        score[k] = np.maximum.reduceat(near, starts)
+    return score.reshape(lines, m)
 
 
 def conjugate_factorized(field, dual_grid):
@@ -91,9 +100,8 @@ def conjugate_factorized(field, dual_grid):
     w_0 = f, ..., w_n = -f* holds, so the conjugate is -w_n, on the other side.
     """
     grid = field.grid
-    n = grid.dim
     work = np.where(np.isfinite(field.values), field.values, np.inf)
-    for a in range(n):
+    for a in range(grid.dim):
         moved = np.moveaxis(work, a, -1)
         lines = moved.reshape(-1, moved.shape[-1])
         conj = _conjugate_1d(grid.coords[a], lines, dual_grid.coords[a])
@@ -162,12 +170,10 @@ def legendre_grid(field, dual_grid):
 def _shrunk_dual_grid(field):
     """Box grid of the field's resolution over the gradient hull's bounding
     box, shrunk by one node spacing on every side."""
-    resolution = field.grid.shape
     hull = gradient_hull(field)
-    verts = hull.points[hull.vertices]
-    lo, hi = verts.min(axis=0), verts.max(axis=0)
-    pad = (hi - lo) / (np.asarray(resolution) - 1)
-    return box_grid(lo + pad, hi - pad, resolution)
+    lo, hi = hull.min_bound, hull.max_bound
+    pad = (hi - lo) / (np.asarray(field.grid.shape) - 1)
+    return box_grid(lo + pad, hi - pad, field.grid.shape)
 
 
 def involution_residual(field):
@@ -178,9 +184,8 @@ def involution_residual(field):
     dual_grid = _shrunk_dual_grid(field)
     fstar = conjugate_factorized(field, dual_grid)
     back = conjugate_factorized(fstar, grid)
-    hull2 = gradient_hull(fstar)
     pts = grid.points().reshape(-1, grid.dim)
     interior = (grid.mask == INTERIOR).reshape(-1)
-    valid = interior & points_in_hull(hull2, pts)
+    valid = interior & points_in_hull(gradient_hull(fstar), pts)
     diff = np.abs(back.values.reshape(-1) - field.values.reshape(-1))[valid]
     return float(np.nanmax(diff))

@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import malab.legendre
+from malab.domains import Ball
 from malab.errors import ConvexityError, DegeneracyError, ExtrapolationError
-from malab.grids import GridFunction, box_grid, check_convex, sample_oracle
+from malab.grids import Grid, GridFunction, box_grid, check_convex, sample_oracle
 from malab.legendre import (LegendrePair, _conjugate_1d, conjugate_factorized,
                             involution_residual, legendre_grid)
 from malab.oracles import DualLog, ExpSolution, Quadratic
@@ -64,7 +67,7 @@ def test_factorized_equals_brute_in_3d():
 
 
 def dense_conjugate_1d(xs, vals, xis):
-    """The full (lines, M, N) score max the monotone-argmax pass must equal."""
+    """The full (lines, M, N) score max each per-axis pass must equal."""
     return (xis[:, None] * xs[None, :] - vals[:, None, :]).max(-1)
 
 
@@ -100,6 +103,53 @@ def test_conjugate_1d_exact_ties(rng):
              0.5 * xs**2 + 1e-17 * rng.normal(size=xs.size)]
     vals = np.vstack(lines + [line[::-1] for line in lines])
     assert np.array_equal(_conjugate_1d(xs, vals, xis), dense_conjugate_1d(xs, vals, xis))
+
+
+def test_conjugate_1d_near_affine_lines(rng):
+    """Lines within 1e-17..1e-13 of a common slope, by a faint bend or by
+    noise, with dual nodes on and around that slope: the scores of many hull
+    vertices tie within rounding."""
+    for draw in range(300):
+        xs = np.linspace(-1, 1, 65) if draw % 2 else np.sort(rng.uniform(-1, 1, 65))
+        slope, scale = rng.uniform(-1, 1), 10.0 ** rng.uniform(-17, -13)
+        xis = np.sort(np.r_[np.linspace(-1, 1, 17), slope, slope + 1e-15 * rng.normal(size=6)])
+        bend = (xs - rng.uniform(-1, 1, (10, 1))) ** 2
+        noise = rng.normal(size=(10, xs.size))
+        vals = slope * xs + rng.uniform(-1, 1, (20, 1)) + scale * np.vstack([bend, noise])
+        assert np.array_equal(_conjugate_1d(xs, vals, xis), dense_conjugate_1d(xs, vals, xis))
+
+
+def test_conjugate_1d_cascade_and_concave_lines():
+    # each line a convex chain whose last sample lies far below: pruning
+    # takes one sweep per sample
+    n = 64
+    xs, xis = np.linspace(0, 1, n), np.linspace(-200, 50, 97)
+    cascade = np.tile(0.5 * xs**2, (n, 1))
+    cascade[:, -1] -= 100.0 + np.arange(n)
+    concave = np.vstack([-xs**2, np.sqrt(xs + 0.1), -np.exp(xs)])
+    for vals in (cascade, concave, np.vstack([cascade, concave])):
+        assert np.array_equal(_conjugate_1d(xs, vals, xis), dense_conjugate_1d(xs, vals, xis))
+
+
+def test_conjugate_1d_all_lines_missing():
+    xs, xis = np.linspace(-1, 1, 9), np.linspace(-2, 2, 5)
+    out = _conjugate_1d(xs, np.full((3, 9), np.inf), xis)
+    assert out.shape == (3, 5) and np.all(out == -np.inf)
+
+
+def test_involution_passes_equal_dense_max_on_ball(monkeypatch):
+    """Every per-axis pass of the involution on the unit ball at 129, where
+    the dual nodes fall within rounding of hull slopes, equals the full max."""
+    passes = []
+
+    def checked(xs, vals, xis):
+        out = _conjugate_1d(xs, vals, xis)
+        passes.append(np.array_equal(out, dense_conjugate_1d(xs, vals, xis)))
+        return out
+
+    monkeypatch.setattr(malab.legendre, "_conjugate_1d", checked)
+    involution_residual(sample_oracle(ExpSolution(2), Grid.build(Ball(np.zeros(2), 1.0), 129)))
+    assert passes == [True] * 4
 
 
 def test_involution_residual_memory_at_257():
@@ -234,6 +284,22 @@ def test_young_identity_and_gradient_inversion(rng):
             assert abs(pair.young_defect(x)) <= 1e-8
             xi = pair.primal.gradient(x)
             assert np.abs(pair.dual.gradient(xi) - x).max() <= 1e-8
+
+
+@given(n=st.sampled_from([2, 3]), dual=st.booleans(), q=st.floats(0.05, 20.0),
+       x=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3))
+def test_young_identity_and_gradient_inversion_drawn(n, dual, q, x):
+    """u(grad f(x)) + f(x) = <x, grad f(x)> and grad u(grad f(x)) = x on
+    drawn ExpSolution/DualLog pairs, from either side, in 2-D and 3-D."""
+    f = DualLog(n, quad_coeff=q) if dual else ExpSolution(n, quad_coeff=q)
+    pair = LegendrePair(f, f.dual_oracle())
+    x = np.array(x[:n])
+    if dual:
+        x[0] = np.exp(x[0])  # DualLog lives on {x1 > 0}
+    xi = f.gradient(x)
+    size = 1.0 + abs(f.value(x)) + abs(x @ xi)
+    assert abs(pair.young_defect(x)) <= 1e-12 * size
+    assert np.allclose(pair.dual.gradient(xi), x, rtol=1e-12, atol=1e-12)
 
 
 def test_discrete_young_identity():
