@@ -451,12 +451,7 @@ def section_functionals(u, p, C, window, probes_per_axis=201, allow_clipped=Fals
 
     k = int(np.argmax(w["phi_barrier"]))
     return SectionFunctionalReport(
-        params=params,
-        sup_phi_barrier=float(w["phi_barrier"].max()),
-        sup_weighted_phi=float(w["weighted_phi"].max()),
-        sup_weighted_barrier=float(w["weighted_barrier"].max()),
-        sup_weighted_trace=float(w["weighted_trace"].max()),
-        sup_gradient_ratio=float(w["gradient_ratio"].max()),
+        params=params, **{f"sup_{name}": float(v.max()) for name, v in w.items()},
         argmax_phi_barrier=pts[k], level_fraction_at_argmax=float(uv[k] / C),
         probe_count=int(len(pts)), clipped_rays=clipped)
 

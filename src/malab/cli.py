@@ -102,11 +102,9 @@ def _probe_points(cfg, oracle):
         rng = np.random.default_rng(int(cfg.get("seed", 0)))
         count = int(spec.get("count", 50))
         if "lo" in spec:
-            lo = np.asarray(spec["lo"], float)
-            hi = np.asarray(spec["hi"], float)
+            lo, hi = np.asarray(spec["lo"], float), np.asarray(spec["hi"], float)
         elif oracle.name.startswith("duallog"):
-            lo = np.r_[0.5, -np.ones(oracle.n - 1)]
-            hi = np.r_[2.0, np.ones(oracle.n - 1)]
+            lo, hi = np.r_[0.5, -np.ones(oracle.n - 1)], np.r_[2.0, np.ones(oracle.n - 1)]
         else:
             lo, hi = -np.ones(oracle.n), np.ones(oracle.n)
         pts = rng.uniform(lo, hi, size=(count, oracle.n))
@@ -127,16 +125,9 @@ def _out_dir(cfg):
 
 def _run_catalog(cfg):
     n = int(cfg.get("n", 2))
-    listing = []
-    for name, oracle in sorted(catalog(n).items()):
-        listing.append({
-            "name": name,
-            "side": oracle.side,
-            "domain": oracle.domain_note(),
-            "drift": oracle.drift().to_json(),
-        })
-    payload = {"n": n, "fixtures": listing}
-    text = _dump_json(payload)
+    listing = [{"name": name, "side": oracle.side, "domain": oracle.domain_note(),
+                "drift": oracle.drift().to_json()} for name, oracle in sorted(catalog(n).items())]
+    text = _dump_json({"n": n, "fixtures": listing})
     sys.stdout.write(text)
     if "out" in cfg:
         _atomic_write(os.path.join(_out_dir(cfg), "catalog.json"), text)
@@ -170,8 +161,7 @@ def _run_geometry(cfg):
     pts = _probe_points(cfg, oracle)
     samples = [geometry_sample(oracle, x) for x in pts]
     lines = "".join(json.dumps(s.to_json(), sort_keys=True) + "\n" for s in samples)
-    out = _out_dir(cfg)
-    _atomic_write(os.path.join(out, "geometry.jsonl"), lines)
+    _atomic_write(os.path.join(_out_dir(cfg), "geometry.jsonl"), lines)
     sys.stdout.write(f"geometry: wrote {len(samples)} samples\n")
     return 0
 
@@ -183,11 +173,9 @@ def _run_verify(cfg):
     oracle = _fixture(cfg)
     out = _out_dir(cfg)
 
-    if suite == "identities":
-        report = identity_suite(oracle, _probe_points(cfg, oracle))
-        line = f"passed={report.passed}"
-    elif suite == "phi_inequality":
-        report = phi_inequality_check(oracle, _probe_points(cfg, oracle))
+    if suite in ("identities", "phi_inequality"):
+        check = identity_suite if suite == "identities" else phi_inequality_check
+        report = check(oracle, _probe_points(cfg, oracle))
         line = f"passed={report.passed}"
     elif suite == "det_barrier":
         if "r_prime" not in cfg:
@@ -282,12 +270,9 @@ def main(argv=None):
                   "verify": _run_verify, "blowup": _run_blowup,
                   "catalog": _run_catalog}[cfg["command"]]
         return runner(cfg)
-    except UsageError as e:
+    except MalabError as e:  # a usage error exits 2, a computational one 1
         sys.stderr.write(_dump_json(e.to_json()))
-        return 2
-    except MalabError as e:
-        sys.stderr.write(_dump_json(e.to_json()))
-        return 1
+        return 2 if isinstance(e, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -141,8 +141,7 @@ def halfspace_polytope(normals, offsets):
     """The polytope {x : normals[k].x <= offsets[k]}, checked to be bounded
     with nonempty interior, as the hull of its vertices."""
     from scipy.optimize import linprog  # imported here: only polytope JSON needs it
-    N = np.asarray(normals, dtype=float)
-    b = np.asarray(offsets, dtype=float)
+    N, b = np.asarray(normals, dtype=float), np.asarray(offsets, dtype=float)
     if N.ndim != 2 or len(b) != len(N):
         raise DomainError("polytope needs matching normals and offsets")
     if N.shape[1] < 2:
@@ -153,13 +152,8 @@ def halfspace_polytope(normals, offsets):
     faces, N, b = np.c_[N, -b], N / norms[:, None], b / norms
     n = N.shape[1]
     # Chebyshev center: max t s.t. N x + t <= b
-    res = linprog(
-        c=np.r_[np.zeros(n), -1.0],
-        A_ub=np.c_[N, np.ones(len(b))],
-        b_ub=b,
-        bounds=[(None, None)] * n + [(0, None)],
-        method="highs",
-    )
+    res = linprog(c=np.r_[np.zeros(n), -1.0], A_ub=np.c_[N, np.ones(len(b))], b_ub=b,
+                  bounds=[(None, None)] * n + [(0, None)], method="highs")
     if res.status == 3:
         raise DomainError("polytope is unbounded")
     if not res.success or res.x[-1] <= 1e-12:
@@ -198,8 +192,7 @@ class Ellipsoid(Report):
     shape: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        M = np.asarray(self.shape, dtype=float)
+        c, M = np.asarray(self.center, dtype=float), np.asarray(self.shape, dtype=float)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "shape", 0.5 * (M + M.T))
         asym = np.abs(M - M.T).max()
@@ -233,8 +226,7 @@ class AffineMap(Report):
         t = np.asarray(self.offset, dtype=float)
         object.__setattr__(self, "linear", A)
         object.__setattr__(self, "offset", t)
-        det = np.linalg.det(A)
-        if abs(det) <= 0:
+        if np.linalg.det(A) == 0:
             raise DomainError("affine map is singular")
         object.__setattr__(self, "inv_linear", np.linalg.inv(A))
 

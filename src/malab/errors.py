@@ -44,11 +44,8 @@ class MalabError(Exception):
         self.details = details
 
     def to_json(self):
-        return {
-            "error": type(self).__name__,
-            "message": self.message,
-            "details": jsonable(self.details),
-        }
+        return {"error": type(self).__name__, "message": self.message,
+                "details": jsonable(self.details)}
 
 
 class DomainError(MalabError):

@@ -19,7 +19,9 @@ One chain turns grad log det (tr(H^{-1} T_i) of an oracle, the FD gradient of
 a grid's log det field) into grad log rho and Phi, and one chain rule turns
 the Hessian of log rho in a potential's own coordinates into its x-Hessian.
 Oracles get that Hessian, and second derivatives of rho or Phi, by centered
-differencing of exact third-order rules with one Richardson level.
+differencing of exact third-order rules with one Richardson level. The batched
+Cholesky kernel stores its pivots entry-major: numpy reduces a short trailing
+axis row by row, and over contiguous rows ~20x faster, to the same bits.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, Report, StencilError
-from .grids import GridFunction, gradient_field, hessian_field
+from .grids import GridFunction, all_finite, gradient_field, hessian_field
 from .oracles import PRIMAL
 from .stencils import fd_directional, fd_gradient, fd_hessian
 
@@ -79,23 +81,24 @@ def cholesky(H, inverse=False):
     held entry-major (n, n, m). Returns the pivots L_ii^2 (m, n), all > 0 exactly
     when H is positive definite, with product det H; with `inverse`, also H^{-1} =
     L^{-T} L^{-1}. From its first pivot that is not > 0, a matrix's pivots and
-    inverse are NaN."""
+    inverse are NaN. The pivots are an (m, n) view of an entry-major (n, m) array, whose
+    axis-1 reductions run over contiguous rows, ~20x faster, to the same bits."""
     n = H.shape[-1]
     A = np.moveaxis(H, 0, -1)
-    L, piv = np.zeros(A.shape), np.empty(H.shape[:-1])
+    L, piv = np.zeros(A.shape), np.empty(A.shape[1:])
     for i in range(n):
         for j in range(i):
             L[i, j] = (A[i, j] - _dot(L[i, :j], L[j, :j])) / L[j, j]
-        piv[:, i] = A[i, i] - _dot(L[i, :i], L[i, :i])
-        L[i, i] = np.sqrt(np.where(piv[:, i] > 0.0, piv[:, i], np.nan))
+        piv[i] = A[i, i] - _dot(L[i, :i], L[i, :i])
+        L[i, i] = np.sqrt(np.where(piv[i] > 0.0, piv[i], np.nan))
     if not inverse:
-        return piv
+        return piv.T
     X = np.zeros(A.shape)  # L^{-1}, row by row by forward substitution
     for i in range(n):
         X[i, :i] = -_dot(L[i, :i, None], X[:i, :i]) / L[i, i]
         X[i, i] = 1.0 / L[i, i]
     Hi = _dot(X[:, :, None], X[:, None])  # X^T X: exactly symmetric, as x y = y x
-    return piv, np.ascontiguousarray(np.moveaxis(Hi, -1, 0))  # (m, n, n) in C order, as H
+    return piv.T, np.ascontiguousarray(np.moveaxis(Hi, -1, 0))  # (m, n, n) in C order, as H
 
 
 def invariants(H, T, side):
@@ -117,9 +120,9 @@ def invariants(H, T, side):
     n = H.shape[-1]
     lead = H.shape[:-2]
     flat = H.reshape(-1, n, n)
-    ok = np.all(np.isfinite(flat), axis=(1, 2))
+    ok = all_finite(flat, 2)
     if T is not None:
-        ok &= np.all(np.isfinite(T), axis=(-3, -2, -1)).reshape(-1)
+        ok &= all_finite(T, 3).reshape(-1)
     piv, Ginv = cholesky(np.where(ok[:, None, None], flat, np.nan), inverse=True)
     ok &= (piv > 0.0).all(axis=1)
     logdet = np.log(np.where(ok[:, None], piv, np.nan)).sum(axis=1)

@@ -95,9 +95,8 @@ class Grid:
 
     def nearest_node(self, x):
         x = np.asarray(x, dtype=float)
-        idx = tuple(int(np.clip(round((x[i] - self.lo[i]) / self.spacing[i]), 0,
-                                self.shape[i] - 1)) for i in range(self.dim))
-        return idx
+        return tuple(int(np.clip(round((x[i] - self.lo[i]) / self.spacing[i]), 0,
+                                 self.shape[i] - 1)) for i in range(self.dim))
 
     def meta_json(self):
         return {
@@ -226,6 +225,22 @@ def sample_oracle(oracle, grid):
     return GridFunction(grid, vals, oracle.side)
 
 
+def all_finite(a, axes):
+    """np.isfinite(a).all() over the last `axes` axes, ANDed entry by entry:
+    numpy reduces a short trailing axis one row at a time, 5-20x slower."""
+    fin = np.isfinite(a)
+    ok = np.ones(fin.shape[:fin.ndim - axes], dtype=bool)
+    for k in np.ndindex(fin.shape[fin.ndim - axes:]):
+        ok &= fin[(...,) + k]
+    return ok
+
+
+def rows_where(a, keep):
+    """a[keep] for a mask `keep` of a's leading axes, by np.compress, which copies
+    whole rows: boolean indexing copies a short row item by item, 5-8x slower."""
+    return np.compress(keep.ravel(), a.reshape((keep.size,) + a.shape[keep.ndim:]), axis=0)
+
+
 @dataclass(frozen=True)
 class ConvexityReport(Report):
     min_eigenvalue: float
@@ -239,7 +254,7 @@ def check_convex(fu):
     H = fu.hessian_field()
     interior = fu.grid.mask == INTERIOR
     flat = H[interior]
-    good = np.all(np.isfinite(flat.reshape(len(flat), -1)), axis=1)
+    good = all_finite(flat, 2)
     eigs = np.full(len(flat), np.nan)
     if good.any():
         eigs[good] = np.linalg.eigvalsh(flat[good]).min(axis=-1)

@@ -6,11 +6,13 @@ Lucet's linear-time Legendre transform (Numer. Algorithms 16, 1997) of N
 samples onto M dual nodes: O(lines N) pruning sweeps to a lower hull (1-6 on
 smooth samples, N at worst), then one merge of its slopes with the nodes,
 giving the full max's own floats. Dual evaluations outside the sampled
-gradient hull are reported, never extrapolated.
+gradient hull are reported, never extrapolated; Qhull builds that hull from
+a few percent of the gradients, the candidates an Akl-Toussaint filter keeps.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +20,11 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ConvexityError, DegeneracyError, ExtrapolationError
 from .geometry import cholesky
-from .grids import INTERIOR, OUTSIDE, GridFunction, box_grid, check_convex
+from .grids import INTERIOR, OUTSIDE, GridFunction, all_finite, box_grid, check_convex, rows_where
 from .oracles import DUAL, PRIMAL
 
 _HULL_TOL = 1e-9
+_DROP_MARGIN = 1e-9  # times max|p|; a facet score rounds by ~1e-15 max|p|
 
 
 @dataclass(frozen=True)
@@ -111,32 +114,43 @@ def conjugate_factorized(field, dual_grid):
 
 
 def gradient_hull(field):
-    """Convex hull of the FD gradients at interior nodes.
-
+    """Convex hull of the finite FD gradients at interior nodes, by Qhull on hull
+    candidates (Akl-Toussaint, Inf. Process. Lett. 7, 1978): the gradients extreme
+    along {-1, 0, 1}^n \\ {0} span a small hull; those inside it by more than
+    _DROP_MARGIN max|p|, far above the rounding of their scores, are dropped.
+    hull.points holds the candidates, the axis extremes among them (same bounds).
     Raises DegeneracyError when the gradient set has empty interior (a
     linear field collapses it to a point, x1^2/2 to a segment).
     """
-    grads = field.gradient_field()[field.grid.mask == INTERIOR]
-    grads = grads[np.all(np.isfinite(grads), axis=1)]
+    grads = field.gradient_field()
+    grads = rows_where(grads, (field.grid.mask == INTERIOR) & all_finite(grads, 1))
     if len(grads) < 1:
         raise DegeneracyError("no interior gradients available for a hull")
+    n = grads.shape[1]
+    dirs = np.indices((3,) * n).reshape(n, -1).T - 1  # {-1, 0, 1}^n
+    extremes = np.unique((dirs[dirs.any(axis=1)] @ grads.T).argmax(axis=1))
+    with suppress(QhullError):  # a degenerate small hull: Qhull decides on all gradients
+        small = ConvexHull(grads[extremes])
+        grads = rows_where(grads, ~points_in_hull(small, grads, -_DROP_MARGIN * abs(grads).max()))
     try:
         return ConvexHull(grads)
     except QhullError:
         raise DegeneracyError("interior gradients span a set with empty interior") from None
 
 
-def points_in_hull(hull, pts):
-    pts = np.asarray(pts, dtype=float)
-    A, b = hull.equations[:, :-1], hull.equations[:, -1]
-    return (pts @ A.T + b[None, :]).max(axis=1) <= _HULL_TOL
+def points_in_hull(hull, pts, tol=_HULL_TOL):
+    """Points whose every facet score against the hull is <= tol, scored
+    facet-major: (F, N) scores, offset in place, reduced over their long axis."""
+    score = hull.equations[:, :-1] @ np.asarray(pts, dtype=float).T
+    score += hull.equations[:, -1:]
+    return score.max(axis=0) <= tol
 
 
 def _require_weakly_convex(field, what):
     # eigenvalues >= -1e-8 at every finite interior node iff H + 1e-8 I has a
     # Cholesky factor there; check_convex runs only to report a failure
-    H = field.hessian_field()[field.grid.mask == INTERIOR]
-    H = H[np.isfinite(H).all(axis=(1, 2))]
+    H = field.hessian_field()
+    H = rows_where(H, (field.grid.mask == INTERIOR) & all_finite(H, 2))
     if len(H) and (cholesky(H + 1e-8 * np.eye(field.grid.dim)) > 0.0).all():
         return
     rep = check_convex(field)

@@ -274,8 +274,7 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL):
             dt *= 0.5
             rejected_steps += 1
             if dt < MIN_STEP:
-                raise ConvexityError("continuation cannot keep the iterate convex",
-                                     t_reached=t)
+                raise ConvexityError("continuation cannot keep the iterate convex", t_reached=t)
             continue
         values, history, rnorm, halvings = solved
         t = t_try

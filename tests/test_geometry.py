@@ -579,6 +579,26 @@ def test_cholesky_equals_einsum_reference_bit_for_bit(n):
     assert np.array_equal(piv, malab.geometry.cholesky(H), equal_nan=True)
 
 
+@pytest.mark.parametrize("m", [0, 257])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cholesky_pivots_entry_major(n, m):
+    """The pivots are an (m, n) view of an entry-major (n, m) array, and their
+    axis-1 sum, prod, all and log-sum equal those of a C-ordered copy bit for
+    bit, NaN rows and an empty batch included."""
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(m, n, n))
+    H = A @ A.swapaxes(-1, -2) + 0.1 * np.eye(n)
+    H[5:9, n - 1, n - 1] = np.nan
+    H[9:12] *= -1.0
+    for piv in (malab.geometry.cholesky(H), malab.geometry.cholesky(H, inverse=True)[0]):
+        assert piv.shape == (m, n) and piv.T.flags.c_contiguous and piv.base is not None
+        node_major = np.ascontiguousarray(piv)
+        for reduce in (np.sum, np.prod, np.all, lambda p, axis: np.log(p).sum(axis=axis)):
+            with np.errstate(invalid="ignore"):
+                got, want = reduce(piv, axis=1), reduce(node_major, axis=1)
+            assert got.shape == (m,) and got.tobytes() == want.tobytes()
+
+
 def test_no_batched_einsum_over_four_or_more_operands():
     """np.einsum without a contraction path runs one generic loop over every
     index at once; over a batch axis and four or more operands that is an

@@ -1,17 +1,19 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 import malab.legendre
 from malab.domains import Ball
 from malab.errors import ConvexityError, DegeneracyError, ExtrapolationError
-from malab.grids import Grid, GridFunction, box_grid, check_convex, sample_oracle
-from malab.legendre import (LegendrePair, _conjugate_1d, conjugate_factorized,
-                            involution_residual, legendre_grid)
+from malab.grids import INTERIOR, Grid, GridFunction, box_grid, check_convex, sample_oracle
+from malab.legendre import (LegendrePair, _conjugate_1d, conjugate_factorized, gradient_hull,
+                            involution_residual, legendre_grid, points_in_hull)
 from malab.oracles import DualLog, ExpSolution, Quadratic
 
 
@@ -161,6 +163,91 @@ def test_involution_residual_memory_at_257():
     finally:
         tracemalloc.stop()
     assert peak_mb < 20.0
+
+
+def _cloud(pts):
+    """A stand-in field whose interior FD gradients are the rows of pts."""
+    return SimpleNamespace(gradient_field=lambda: pts,
+                           grid=SimpleNamespace(mask=np.full(len(pts), INTERIOR)))
+
+
+def _bowed_cube(n, k=21, sag=1e-10):
+    """Rows of k^(n-1) points on each face of [-1, 1]^n, each face bowed outward by
+    up to sag: all are hull vertices, outside the small hull by less than the
+    drop margin, so a candidate filter that drops near-facet points loses them."""
+    t = np.linspace(-1.0, 1.0, k)
+    face = np.stack(np.meshgrid(*[t] * (n - 1), indexing="ij"), -1).reshape(-1, n - 1)
+    bulge = 1.0 + sag * np.prod(1.0 - face**2, axis=1)
+    return np.concatenate([np.insert(face, a, s * bulge, axis=1)
+                           for a in range(n) for s in (-1.0, 1.0)])
+
+
+def _hull_cloud(kind, n, rng):
+    """(points, field) of one drawn cloud; field is a sampled potential for the
+    FD-gradient images and a stand-in for the others."""
+    if kind in ("box", "ball"):
+        oracle = ExpSolution(n) if rng.random() < 0.5 else Quadratic.unit(n, rng.uniform(0.5, 2))
+        c = rng.uniform(-0.1, 0.1, n)
+        res = 33 if n == 2 else 13
+        fu = sample_oracle(oracle, box_grid(c - 1, c + 1, res) if kind == "box"
+                           else Grid.build(Ball(c, 1.0), res))
+        g = fu.gradient_field()[fu.grid.mask == INTERIOR]
+        return g[np.isfinite(g).all(axis=1)], fu
+    pts = {"random": lambda: rng.normal(size=(300, n)),
+           "rows": lambda: np.indices((9,) * n).reshape(n, -1).T * rng.uniform(0.1, 3.0),
+           "duplicates": lambda: np.repeat(rng.normal(size=(100, n)), 3, axis=0),
+           "scaled": lambda: rng.normal(size=(300, n)) * 10.0 ** rng.choice([-6, 6]),
+           "bowed": lambda: np.r_[_bowed_cube(n), rng.uniform(-1, 1, (200, n))]}[kind]()
+    return rng.permutation(pts), None
+
+
+@pytest.mark.parametrize("kind", ["random", "box", "ball", "rows", "duplicates", "scaled",
+                                  "bowed"])
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=5)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_candidate_hull_equals_full_qhull(kind, n, seed):
+    """Qhull on the hull candidates gives the hull of all gradients: the same
+    vertex points and bounds, and the same points_in_hull masks on a lattice over
+    every facet, jittered along its normal by up to twice the membership tolerance
+    (times the cloud's size above 1: in 3-D the two runs order a facet's vertices
+    differently, so their planes agree to rounding, not bit for bit)."""
+    rng = np.random.default_rng(seed)
+    pts, field = _hull_cloud(kind, n, rng)
+    full, hull = ConvexHull(pts), gradient_hull(field or _cloud(pts))
+    assert len(hull.points) <= len(pts)
+    assert ({tuple(p) for p in hull.points[hull.vertices]}
+            == {tuple(p) for p in full.points[full.vertices]})
+    assert np.array_equal(hull.min_bound, full.min_bound)
+    assert np.array_equal(hull.max_bound, full.max_bound)
+    corners = full.points[full.simplices]                      # (F, n, n)
+    weights = np.r_[np.full((1, n), 1.0 / n), 0.5 / n + 0.5 * np.eye(n)]
+    on_facets = np.einsum("wk,fkd->fwd", weights, corners)
+    jitter = rng.uniform(-2e-9, 2e-9, on_facets.shape[:2] + (1,)) * max(1.0, np.abs(pts).max())
+    probe = (on_facets + jitter * full.equations[:, None, :-1]).reshape(-1, n)
+    assert np.array_equal(points_in_hull(hull, probe), points_in_hull(full, probe))
+
+
+@pytest.mark.parametrize("pts", [np.tile([0.3, -0.2], (50, 1)),
+                                 np.outer(np.linspace(-1, 1, 50), [1.0, 2.0]),
+                                 np.c_[np.random.default_rng(0).normal(size=(50, 2)),
+                                       np.zeros(50)] @ [[1, 0, 1], [0, 1, 2], [0, 0, 1.0]]],
+                         ids=["point", "segment", "coplanar-3d"])
+def test_gradient_hull_of_degenerate_sets_raises(pts):
+    with pytest.raises(DegeneracyError):
+        gradient_hull(_cloud(pts))
+
+
+def test_gradient_hull_sends_few_points_to_qhull(monkeypatch):
+    """On ExpSolution(2) at 257^2 Qhull sees at most 2% of the interior gradients."""
+    sizes = []
+    monkeypatch.setattr(malab.legendre, "ConvexHull",
+                        lambda pts: sizes.append(len(pts)) or ConvexHull(pts))
+    fu = sample_oracle(ExpSolution(2), box_grid([-1, -1], [1, 1], 257))
+    hull = gradient_hull(fu)
+    interior = fu.gradient_field()[fu.grid.mask == INTERIOR]
+    assert np.array_equal(hull.max_bound, interior.max(axis=0))
+    assert 0 < max(sizes) <= 0.02 * len(interior)
 
 
 def test_conjugate_of_sampled_quadratic():
