@@ -15,10 +15,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import ConvergenceError, DomainError, Report
 
+HalfspaceIntersection = None  # scipy's, bound on first use; a global, so tests patch it
 _CONTAIN_TOL = 1e-12
 MAX_AXIS_RATIO = 1e6
 MVEE_MAX_STEPS = 50  # primal-dual iterations of one MVEE
@@ -71,6 +71,7 @@ class Polytope:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] < 2:
             raise DomainError("polytopes need at least two dimensions")
+        from scipy.spatial import ConvexHull, QhullError  # loads Qhull on the first polytope
         try:
             self.hull = ConvexHull(pts)
         except QhullError:
@@ -140,7 +141,9 @@ class Box(Polytope):
 def halfspace_polytope(normals, offsets):
     """The polytope {x : normals[k].x <= offsets[k]}, checked to be bounded
     with nonempty interior, as the hull of its vertices."""
-    from scipy.optimize import linprog  # imported here: only polytope JSON needs it
+    global HalfspaceIntersection  # a patched one stays
+    import scipy.optimize, scipy.spatial  # imported here: only polytope JSON needs linprog
+    HalfspaceIntersection = HalfspaceIntersection or scipy.spatial.HalfspaceIntersection
     N, b = np.asarray(normals, dtype=float), np.asarray(offsets, dtype=float)
     if N.ndim != 2 or len(b) != len(N):
         raise DomainError("polytope needs matching normals and offsets")
@@ -152,8 +155,8 @@ def halfspace_polytope(normals, offsets):
     faces, N, b = np.c_[N, -b], N / norms[:, None], b / norms
     n = N.shape[1]
     # Chebyshev center: max t s.t. N x + t <= b
-    res = linprog(c=np.r_[np.zeros(n), -1.0], A_ub=np.c_[N, np.ones(len(b))], b_ub=b,
-                  bounds=[(None, None)] * n + [(0, None)], method="highs")
+    res = scipy.optimize.linprog(c=np.r_[np.zeros(n), -1.0], A_ub=np.c_[N, np.ones(len(b))],
+                                 b_ub=b, bounds=[(None, None)] * n + [(0, None)], method="highs")
     if res.status == 3:
         raise DomainError("polytope is unbounded")
     if not res.success or res.x[-1] <= 1e-12:
@@ -161,8 +164,8 @@ def halfspace_polytope(normals, offsets):
     # bounded iff 0 lies strictly inside the convex hull of the normals;
     # normals that are not full-dimensional leave a direction unbounded
     try:
-        inside = ConvexHull(N).equations[:, -1].max() < -1e-12
-    except QhullError:
+        inside = scipy.spatial.ConvexHull(N).equations[:, -1].max() < -1e-12
+    except scipy.spatial.QhullError:
         inside = False
     if not inside:
         raise DomainError("polytope is unbounded")

@@ -16,13 +16,13 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ConvexityError, DegeneracyError, ExtrapolationError
 from .geometry import cholesky
 from .grids import INTERIOR, OUTSIDE, GridFunction, all_finite, box_grid, check_convex, rows_where
 from .oracles import DUAL, PRIMAL
 
+ConvexHull = None  # scipy's, bound by the first gradient_hull; a global, so a test patches it
 _HULL_TOL = 1e-9
 _DROP_MARGIN = 1e-9  # times max|p|; a facet score rounds by ~1e-15 max|p|
 
@@ -126,6 +126,9 @@ def gradient_hull(field):
     grads = rows_where(grads, (field.grid.mask == INTERIOR) & all_finite(grads, 1))
     if len(grads) < 1:
         raise DegeneracyError("no interior gradients available for a hull")
+    global ConvexHull  # Qhull loads here; a ConvexHull patched before then stays
+    from scipy.spatial import ConvexHull as qhull, QhullError
+    ConvexHull = ConvexHull or qhull
     n = grads.shape[1]
     dirs = np.indices((3,) * n).reshape(n, -1).T - 1  # {-1, 0, 1}^n
     extremes = np.unique((dirs[dirs.any(axis=1)] @ grads.T).argmax(axis=1))
@@ -151,7 +154,8 @@ def _require_weakly_convex(field, what):
     # Cholesky factor there; check_convex runs only to report a failure
     H = field.hessian_field()
     H = rows_where(H, (field.grid.mask == INTERIOR) & all_finite(H, 2))
-    if len(H) and (cholesky(H + 1e-8 * np.eye(field.grid.dim)) > 0.0).all():
+    H[:, range(field.grid.dim), range(field.grid.dim)] += 1e-8  # H is rows_where's copy
+    if len(H) and (cholesky(H) > 0.0).all():
         return
     rep = check_convex(field)
     if rep.min_eigenvalue < -1e-8:

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, ConvexityError, DomainError, Report
 from .geometry import cholesky, grid_invariants
@@ -35,6 +33,7 @@ from .stencils import difference
 __all__ = ["DriftCoefficients", "SolverConfig", "SolverReport",
            "residual_field", "newton_solve"]
 
+splu = None  # scipy's sparse LU, bound on the first solve; the tracer and tests patch it
 DET_FLOOR = 1e-14  # smallest FD Hessian determinant a Newton iterate may reach
 DAMPING = 0.5  # a rejected trial step is scaled by this
 MIN_STEP = 2.0**-20  # smallest Newton step and continuation step before giving up
@@ -141,6 +140,9 @@ class _Jacobian:
     structure and the (arm, node) weight of each entry are laid out once."""
 
     def __init__(self, grid):
+        global splu  # scipy.sparse loads here; a splu patched before then stays
+        import scipy.sparse as sp, scipy.sparse.linalg
+        splu = splu or scipy.sparse.linalg.splu
         st, n = grid.stencil, grid.dim
         self.grid, self.order = grid, _dissection_order(grid.interior_nodes())
         self.size, self.rank = len(self.order), np.argsort(self.order)
@@ -160,6 +162,7 @@ class _Jacobian:
         """Sparse linearization trace(H^{-1} D^2 .) (+ drift gradient on the
         dual side): the arms of d_ij weighted by Hi_ij (twice off the
         diagonal) and, on the dual side, the arms of d_i weighted by d_i."""
+        import scipy.sparse as sp
         n, Hi = self.grid.dim, cholesky(H, inverse=True)[1]
         terms = [((i, j), Hi[:, i, j] * (1.0 if i == j else 2.0))
                  for i in range(n) for j in range(i, n)]

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +383,25 @@ class TestFactor:
         assert np.array_equal(half, np.repeat([-1, 1, 0], [k1, k2 - k1, half.size - k2]))
         assert J[:k1, k1:k2].nnz == J[k1:k2, :k1].nnz == 0
         assert J[:k1, k2:].nnz > 0 and J[k1:k2, k2:].nnz > 0
+
+
+def test_scipy_loads_on_first_solve():
+    """A fresh `import malab, malab.cli` loads no scipy module, and the first
+    solve binds `malab.solver.splu`, the name the benchmark tracer wraps and
+    TestOrderOncePerSolve patches, to scipy's own."""
+    script = "\n".join([
+        "import sys, numpy as np, malab, malab.cli",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "q = malab.Quadratic.unit(2)",
+        "malab.newton_solve(malab.Grid.build(malab.Ball(np.zeros(2), 1.0), 17),",
+        "                   malab.DriftCoefficients.zero(2), lambda p: float(q.value(p)))",
+        "import scipy.sparse.linalg",
+        "print(malab.solver.splu is scipy.sparse.linalg.splu)"])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=120).stdout.splitlines()
+    assert out == ["[]", "True"]
 
 
 class TestOrderOncePerSolve:

@@ -7,6 +7,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import malab
 import malab.cli
 import malab.solver
 
@@ -30,12 +33,16 @@ def _bindings(tracer):
 
 def test_tracer_installs_and_uninstalls():
     tracer = _load_tracer()
+    q = malab.Quadratic.unit(2)  # a first solve binds malab.solver.splu, as run.py's warm-up does
+    malab.newton_solve(malab.Grid.build(malab.Ball(np.zeros(2), 1.0), 17),
+                       malab.DriftCoefficients.zero(2), lambda p: float(q.value(p)))
     before = _bindings(tracer)
-    newton_solve = malab.solver.newton_solve
+    newton_solve, splu = malab.solver.newton_solve, malab.solver.splu
     t = tracer.Tracer()
     try:
         t.install()
         assert malab.cli.newton_solve is not newton_solve  # wrapped where it is imported
+        assert splu is tracer.splu and malab.solver.splu is not splu  # the solver.lu span
     finally:
         t.uninstall()
     after = _bindings(tracer)
