@@ -18,13 +18,12 @@ import numpy as np
 from .domains import Polytope, direction_fan, normalize_domain
 from .errors import (CounterexampleError, DomainError, PreconditionError, Report,
                      UnboundedSectionError, WindowError)
-from .geometry import (fd_step, grid_invariants, grid_phi_inequality_fields, invariants,
-                       metric_laplacian, pde_residual, phi_inequality_residual, phi_rule,
-                       rho_value_rule, xx_hessian_logrho)
+from .geometry import (grid_invariants, grid_phi_inequality_fields, invariants, logrho_hessian,
+                       metric_laplacian, pde_residual, phi_inequality_residual,
+                       xx_hessian_logrho)
 from .grids import GridFunction, INTERIOR, atomic_write, csv_text
 from .oracles import PRIMAL, AffineImageOracle
 from .solver import residual_field
-from .stencils import fd_gradient, fd_hessian
 
 PDE_GATE_TOL = 1e-8
 PHI_TOL_SCALE = 1e-4   # a Phi-inequality margin may fall this far below 0, times max(1, Phi^2)
@@ -114,7 +113,9 @@ def identity_suite(potential, probes, drift=None):
     rho, phi = inv["rho"], inv["Phi"]
     scaled = AffineImageOracle(potential, scale=SCALE_FACTOR)
     phi_new = invariants(scaled.hessian(probes), scaled.third(probes), side)["Phi"]
-    rho_hess = fd_hessian(rho_value_rule(potential, side), probes, fd_step(probes))
+    # D^2 rho = rho (D^2 log rho + grad log rho grad log rho^T)
+    rho_hess = rho[..., None, None] * (logrho_hessian(Hi, T, potential.fourth(probes), side)
+                                       + glr[..., :, None] * glr[..., None, :])
 
     # the scalars f and u on the evaluation side: the potential itself, and
     # its partner with gradient x @ H and Hessian H + x . T
@@ -157,14 +158,16 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
 
     on the potential's side; `side`, if given, must be that side.
     Probes where Phi <= PHI_FLOOR are skipped (the zero branch is vacuous).
-    For grid potentials the probes are interior nodes (optionally filtered
-    by probe_predicate on node coordinates); FD chains near the prescribed
+    At analytic probes, Phi and grad log rho are the kernel's, and grad Phi
+    and D^2 Phi are exact, those of Phi on the gated drift. For grid
+    potentials the probes are interior nodes (optionally filtered by
+    probe_predicate on node coordinates); FD chains near the prescribed
     collar are not trustworthy, so callers usually keep a margin.
     """
     if side not in (None, potential.side):
         raise DomainError("a potential is read on its own side", side=side, own=potential.side)
     on_grid = isinstance(potential, GridFunction)
-    _gate(potential, probes, drift)
+    drift = _gate(potential, probes, drift)
     if on_grid:
         res, phi = grid_phi_inequality_fields(potential)
         pts = potential.grid.points()
@@ -175,16 +178,30 @@ def phi_inequality_check(potential, probes=None, side=None, drift=None,
         return _phi_inequality_report("phi_inequality_grid", pts[live], res[live], phi[live],
                                       int((valid & ~live).sum()))
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    phi_r = phi_rule(potential, potential.side)
-    inv = invariants(potential.hessian(probes), potential.third(probes), potential.side)
+    T = potential.third(probes)
+    inv = invariants(potential.hessian(probes), T, potential.side)
     live = inv["Phi"] > PHI_FLOOR
     inv = {k: v[live] for k, v in inv.items()}
     x = probes[live]
-    hstep = fd_step(x)
-    residuals = phi_inequality_residual(inv, fd_gradient(phi_r, x, hstep),
-                                        fd_hessian(phi_r, x, hstep))
+    residuals = phi_inequality_residual(inv, *_phi_eq_derivatives(
+        inv["Ginv"], T[live], potential.fourth(x), drift.d, potential.side))
     return _phi_inequality_report("phi_inequality", x, residuals,
                                   inv["Phi"], int((~live).sum()))
+
+
+def _phi_eq_derivatives(Ginv, T, Q, d, side):
+    """Gradient and Hessian of Phi where the drift equation holds, from H^{-1},
+    T and Q: there Phi = d.H^{-1}d/(n+2)^2 on the primal side, whose derivatives
+    bring in d(H^{-1}) = -H^{-1} T H^{-1}, and d.H d/(n+2)^2 on the dual side."""
+    c = (Ginv.shape[-1] + 2.0) ** 2
+    if side != PRIMAL:
+        return (np.einsum("...abk,a,b->...k", T, d, d) / c,
+                np.einsum("...abkl,a,b->...kl", Q, d, d) / c)
+    v = Ginv @ d
+    W = np.einsum("...abk,...b->...ak", T, v)  # (T_k v)_a
+    return (-np.einsum("...ak,...a->...k", W, v) / c,
+            (2.0 * np.einsum("...ak,...ab,...bl->...kl", W, Ginv, W)
+             - np.einsum("...abkl,...a,...b->...kl", Q, v, v)) / c)
 
 
 def _phi_inequality_report(name, points, residuals, phis, skipped):

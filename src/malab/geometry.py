@@ -18,8 +18,8 @@ is the log det term above on both, so Lap needs no side.
 One chain turns grad log det (tr(H^{-1} T_i) of an oracle, the FD gradient of
 a grid's log det field) into grad log rho and Phi, and one chain rule turns
 the Hessian of log rho in a potential's own coordinates into its x-Hessian.
-Oracles get that Hessian, and second derivatives of rho or Phi, by centered
-differencing of exact third-order rules with one Richardson level. The batched
+Oracles get that Hessian in closed form from their exact derivatives up to
+fourth order (logrho_hessian); nothing here differences a callable. The batched
 Cholesky kernel stores its pivots entry-major: numpy reduces a short trailing
 axis row by row, and over contiguous rows ~20x faster, to the same bits.
 """
@@ -33,9 +33,6 @@ import numpy as np
 from .errors import DegeneracyError, DomainError, Report, StencilError
 from .grids import GridFunction, all_finite, gradient_field, hessian_field
 from .oracles import PRIMAL
-from .stencils import fd_directional, fd_gradient, fd_hessian
-
-DEFAULT_FD_SCALE = 1e-3  # outer FD step = scale * local length unit
 
 
 def metric_laplacian(Ginv, gld, grad, hess):
@@ -169,41 +166,38 @@ def pde_residual(oracle, points, drift):
     return drift.residual(logdet, points if side == PRIMAL else oracle.gradient(points), side)
 
 
-def grad_logrho_rule(oracle, side):
-    return lambda x: invariants(oracle.hessian(x), oracle.third(x), side)["grad_logrho"]
-
-
 def phi_rule(oracle, side):
     return lambda x: invariants(oracle.hessian(x), oracle.third(x), side)["Phi"]
 
 
-def rho_value_rule(oracle, side):
-    return lambda x: invariants(oracle.hessian(x), None, side)["rho"]
-
-
-def fd_step(x):
-    """The outer FD step of each point x (..., n)."""
-    return DEFAULT_FD_SCALE * np.maximum(1.0, np.abs(np.asarray(x)).max(axis=-1))
-
-
 # ---------------------------------------------------------------------------
-# the x-Hessian of log rho (fourth-order content; drives the flat-direction
+# the Hessian of log rho (fourth-order content; drives the flat-direction
 # curvature and identity (a))
+
+
+def logrho_hessian(Ginv, T, Q, side):
+    """The Hessian of log rho in the potential's own coordinates from H^{-1}, the
+    third derivatives T and the fourth derivatives Q, broadcast over the leading
+    axes: s times that of log det, tr(H^{-1} Q_kl) - tr(H^{-1} T_k H^{-1} T_l)."""
+    M = np.einsum("...ab,...bck->...ack", Ginv, T)  # H^{-1} T_k
+    return _exponent(side, Ginv.shape[-1]) * (np.einsum("...ab,...abkl->...kl", Ginv, Q)
+                                              - np.einsum("...ack,...cal->...kl", M, M))
 
 
 def xx_hessian_logrho(oracle, x):
     """Second derivatives of log rho with respect to the primal coordinates, at
     points x (..., n) of the oracle's side: _xx_chain over the exact H and T and
-    the FD Jacobian of the exact grad log rho."""
+    the exact Hessian of log rho in the oracle's own coordinates."""
     side, x = oracle.side, np.asarray(x, dtype=float)
-    T, D = oracle.third(x), fd_gradient(grad_logrho_rule(oracle, side), x, fd_step(x))
-    return _xx_chain(invariants(oracle.hessian(x), T, side), T, D, side)
+    T = oracle.third(x)
+    inv = invariants(oracle.hessian(x), T, side)
+    return _xx_chain(inv, T, logrho_hessian(inv["Ginv"], T, oracle.fourth(x), side), side)
 
 
 def _xx_chain(inv, T, ddphi, side):
     """The x-Hessian of log rho from the invariants `inv`, third derivatives T and
-    the Hessian (or Jacobian of the gradient) `ddphi` of log rho in the potential's
-    own coordinates. On the dual side d/dx_i = G^ia d/dxi_a, whose G^ia brings in T."""
+    the Hessian `ddphi` of log rho in the potential's own coordinates. On the dual
+    side d/dx_i = G^ia d/dxi_a, whose G^ia brings in T."""
     if side == PRIMAL:
         out = ddphi
     else:
@@ -300,15 +294,14 @@ def calabi_laplacian(potential, field, x):
     """Metric Laplacian of a scalar field.
 
     For an analytic potential, x is a point or a batch of points (..., n)
-    and the field, a callable on points, is differenced with one Richardson
-    level.
+    and the field, a FieldOracle, gives its exact gradient and Hessian.
     For a grid potential, x snaps to the nearest node and the field
-    (callable on points, or node array) is chained through grid differences.
+    (FieldOracle or node array) is chained through grid differences.
     """
     if isinstance(potential, GridFunction):
         grid = potential.grid
         node = _node(grid, x)
-        values = field if isinstance(field, np.ndarray) else field(grid.points())
+        values = field if isinstance(field, np.ndarray) else field.value(grid.points())
         inv = grid_invariants(potential)
         out = metric_laplacian(inv["Ginv"], inv["grad_logdet"], gradient_field(values, grid),
                                hessian_field(values, grid))[node]
@@ -318,9 +311,7 @@ def calabi_laplacian(potential, field, x):
         return float(out)
     x = np.asarray(x, dtype=float)
     inv = _spd_invariants(potential.hessian(x), potential.third(x), potential.side, x)
-    hstep = fd_step(x)
-    lap = metric_laplacian(inv["Ginv"], inv["grad_logdet"],
-                           fd_gradient(field, x, hstep), fd_hessian(field, x, hstep))
+    lap = metric_laplacian(inv["Ginv"], inv["grad_logdet"], field.gradient(x), field.hessian(x))
     return float(lap) if x.ndim == 1 else lap
 
 
@@ -330,52 +321,38 @@ def calabi_laplacian(potential, field, x):
 
 @dataclass(frozen=True)
 class StructureResiduals(Report):
-    gauss: float
     codazzi: float
     ricci_consistency: float
 
 
 def structure_residuals(potential, x):
-    """Numerical defects of the graph structure equation, the symmetry of the
-    covariant-derivative cubic form, and Ricci-from-connection vs the cubic
-    contraction. The potential is treated as the graph function over its own
-    coordinates, differenced with the fixed step DEFAULT_FD_SCALE."""
-    h = DEFAULT_FD_SCALE
+    """Numerical defects of the symmetry of the covariant-derivative cubic form
+    and of Ricci-from-connection vs the cubic contraction at one point x, from
+    the potential's exact derivatives up to fourth order in its own coordinates."""
     x = np.asarray(x, dtype=float)
-    n = potential.n
-    H, T = potential.hessian(x), potential.third(x)
+    H, T, Q = potential.hessian(x), potential.third(x), potential.fourth(x)
     Hi = _spd_invariants(H, T, potential.side, x)["Ginv"]
     Gamma, ricci_cubic = _connection(Hi, T)
     A = -0.5 * T
 
-    # graph structure equation dd y = Gamma.dy + A^.dy + H Y, with the second
-    # derivatives of the graph taken by differencing the gradient; the raised
-    # cubic form G^kl A_ijl is -Gamma^k_ij, so the two connection terms cancel
-    Y = np.r_[np.zeros(n), 1.0]
-    ddy = np.zeros((n, n, n + 1))
-    ddy[..., n] = fd_directional(potential.gradient, x, np.eye(n), h)
-    resid = ddy - np.einsum("ij,a->ija", H, Y)
-    gauss = float(np.abs(resid).max())
-
     # covariant derivative of the cubic form, antisymmetry in last two slots
-    dA = -0.5 * fd_directional(potential.third, x, np.eye(n), h)  # [l, i, j, k]
+    dA = -0.5 * np.moveaxis(Q, -1, 0)  # d_l A_ijk at [l, i, j, k]
     A_cov = (dA
              - np.einsum("mli,mjk->lijk", Gamma, A)
              - np.einsum("mlj,imk->lijk", Gamma, A)
              - np.einsum("mlk,ijm->lijk", Gamma, A))
     codazzi = float(np.abs(A_cov - A_cov.transpose(3, 1, 2, 0)).max())
 
-    # Ricci from the connection vs the cubic-form contraction
-    def gamma(y):
-        return _connection(invariants(potential.hessian(y), None, potential.side)["Ginv"],
-                           potential.third(y))[0]
-
-    dG = fd_directional(gamma, x, np.eye(n), h)  # d_l Gamma^k_ij at [l, k, i, j]
+    # Ricci from the connection vs the cubic-form contraction; d_l G^{-1} is
+    # -G^{-1} T_l G^{-1}
+    dHi = -np.einsum("ka,abl,bm->lkm", Hi, T, Hi)
+    dG = 0.5 * (np.einsum("lkm,ijm->lkij", dHi, T)
+                + np.einsum("km,ijml->lkij", Hi, Q))  # d_l Gamma^k_ij at [l, k, i, j]
     ricci_gamma = (np.einsum("mmvs->sv", dG) - np.einsum("vmms->sv", dG)
                    + np.einsum("mml,lvs->sv", Gamma, Gamma)
                    - np.einsum("mvl,lms->sv", Gamma, Gamma))
     ricci = float(np.abs(ricci_gamma - ricci_cubic).max())
-    return StructureResiduals(gauss, codazzi, ricci)
+    return StructureResiduals(codazzi, ricci)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -328,7 +328,9 @@ def read_gridfunction(csv_path, meta_path):
     idx = np.clip(np.nan_to_num(np.rint((pts - grid.lo) / grid.spacing)),
                   0, np.array(grid.shape) - 1).astype(np.intp)
     nodes = np.column_stack([grid.coords[i][idx[:, i]] for i in range(grid.dim)])
-    on_grid = np.abs(nodes - pts).max(axis=1) <= 1e-9 * (1 + np.abs(pts).max(axis=1))
+    # row maxima taken column by column, as in all_finite
+    err, size = (reduce(np.maximum, a.T) for a in (np.abs(nodes - pts), np.abs(pts)))
+    on_grid = err <= 1e-9 * (1 + size)
     if not on_grid.all():
         raise DomainError("CSV point is not a grid node",
                           point=pts[np.argmin(on_grid)].tolist())

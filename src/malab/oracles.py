@@ -1,4 +1,4 @@
-"""Closed-form convex potentials with exact derivatives up to third order.
+"""Closed-form convex potentials with exact derivatives up to fourth order.
 
 The catalog carries the fixtures used throughout the test harness:
 
@@ -57,7 +57,7 @@ class DriftCoefficients(Report):
 
 
 class FieldOracle:
-    """Analytic convex potential; value/gradient/hessian/third are exact.
+    """Analytic convex potential; value/gradient/hessian/third/fourth are exact.
 
     Point arguments broadcast: `x` may be shaped (..., n).
     """
@@ -78,6 +78,9 @@ class FieldOracle:
     def third(self, x):
         raise NotImplementedError
 
+    def fourth(self, x):
+        raise NotImplementedError
+
     def contains(self, x):
         """Whether x lies in the oracle's stated open domain."""
         x = np.asarray(x, dtype=float)
@@ -93,6 +96,14 @@ class FieldOracle:
 
     def domain_note(self):
         return "all of R^n"
+
+
+def _axis_tensor(x, n, order, entry):
+    """The derivative tensor (..., n, ..., n) of `order` axes at points x whose
+    one nonzero entry, at index (0, ..., 0), is `entry`."""
+    out = np.zeros(np.shape(x)[:-1] + (n,) * order)
+    out[(...,) + (0,) * order] = entry
+    return out
 
 
 class Quadratic(FieldOracle):
@@ -125,8 +136,10 @@ class Quadratic(FieldOracle):
         return np.broadcast_to(self.A, x.shape[:-1] + (self.n, self.n)).copy()
 
     def third(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (self.n,) * 3)
+        return _axis_tensor(x, self.n, 3, 0.0)
+
+    def fourth(self, x):
+        return _axis_tensor(x, self.n, 4, 0.0)
 
     def dual_oracle(self):
         Ai = np.linalg.inv(self.A)
@@ -171,10 +184,10 @@ class ExpSolution(FieldOracle):
         return H
 
     def third(self, x):
-        x = np.asarray(x, dtype=float)
-        T = np.zeros(x.shape[:-1] + (self.n,) * 3)
-        T[..., 0, 0, 0] = np.exp(x[..., 0])
-        return T
+        return _axis_tensor(x, self.n, 3, np.exp(np.asarray(x, dtype=float)[..., 0]))
+
+    def fourth(self, x):
+        return _axis_tensor(x, self.n, 4, np.exp(np.asarray(x, dtype=float)[..., 0]))
 
     def dual_oracle(self):
         return DualLog(self.n, quad_coeff=1.0 / (4.0 * self.q), name=self.name + "_dual")
@@ -218,10 +231,10 @@ class DualLog(FieldOracle):
         return H
 
     def third(self, x):
-        x = np.asarray(x, dtype=float)
-        T = np.zeros(x.shape[:-1] + (self.n,) * 3)
-        T[..., 0, 0, 0] = -1.0 / x[..., 0] ** 2
-        return T
+        return _axis_tensor(x, self.n, 3, -1.0 / np.asarray(x, dtype=float)[..., 0] ** 2)
+
+    def fourth(self, x):
+        return _axis_tensor(x, self.n, 4, 2.0 / np.asarray(x, dtype=float)[..., 0] ** 3)
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
@@ -292,6 +305,9 @@ class AffineImageOracle(FieldOracle):
 
     def third(self, y):
         return self._image(self.base.third(self._x(y)), 3)
+
+    def fourth(self, y):
+        return self._image(self.base.fourth(self._x(y)), 4)
 
     def contains(self, y):
         return self.base.contains(self._x(y))

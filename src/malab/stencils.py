@@ -1,16 +1,13 @@
-"""The one table of centered finite differences, applied by gather on grid
-node arrays and by point evaluation on callables.
+"""The one table of centered finite differences, applied by gather to grid
+node arrays only.
 
 `TABLE` holds every difference the package takes: d_i, d_ii and the mixed
 d_ij. Each is a list of arms, an integer node offset with an integer
 coefficient, over a spacing denominator. Third derivatives on a grid are
 first differences of the Hessian field's components (`grids.third_field`),
-so they need no entry of their own. `GridStencil` applies the arms to node arrays of one
-grid shape; `central` evaluates a callable at x + h * offset, and
-`fd_directional`, `fd_gradient` and `fd_hessian` build on it; they take a
-batch of points (..., n) with per-point steps (...). All differences are
-second order; one Richardson level lifts the callable ones to fourth order
-on smooth inputs.
+so they need no entry of their own. `GridStencil` applies the arms to node
+arrays of one grid shape. All differences are second order. Closed-form
+oracles are never differenced: they carry exact derivatives up to fourth order.
 """
 
 from __future__ import annotations
@@ -94,54 +91,3 @@ class GridStencil:
                 H[..., i, j] = H[..., j, i] = self.diff(padded, (i, j), interior)
         return H
 
-
-def central(fn, x, axes, h, basis=None):
-    """The difference along `axes` of a callable at points x (..., n): the
-    arms evaluated at x + h * offset @ basis, with per-point steps h (...)
-    and bases (..., k, n) (the coordinate axes by default). Each arm is one
-    call of fn on the whole batch."""
-    x = np.asarray(x, dtype=float)
-    basis = np.eye(x.shape[-1]) if basis is None else basis
-    h = np.asarray(h, dtype=float)
-    k = np.shape(basis)[-2]
-    arms, den = difference(axes, k)
-    total = functools.reduce(operator.add, (c * fn(x + h[..., None] * (np.asarray(o) @ basis))
-                                            for o, c in arms))
-    d = den((h,) * k)  # per point; broadcast over the value axes of fn
-    return total / np.reshape(d, d.shape + (1,) * (np.ndim(total) - d.ndim))
-
-
-def richardson(coarse, fine):
-    """Combine D(h) and D(h/2) of an O(h^2) formula into an O(h^4) value."""
-    return (4.0 * fine - coarse) / 3.0
-
-
-def fd_directional(fn, x, directions, h):
-    """Centered first differences of a scalar- or array-valued callable at
-    points x (..., n) along each row of `directions` (k, n), or of a
-    per-point basis (..., k, n); the k differences are stacked on the axis
-    after the point axes. One Richardson level."""
-    x = np.asarray(x, dtype=float)
-
-    def level(step):
-        return np.stack([central(fn, x, (0,), step, directions[..., j:j + 1, :])
-                         for j in range(np.shape(directions)[-2])], axis=x.ndim - 1)
-
-    return richardson(level(h), level(h / 2.0))
-
-
-def fd_gradient(fn, x, h):
-    return fd_directional(fn, x, np.eye(np.shape(x)[-1]), h)
-
-
-def fd_hessian(fn, x, h):
-    """Hessians (..., n, n) of a scalar callable at points x (..., n), with
-    one Richardson level."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    out = np.empty(x.shape[:-1] + (n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[..., i, j] = out[..., j, i] = richardson(central(fn, x, (i, j), h),
-                                                         central(fn, x, (i, j), h / 2.0))
-    return out

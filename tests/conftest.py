@@ -41,3 +41,18 @@ def last_pivot(n):
     H = np.eye(n) + 0.5 * (1.0 - np.eye(n))
     H[-1, -1] = -0.5
     return H
+
+
+def fd_derivative(fn, x, directions=None, h=1e-3):
+    """Centred first differences of fn at points x (..., n) along each row of
+    `directions` ((k, n), or per point (..., k, n); the axes by default), with
+    one Richardson level; the k differences form the last axis. The reference
+    against which tests check exact derivatives."""
+    x = np.asarray(x, dtype=float)
+    dirs = np.eye(x.shape[-1]) if directions is None else np.asarray(directions, dtype=float)
+
+    def level(s):
+        return np.stack([(fn(x + s * dirs[..., j, :]) - fn(x - s * dirs[..., j, :])) / (2.0 * s)
+                         for j in range(dirs.shape[-2])], axis=-1)
+
+    return (4.0 * level(h / 2.0) - level(h)) / 3.0

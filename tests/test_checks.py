@@ -5,12 +5,12 @@ from malab.checks import (PDE_GATE_TOL, BarrierConstants, choose_shift_constant,
                           identity_suite, det_barrier_constant, det_barrier_probe,
                           extract_section, section_functionals, phi_inequality_check,
                           phi_barrier_ladder, section_probes, trace_ray)
-from malab.domains import Ball, Box, direction_fan
+from malab.domains import AffineMap, Ball, Box, direction_fan
 from malab.errors import (CounterexampleError, DomainError, PreconditionError, WindowError)
 from malab.geometry import grid_phi_inequality_fields, invariants
 from malab.grids import INTERIOR, Grid, box_grid, sample_oracle
-from malab.oracles import (DriftCoefficients, DualLog, ExpSolution, Quadratic,
-                           normalize_at)
+from malab.oracles import (AffineImageOracle, DriftCoefficients, DualLog, ExpSolution,
+                           Quadratic, normalize_at)
 from malab.solver import newton_solve
 
 WINDOW = (np.array([1e-3, -8.0]), np.array([25.0, 8.0]))
@@ -87,18 +87,40 @@ class TestIdentitySuite:
                            drift=DriftCoefficients(1.0, np.zeros(2)))
 
 
+def relative_residual(rep):
+    """max |residual| / Phi^2 of a Phi-inequality report."""
+    return np.abs(rep.residuals["residual"] / rep.residuals["phi"] ** 2).max()
+
+
 class TestPhiInequality:
     def test_expsolution_2_and_5(self, rng):
         for n in (2, 5):
             rep = phi_inequality_check(ExpSolution(n), rng.uniform(-1, 1, (50, n)))
             assert rep.passed
             assert rep.stats["residual"]["min"] >= -1e-4
+            assert relative_residual(rep) <= 1e-10
 
     def test_duallog(self, rng):
         pts = np.c_[rng.uniform(0.5, 2, 50), rng.uniform(-1, 1, 50)]
         rep = phi_inequality_check(DualLog(2), pts)
         assert rep.passed
         assert np.abs(rep.residuals["residual"]).max() <= 1e-6
+        assert relative_residual(rep) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("base", ["expsolution", "duallog"])
+    def test_equality_on_affine_images(self, base, n, rng):
+        """Under a non-orthogonal map, a scale and a tangent shift, H, T and the
+        fourth derivatives are dense and the drift has every component; the
+        fixture still meets the inequality with equality, to 1e-10 Phi^2."""
+        L = np.array([[1.2, 0.3, -0.4], [0.5, 0.9, 0.2], [-0.3, 0.6, 1.1]])[:n, :n]
+        u = ExpSolution(n) if base == "expsolution" else DualLog(n)
+        x = rng.uniform(-0.5, 0.5, (40, n)) + (1.5 if base == "duallog" else 0.0) * np.eye(n)[0]
+        T = AffineMap(L, np.linspace(-0.3, 0.2, n))
+        w = AffineImageOracle(u, T, scale=0.6, p=x[0])
+        rep = phi_inequality_check(w, T.apply(x))
+        assert rep.passed and rep.stats["skipped_zero_phi"] == 0
+        assert relative_residual(rep) <= 1e-10
 
     def test_quadratic_vacuous(self, rng):
         rep = phi_inequality_check(Quadratic.unit(2), rng.uniform(-1, 1, (10, 2)))
@@ -112,6 +134,7 @@ class TestPhiInequality:
     def test_equality_on_expsolution(self, n, rng):
         rep = phi_inequality_check(ExpSolution(n), rng.uniform(-1, 1, (50, n)))
         assert np.abs(rep.residuals["residual"]).max() <= 1e-6
+        assert relative_residual(rep) <= 1e-10
 
     def test_grid_equality_residual_falls_under_refinement(self):
         worst = []

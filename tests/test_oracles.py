@@ -11,7 +11,8 @@ from malab.errors import DomainError, PreconditionError
 from malab.geometry import pde_residual
 from malab.oracles import (DUAL, PRIMAL, AffineImageOracle, DriftCoefficients, DualLog,
                            ExpSolution, Quadratic, catalog, normalize_at)
-from malab.stencils import fd_gradient, fd_hessian
+
+from conftest import fd_derivative
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -55,16 +56,39 @@ def test_quadratic_drift_both_sides():
     assert Quadratic(2.0 * np.eye(2), side=DUAL).drift().d0 == pytest.approx(-np.log(4.0))
 
 
+def fd_defects(oracle, x):
+    """For each derivative from the gradient up to the fourth, its largest
+    distance from the centred difference of the order below, relative to
+    max(1, its largest entry)."""
+    orders = (oracle.value, oracle.gradient, oracle.hessian, oracle.third, oracle.fourth)
+    return [np.abs(fd_derivative(lower, x) - upper(x)).max() / max(1.0, np.abs(upper(x)).max())
+            for lower, upper in zip(orders, orders[1:])]
+
+
 def test_derivatives_match_fd(rng):
+    """Every exact derivative, up to the fourth, is the derivative of the order
+    below: on each fixture, and on an affine image with a map, a scale and a
+    tangent shift, whose pulled-back tensors are dense."""
+    L = np.array([[1.2, 0.3, -0.4], [0.5, 0.9, 0.2], [-0.3, 0.6, 1.1]])
+    image = AffineImageOracle(DualLog(3), AffineMap(L, np.array([-1.5, 0.2, 0.1])),
+                              scale=1.7, p=np.array([1.1, -0.2, 0.3]))
     for oracle, box in ((ExpSolution(3), (-1, 1)), (DualLog(3), (0.5, 2.0)),
                         (Quadratic(np.array([[2.0, 0.3, 0], [0.3, 1.0, 0.1],
-                                             [0, 0.1, 1.5]])), (-1, 1))):
-        for _ in range(5):
-            x = rng.uniform(box[0], box[1], 3)
-            g = fd_gradient(oracle.value, x, 1e-4)
-            assert np.abs(g - oracle.gradient(x)).max() < 1e-8
-            H = fd_hessian(oracle.value, x, 1e-3)
-            assert np.abs(H - oracle.hessian(x)).max() < 1e-7
+                                             [0, 0.1, 1.5]])), (-1, 1)),
+                        (image, (-0.3, 0.3))):
+        for x in rng.uniform(box[0], box[1], (5, 3)):
+            assert oracle.contains(x)
+            assert max(fd_defects(oracle, x)) <= 1e-8, (oracle.name, fd_defects(oracle, x))
+
+
+def test_planted_hessian_error_fails_fd_consistency():
+    """A Hessian 1% off the gradient's derivative cannot pass the check above."""
+
+    class OffHessian(Quadratic):
+        def hessian(self, x):
+            return 1.01 * super().hessian(x)
+
+    assert fd_defects(OffHessian(np.eye(3)), np.array([0.2, 0.1, -0.3]))[1] > 1e-3
 
 
 def test_dual_pairs_young_identity(rng):
