@@ -142,17 +142,17 @@ def _run_solve(cfg):
     grid = Grid.build(domain, cfg["resolution"])
     drift = DriftCoefficients.from_json(cfg["drift"])
     oracle = _fixture({"n": domain.dim, "fixture": cfg["boundary"]["name"]})
-    boundary = lambda p: float(oracle.value(p))
     solver_cfg = SolverConfig(**cfg.get("solver", {}))
     side = cfg.get("side", "dual")
-    u, report = newton_solve(grid, drift, boundary, solver_cfg, side=side)
+    u, report = newton_solve(grid, drift, oracle.value, solver_cfg, side=side)
     out = _out_dir(cfg)
     write_gridfunction(u, os.path.join(out, "solution.csv"),
                        os.path.join(out, "solution.meta.json"))
     _atomic_write(os.path.join(out, "solver_report.json"), _dump_json(report.to_json()))
     sys.stdout.write(f"solve: converged in {report.total_iterations} iterations "
                      f"over {report.continuation_steps + 1} legs, "
-                     f"residual {report.final_residual:.3e}\n")
+                     f"residual {report.final_residual:.3e}, "
+                     f"{report.factorizations} LU factorizations\n")
     return 0
 
 

@@ -301,9 +301,13 @@ def write_gridfunction(fu, csv_path, meta_path):
     grid = fu.grid
     live = grid.mask != OUTSIDE
     nodes = np.nonzero(live)
-    table = np.column_stack([grid.coords[i][nodes[i]] for i in range(grid.dim)]
-                            + [fu.values[live]])
-    atomic_write(csv_path, csv_text([f"x{i+1}" for i in range(grid.dim)] + ["value"], table))
+    # the bytes of csv_text, with each axis's coordinates formatted once
+    cols = [np.array(["%.17g" % c for c in grid.coords[i]], dtype=object)[nodes[i]]
+            for i in range(grid.dim)]
+    table = np.column_stack(cols + [np.array(fu.values[live].tolist(), dtype=object)])
+    header = ",".join([f"x{i+1}" for i in range(grid.dim)] + ["value"]) + "\r\n"
+    row = ",".join(["%s"] * grid.dim + ["%.17g"]) + "\r\n"
+    atomic_write(csv_path, header + (row * len(table)) % tuple(table.ravel().tolist()))
     meta = {**grid.meta_json(), "side": fu.side}
     atomic_write(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -324,13 +328,13 @@ def read_gridfunction(csv_path, meta_path):
                           columns=int(data.shape[1]))
     pts = data[:, :-1]
     # snap every row to its nearest node; a non-finite point snaps anywhere
-    # and then fails the distance check
+    # and then fails the finiteness check
     idx = np.clip(np.nan_to_num(np.rint((pts - grid.lo) / grid.spacing)),
                   0, np.array(grid.shape) - 1).astype(np.intp)
     nodes = np.column_stack([grid.coords[i][idx[:, i]] for i in range(grid.dim)])
     # row maxima taken column by column, as in all_finite
     err, size = (reduce(np.maximum, a.T) for a in (np.abs(nodes - pts), np.abs(pts)))
-    on_grid = err <= 1e-9 * (1 + size)
+    on_grid = (err <= 1e-9 * (1 + size)) & np.isfinite(size)
     if not on_grid.all():
         raise DomainError("CSV point is not a grid node",
                           point=pts[np.argmin(on_grid)].tolist())

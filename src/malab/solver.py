@@ -16,6 +16,8 @@ solve orders its unknowns once, by nested dissection of the grid, and lays out
 the Jacobian's sparsity structure once in that order. Convexity is enforced by
 step rejection: a trial step must keep every interior FD Hessian positive
 definite and reduce the max residual, else it is halved down to a hard floor.
+A full step's LU is kept for chord steps while each cuts the max residual by
+CHORD (a Shamanskii method; Kelley, SIAM 1995), then the Jacobian is refactored.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = ["DriftCoefficients", "SolverConfig", "SolverReport",
 splu = None  # scipy's sparse LU, bound on the first solve; the tracer and tests patch it
 DET_FLOOR = 1e-14  # smallest FD Hessian determinant a Newton iterate may reach
 DAMPING = 0.5  # a rejected trial step is scaled by this
+CHORD = 0.25  # a chord step is kept when it cuts the max residual by this factor
 MIN_STEP = 2.0**-20  # smallest Newton step and continuation step before giving up
 LEAF = 4  # nested dissection leaves a box whose longest side has fewer nodes
 # symmetric mode for the symmetric stencil pattern; pivoting for the drift term
@@ -44,7 +47,7 @@ _LU_OPTIONS = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_newton_iters: int = 50
+    max_newton_iters: int = 50  # Jacobian factorizations per leg; chord steps are free
     residual_tol: float = 1e-10
 
     def __post_init__(self):
@@ -60,8 +63,9 @@ class SolverReport(Report):
     min_hessian_eigenvalue: float
     converged: bool = True
     continuation_steps: int = 0  # legs after the first
-    total_iterations: int = 0    # Newton iterations (Jacobian LUs) over all legs
+    total_iterations: int = 0    # accepted Newton and chord steps over all legs
     rejected_steps: int = 0      # damping halvings plus halved continuation steps
+    factorizations: int = 0      # SuperLU factorizations, the lift's Laplace LU included
 
 
 def _log_residual(grid, values, drift, side):
@@ -177,9 +181,13 @@ class _Jacobian:
         return sp.csc_matrix((weights.ravel()[self.fill], self.indices, self.indptr),
                              shape=(self.size,) * 2)
 
-    def solve(self, J, rhs):
-        """Solve J x = rhs for an assembled Jacobian, with x and rhs in node order."""
-        return splu(J, permc_spec="NATURAL", **_LU_OPTIONS).solve(rhs[self.order])[self.rank]
+    def factor(self, J):
+        """SuperLU factor of an assembled Jacobian, in its given order."""
+        return splu(J, permc_spec="NATURAL", **_LU_OPTIONS)
+
+    def apply(self, lu, rhs):
+        """x with J x = rhs for the factor `lu` of J, x and rhs in node order."""
+        return lu.solve(rhs[self.order])[self.rank]
 
 
 def _harmonic_lift(jacobian, collar_idx, collar_vals):
@@ -192,33 +200,50 @@ def _harmonic_lift(jacobian, collar_idx, collar_vals):
     laplace = jacobian.assemble(np.broadcast_to(np.eye(n), H.shape),
                                 DriftCoefficients.zero(n), PRIMAL).copy()
     laplace.eliminate_zeros()  # mixed-stencil entries of an identity Hessian
-    lift[grid.mask == INTERIOR] = jacobian.solve(laplace, -np.trace(H, axis1=1, axis2=2))
+    lift[grid.mask == INTERIOR] = jacobian.apply(jacobian.factor(laplace),
+                                                 -np.trace(H, axis1=1, axis2=2))
     return lift
 
 
+def _try_step(grid, values, step, drift, side):
+    """(iterate + step, its residual, Hessians, max residual: inf below DET_FLOOR)."""
+    trial = values.copy()
+    trial[grid.mask == INTERIOR] += step
+    r, H = _log_residual(grid, trial, drift, side)
+    return trial, r, H, np.inf if r is None else float(np.abs(r).max())
+
+
 def _newton_core(jacobian, values, drift, side, config):
-    """Damped Newton at fixed boundary values from the start iterate `values`.
-    Returns (values, residual history, final residual, halvings), or None when
-    the start is not convex."""
+    """Damped Newton, with chord steps on a full step's factor, at fixed boundary
+    values from the start iterate `values`. Returns (values, residual history,
+    final residual, halvings, factorizations), or None for a non-convex start."""
     grid = jacobian.grid
     r, H = _log_residual(grid, values, drift, side)
     if r is None:
         return None
     rnorm = float(np.abs(r).max())
     history = [rnorm]
-    halvings = 0
-    while rnorm > config.residual_tol and len(history) <= config.max_newton_iters:
-        delta = jacobian.solve(jacobian.assemble(H, drift, side), -r)
-        lam = 1.0
+    halvings = factorizations = 0
+    lu = None  # the factor of the last step, kept only if that step was full
+    while rnorm > config.residual_tol:
+        if lu is not None:  # a chord step
+            trial, r_try, H_try, norm = _try_step(grid, values, jacobian.apply(lu, -r),
+                                                  drift, side)
+            if norm <= CHORD * rnorm:
+                values, r, H, rnorm = trial, r_try, H_try, norm
+                history.append(rnorm)
+                continue
+            lu = None  # dropped before the next factor, so one is alive at a time
+        if factorizations == config.max_newton_iters:
+            break
+        lu = jacobian.factor(jacobian.assemble(H, drift, side))
+        factorizations += 1
+        delta, lam = jacobian.apply(lu, -r), 1.0
         while lam >= MIN_STEP:
-            trial = values.copy()
-            trial[grid.mask == INTERIOR] += lam * delta
-            r_try, H_try = _log_residual(grid, trial, drift, side)
-            if r_try is not None:
-                r_try_norm = float(np.abs(r_try).max())
-                if r_try_norm < rnorm:
-                    values, r, H, rnorm = trial, r_try, H_try, r_try_norm
-                    break
+            trial, r_try, H_try, norm = _try_step(grid, values, lam * delta, drift, side)
+            if norm < rnorm:
+                values, r, H, rnorm = trial, r_try, H_try, norm
+                break
             lam *= DAMPING
             halvings += 1
         else:  # no trial step was accepted
@@ -227,18 +252,19 @@ def _newton_core(jacobian, values, drift, side, config):
                                      residual=rnorm, history=history)
             raise ConvergenceError("damping floor reached without residual decrease",
                                    residual=rnorm, history=history)
+        lu = lu if lam == 1.0 else None  # a damped step's factor is not reused
         history.append(rnorm)
     if rnorm > config.residual_tol:
-        raise ConvergenceError("Newton iteration cap reached",
+        raise ConvergenceError("Newton factorization cap reached",
                                residual=rnorm, history=history)
-    return values, history, rnorm, halvings
+    return values, history, rnorm, halvings, factorizations
 
 
 def newton_solve(grid, drift, boundary, config=None, side=DUAL):
     """Solve the Dirichlet problem on the grid's interior nodes.
 
-    boundary: callable(point) -> value at each boundary node. Returns
-    (GridFunction, SolverReport).
+    boundary: callable((m, n) points) -> m values, called once on all the
+    boundary nodes. Returns (GridFunction, SolverReport).
 
     The start is the least-squares convex paraboloid plus `lift`, the discrete
     harmonic extension of its mismatch with the data (one Laplace solve).
@@ -255,7 +281,7 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL):
                           "(need >= 9 interior nodes per axis)",
                           interior_extent=[int(v) for v in extent])
     bidx = tuple(grid.boundary_nodes().T)
-    bvals = np.array([float(boundary(p)) for p in grid.points()[bidx]])
+    bvals = np.asarray(boundary(grid.points()[bidx]), dtype=float)
 
     values = _quadratic_init(grid, bidx, bvals)
     values[grid.mask == 0] = np.nan
@@ -267,6 +293,7 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL):
     loose = replace(config, residual_tol=max(config.residual_tol, 1e-9))
     t, dt = 0.0, 1.0
     legs = total_iterations = rejected_steps = 0
+    factorizations = 1  # the lift's
     while t < 1.0:
         t_try = min(1.0, t + dt)
         start = values + (t_try - t) * lift
@@ -279,17 +306,18 @@ def newton_solve(grid, drift, boundary, config=None, side=DUAL):
             if dt < MIN_STEP:
                 raise ConvexityError("continuation cannot keep the iterate convex", t_reached=t)
             continue
-        values, history, rnorm, halvings = solved
+        values, history, rnorm, halvings, leg_factorizations = solved
         t = t_try
         dt *= 2.0
         legs += 1
         total_iterations += len(history) - 1
         rejected_steps += halvings
+        factorizations += leg_factorizations
 
     out = GridFunction(grid, np.where(grid.mask == 0, 0.0, values), side)
     report = SolverReport(iterations=len(history) - 1, final_residual=rnorm,
                           residual_history=history,
                           min_hessian_eigenvalue=check_convex(out).min_eigenvalue,
                           continuation_steps=legs - 1, total_iterations=total_iterations,
-                          rejected_steps=rejected_steps)
+                          rejected_steps=rejected_steps, factorizations=factorizations)
     return out, report

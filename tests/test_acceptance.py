@@ -44,8 +44,7 @@ def test_criterion_01_manufactured_solve():
     for res in (17, 33, 65):
         g = Grid.build(BOX, (res, 2 * res - 1))
         t0 = time.time()
-        u, rep = newton_solve(g, DL.drift(), lambda p: float(DL.value(p)),
-                              SolverConfig(residual_tol=1e-11))
+        u, rep = newton_solve(g, DL.drift(), DL.value, SolverConfig(residual_tol=1e-11))
         runtimes[res] = time.time() - t0
         exact = DL.value(g.points())
         errs[res] = float(np.nanmax(np.abs(u.values - exact)[g.mask == INTERIOR]))
@@ -109,7 +108,7 @@ def test_criterion_04_phi_inequality():
         d = rng.uniform(-1.0, 1.0, 2)
         d *= rng.uniform(0.5, 2.0) / np.linalg.norm(d)
         drift = DriftCoefficients(float(rng.uniform(-0.3, 0.3)), d)
-        u, _ = newton_solve(g, drift, lambda p: float(q.value(p)))
+        u, _ = newton_solve(g, drift, q.value)
         rep = phi_inequality_check(u, side="dual", drift=drift, probe_predicate=pred)
         margins.append(rep.stats["margin"]["min"])
     ok = min(margins) >= 0.0 and max(rels) <= 1e-10
@@ -265,8 +264,8 @@ def test_criterion_11_legendre_round_trip():
     mono_ok = True
     for _ in range(10):
         gap = float(rng.uniform(0.05, 1.0))
-        u_hi, _ = newton_solve(gb, drift, lambda p: float(q.value(p)) + gap)
-        u_lo, _ = newton_solve(gb, drift, lambda p: float(q.value(p)))
+        u_hi, _ = newton_solve(gb, drift, lambda p: q.value(p) + gap)
+        u_lo, _ = newton_solve(gb, drift, q.value)
         both = np.isfinite(u_hi.values)
         mono_ok &= bool(np.all(u_hi.values[both] >= u_lo.values[both] - 1e-8))
 

@@ -166,7 +166,7 @@ class TestPhiInequality:
         g = Grid.build(ball, 65)
         q = Quadratic.unit(2)
         drift = DriftCoefficients(0.1, np.array([0.9, 0.5]))
-        u, _ = newton_solve(g, drift, lambda p: float(q.value(p)))
+        u, _ = newton_solve(g, drift, q.value)
         pred = lambda pts: np.linalg.norm(pts, axis=-1) <= 0.6
         rep = phi_inequality_check(u, side="dual", drift=drift, probe_predicate=pred)
         assert rep.passed

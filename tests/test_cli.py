@@ -10,7 +10,7 @@ from malab.blowup import BlowupRecord, BlowupReport
 from malab.checks import CheckReport
 from malab.cli import main, _schema
 from malab.geometry import GeometrySample
-from malab.solver import SolverConfig, SolverReport
+from malab.solver import CHORD, SolverConfig, SolverReport
 
 
 def run_cli(args):
@@ -50,9 +50,12 @@ def test_solve_artifacts_and_determinism(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith(f"solve: converged in {report['total_iterations']} iterations "
                                 f"over {report['continuation_steps'] + 1} legs")
-    # quadratic convergence tail: late residual ratios are tiny
+    assert lines[-1].endswith(f", {report['factorizations']} LU factorizations")
+    # chord steps: after the first full step each step cuts the residual by
+    # CHORD or more, with fewer LUs than one per step (5 here)
     hist = report["residual_history"]
-    assert hist[-1] / hist[-2] <= 1e-2
+    assert all(b <= CHORD * a for a, b in zip(hist[1:], hist[2:]))
+    assert report["factorizations"] < 5
 
 
 @pytest.mark.parametrize("boundary", ['{"kind": "fixture", "name": "nope"}',

@@ -301,7 +301,7 @@ class TestGridGeometry:
             side = potential.side
             g = Grid.build(Box(lo, hi), 33)
             drift = potential.drift()
-            u, _ = newton_solve(g, drift, lambda p: float(potential.value(p)), side=side)
+            u, _ = newton_solve(g, drift, potential.value, side=side)
             assert u.side == side
             assert np.nanmax(np.abs(residual_field(u, drift).values)) <= 1e-10
             node = g.nearest_node(0.5 * (np.array(lo) + np.array(hi)))
@@ -333,7 +333,7 @@ class TestGridGeometry:
         g = Grid.build(ball, 65)
         q = Quadratic.unit(2)
         drift = DriftCoefficients(0.2, np.array([0.8, -0.4]))
-        u, rep = newton_solve(g, drift, lambda p: float(q.value(p)))
+        u, rep = newton_solve(g, drift, q.value)
         KR = (u.n + 2.0) * grid_xx_hessian_logrho(u)
         pts = g.points()
         deep = np.linalg.norm(pts, axis=-1) <= 0.6

@@ -301,6 +301,20 @@ def test_csv_off_grid_point_rejected(tmp_path):
         read_gridfunction(csv, meta)
 
 
+@pytest.mark.parametrize("x1", [b"inf", b"nan"])
+def test_csv_non_finite_point_rejected(tmp_path, x1):
+    """A row whose x1 is not finite raises: an infinite one snaps to the last
+    node, and its infinite distance is no more than 1e-9 of its size."""
+    g = Grid.build(Box([-1, -1], [1, 1]), 5)
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.meta.json"
+    write_gridfunction(sample_oracle(Quadratic.unit(2), g), csv, meta)
+    lines = csv.read_bytes().split(b"\r\n")
+    lines[-2] = x1 + b"," + lines[-2].split(b",", 1)[1]
+    csv.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(DomainError, match="not a grid node"):
+        read_gridfunction(csv, meta)
+
+
 def _planted_row(tmp_path, node):
     """A written ball grid function plus one CSV row of value 123.0 at `node`."""
     g = Grid.build(Ball(np.zeros(2), 1.0), 17)

@@ -16,17 +16,13 @@ from malab.oracles import (DUAL, PRIMAL, AffineImageOracle, DriftCoefficients, D
                            ExpSolution, Quadratic)
 import malab.solver
 from malab.geometry import cholesky
-from malab.solver import (_LU_OPTIONS, LEAF, SolverConfig, _dissection_order, _Jacobian,
+from malab.solver import (_LU_OPTIONS, CHORD, LEAF, SolverConfig, _dissection_order, _Jacobian,
                           _log_residual, newton_solve, residual_field)
 
 from conftest import last_pivot
 
 BOX = Box([1, -1], [2, 1])
 DL = DualLog(2)
-
-
-def duallog_trace(p):
-    return float(DL.value(p))
 
 
 def nodal_error(u, oracle):
@@ -55,7 +51,7 @@ BALL_DRIFTS = (
 def ball_solve(grid, k):
     d0, d = BALL_DRIFTS[k]
     q = Quadratic.unit(2)
-    return newton_solve(grid, DriftCoefficients(d0, np.array(d)), lambda p: float(q.value(p)))
+    return newton_solve(grid, DriftCoefficients(d0, np.array(d)), q.value)
 
 
 def spd_stack(rng, n, m=200):
@@ -141,7 +137,7 @@ class TestManufactured:
         errs = {}
         for res in (17, 33, 65):
             g = Grid.build(BOX, (res, 2 * res - 1))
-            u, rep = newton_solve(g, DL.drift(), duallog_trace,
+            u, rep = newton_solve(g, DL.drift(), DL.value,
                                   SolverConfig(residual_tol=1e-11))
             exact = DL.value(g.points())
             errs[res] = np.nanmax(np.abs(u.values - exact)[g.mask == INTERIOR])
@@ -156,7 +152,7 @@ class TestManufactured:
         g = Grid.build(ball, 65)
         q = Quadratic.unit(2)
         u, rep = newton_solve(g, DriftCoefficients.zero(2),
-                              lambda p: float(q.value(p)))
+                              q.value)
         err = np.nanmax(np.abs(u.values - q.value(g.points()))[g.mask == INTERIOR])
         assert err <= 1e-8
 
@@ -173,14 +169,14 @@ class TestManufactured:
         eps = 1e-8
         sol = solve_ivp(rhs, (eps, 1.0), [0.0, eps], rtol=1e-12, atol=1e-14,
                         dense_output=True)
-        u_of_r = lambda r: float(sol.sol(max(r, eps))[0])
-        shift = 1.0 - u_of_r(1.0)  # enforce u(1) = 1
-        oracle_center = u_of_r(eps) + shift
+        u_of_r = lambda r: sol.sol(np.maximum(r, eps))[0]
+        shift = 1.0 - float(u_of_r(1.0))  # enforce u(1) = 1
+        oracle_center = float(u_of_r(eps)) + shift
 
         ball = Ball(np.zeros(2), 1.0)
         g = Grid.build(ball, 129)
         u, rep = newton_solve(g, DriftCoefficients.zero(2),
-                              lambda p: u_of_r(np.linalg.norm(p)) + shift)
+                              lambda p: u_of_r(np.linalg.norm(p, axis=-1)) + shift)
         center = u.value(g.nearest_node([0.0, 0.0]))
         assert center == pytest.approx(oracle_center, abs=1e-3)
         # radial solution of the unit equation is the explicit paraboloid
@@ -188,7 +184,7 @@ class TestManufactured:
 
     def test_report_history_strictly_decreasing(self):
         g = Grid.build(BOX, (17, 33))
-        u, rep = newton_solve(g, DL.drift(), duallog_trace)
+        u, rep = newton_solve(g, DL.drift(), DL.value)
         hist = rep.residual_history
         assert all(hist[i + 1] < hist[i] for i in range(len(hist) - 1))
         assert rep.min_hessian_eigenvalue > 0
@@ -202,7 +198,7 @@ class TestHarmonicLiftStart:
     @pytest.mark.parametrize("res", [17, 33, 65])
     def test_duallog_box_needs_no_continuation(self, res):
         g = Grid.build(BOX, (res, 2 * res - 1))
-        u, rep = newton_solve(g, DL.drift(), duallog_trace,
+        u, rep = newton_solve(g, DL.drift(), DL.value,
                               SolverConfig(residual_tol=1e-11))
         assert rep.continuation_steps == 0
         assert rep.total_iterations == rep.iterations
@@ -216,7 +212,7 @@ class TestHarmonicLiftStart:
         errs, steps = [], []
         for res in (17, 33, 65):
             g = Grid.build(BOX, (res, 2 * res - 1))
-            u, rep = newton_solve(g, drift, lambda p: float(rot.value(p)),
+            u, rep = newton_solve(g, drift, rot.value,
                                   SolverConfig(residual_tol=1e-11))
             assert rep.continuation_steps + 1 <= 3
             assert rep.final_residual <= 1e-11
@@ -238,7 +234,7 @@ class TestHarmonicLiftStart:
         errs = []
         for res in (33, 65, 129):
             g = Grid.build(BOX, (res, 2 * res - 1))
-            u, rep = newton_solve(g, drift, lambda p: float(rot.value(p)),
+            u, rep = newton_solve(g, drift, rot.value,
                                   SolverConfig(residual_tol=1e-11))
             assert rep.continuation_steps + 1 <= 3
             assert rep.final_residual <= 1e-11
@@ -251,7 +247,7 @@ class TestHarmonicLiftStart:
         ex = ExpSolution(2)
         box = Box([-1, -1], [1, 1])
         g = Grid.build(box, res)
-        u, rep = newton_solve(g, ex.drift(), lambda p: float(ex.value(p)),
+        u, rep = newton_solve(g, ex.drift(), ex.value,
                               SolverConfig(residual_tol=1e-11), side="primal")
         assert rep.final_residual <= 1e-11
         assert nodal_error(u, ex) <= 4.0 * g.spacing.max() ** 2
@@ -325,7 +321,7 @@ class TestFactor:
     def test_jacobian_is_laid_out_in_dissection_order(self):
         """Rows and columns follow the dissection order: in node order each
         entry links stencil neighbours, a second assembly gives the same
-        matrix, and `solve` takes and returns node order."""
+        matrix, and `apply` takes and returns node order."""
         g = Grid.build(Ball(np.zeros(2), 1.0), 33)
         J, jac = drifted_jacobian(g, *BALL_DRIFTS[3])
         assert J.has_canonical_format
@@ -336,7 +332,7 @@ class TestFactor:
         nodes = g.interior_nodes()
         assert np.abs(nodes[in_nodes.row] - nodes[in_nodes.col]).max() == 1
         b = np.cos(np.arange(jac.size))
-        assert np.linalg.norm(in_nodes @ jac.solve(J, b) - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.linalg.norm(in_nodes @ jac.apply(jac.factor(J), b) - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_fill_of_a_drifted_ball_jacobian(self):
         """On a ball Jacobian at 97 with the strongest benchmark drift, the
@@ -394,7 +390,7 @@ def test_scipy_loads_on_first_solve():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         "q = malab.Quadratic.unit(2)",
         "malab.newton_solve(malab.Grid.build(malab.Ball(np.zeros(2), 1.0), 17),",
-        "                   malab.DriftCoefficients.zero(2), lambda p: float(q.value(p)))",
+        "                   malab.DriftCoefficients.zero(2), q.value)",
         "import scipy.sparse.linalg",
         "print(malab.solver.splu is scipy.sparse.linalg.splu)"])
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -407,7 +403,9 @@ def test_scipy_loads_on_first_solve():
 class TestOrderOncePerSolve:
     """Each solve orders its unknowns once, by nested dissection, before any
     factorization: every LU, the lift's Laplace matrix first, is taken in
-    its natural order. Pinned by counts."""
+    its natural order, and the report counts each. Pinned by counts, with
+    the trial iterates (accepted steps, halvings and failed chord steps): a
+    factor never reused, or reused after a damped step, changes them."""
 
     @pytest.fixture
     def orders(self, monkeypatch):
@@ -420,20 +418,27 @@ class TestOrderOncePerSolve:
         monkeypatch.setattr(malab.solver, "splu", recording)
         return seen
 
-    @pytest.mark.parametrize("k, counts", [(0, (7, 5)), (1, (8, 5)), (2, (10, 13)),
-                                           (3, (14, 18))])
-    def test_ball_drifts(self, k, counts, orders):
-        u, rep = ball_solve(Grid.build(Ball(np.zeros(2), 1.0), 65), k)
-        assert (rep.total_iterations, rep.rejected_steps) == counts
-        assert orders == ["NATURAL"] * (rep.total_iterations + 1)  # the lift's LU, then J
+    @pytest.fixture
+    def trials(self, monkeypatch):
+        seen, step = [], malab.solver._try_step
+        monkeypatch.setattr(malab.solver, "_try_step", lambda *a: seen.append(1) or step(*a))
+        return seen
 
-    def test_rotated_duallog_legs(self, orders):
+    @pytest.mark.parametrize("k, counts", [(0, (18, 5, 5, 23)), (1, (15, 5, 6, 21)),
+                                           (2, (12, 13, 9, 27)), (3, (21, 18, 12, 43))])
+    def test_ball_drifts(self, k, counts, orders, trials):
+        u, rep = ball_solve(Grid.build(Ball(np.zeros(2), 1.0), 65), k)
+        assert (rep.total_iterations, rep.rejected_steps, rep.factorizations, len(trials)) == counts
+        assert orders == ["NATURAL"] * rep.factorizations  # the lift's LU, then the Js
+
+    def test_rotated_duallog_legs(self, orders, trials):
         rot, drift = rotated_duallog()
         g = Grid.build(BOX, (33, 65))
-        u, rep = newton_solve(g, drift, lambda p: float(rot.value(p)),
+        u, rep = newton_solve(g, drift, rot.value,
                               SolverConfig(residual_tol=1e-11))
-        assert (rep.continuation_steps, rep.total_iterations, rep.rejected_steps) == (1, 10, 2)
-        assert orders == ["NATURAL"] * (rep.total_iterations + 1)
+        assert ((rep.continuation_steps, rep.total_iterations, rep.rejected_steps,
+                 rep.factorizations, len(trials)) == (1, 24, 2, 6, 27))
+        assert orders == ["NATURAL"] * rep.factorizations
 
     def test_same_inputs_same_bytes(self):
         """No order outlives its solve: a rerun on the same grid object and a
@@ -446,6 +451,39 @@ class TestOrderOncePerSolve:
             assert rep.to_json() == runs[0][1].to_json()
 
 
+class TestChordSteps:
+    """After a full Newton step the solver keeps its LU for chord steps, each
+    of which must cut the max residual by CHORD."""
+
+    @pytest.mark.parametrize("res", [17, 33, 65])
+    def test_duallog_box_factorizations(self, res):
+        """The lift's LU and at most two Jacobian LUs at every resolution (one
+        LU per Newton step took 5, 5 and 6); after the first step each step
+        cuts the residual by CHORD or more."""
+        g = Grid.build(BOX, (res, 2 * res - 1))
+        u, rep = newton_solve(g, DL.drift(), DL.value, SolverConfig(residual_tol=1e-11))
+        assert rep.factorizations <= 3
+        hist = rep.residual_history
+        assert all(b <= CHORD * a for a, b in zip(hist[1:], hist[2:]))
+        assert rep.final_residual <= 1e-11
+        assert nodal_error(u, DL) <= 4.0 * g.spacing.max() ** 2
+
+    @pytest.mark.parametrize("side", [DUAL, PRIMAL])
+    def test_same_solution_as_fresh_factors(self, side, monkeypatch):
+        """With CHORD = 0 no chord step is ever kept, so every step factors
+        afresh: both solves stop at the same tolerance, at the same nodes to
+        1e-9 relative, and the chord solve takes fewer LUs."""
+        u, box = ((DL, Box([0.6, -0.5], [1.6, 0.5])) if side == DUAL
+                  else (ExpSolution(2), Box([-1, -1], [1, 1])))
+        g, cfg = Grid.build(box, 33), SolverConfig(residual_tol=1e-11)
+        chord, rep = newton_solve(g, u.drift(), u.value, cfg, side=side)
+        monkeypatch.setattr(malab.solver, "CHORD", 0.0)
+        fresh, fresh_rep = newton_solve(g, u.drift(), u.value, cfg, side=side)
+        assert fresh_rep.factorizations == fresh_rep.total_iterations + 1
+        assert rep.factorizations < fresh_rep.factorizations
+        assert np.nanmax(np.abs(chord.values - fresh.values)) <= 1e-9 * np.nanmax(np.abs(fresh.values))
+
+
 class TestProperties:
     def test_comparison_principle(self, rng):
         ball = Ball(np.zeros(2), 1.0)
@@ -454,8 +492,8 @@ class TestProperties:
         drift = DriftCoefficients(0.1, np.array([0.5, -0.3]))
         for _ in range(10):
             gap = float(rng.uniform(0.05, 1.0))
-            hi = lambda p: float(q.value(p)) + gap
-            lo = lambda p: float(q.value(p))
+            hi = lambda p: q.value(p) + gap
+            lo = q.value
             u_hi, _ = newton_solve(g, drift, hi)
             u_lo, _ = newton_solve(g, drift, lo)
             both = np.isfinite(u_hi.values)
@@ -470,8 +508,8 @@ class TestProperties:
         g2 = Grid.build(box2, (33, 17))
         drift1 = DL.drift()
         drift2 = DriftCoefficients(drift1.d0, S @ drift1.d)
-        u1, _ = newton_solve(g1, drift1, duallog_trace)
-        u2, _ = newton_solve(g2, drift2, lambda p: duallog_trace(S.T @ p))
+        u1, _ = newton_solve(g1, drift1, DL.value)
+        u2, _ = newton_solve(g2, drift2, lambda p: DL.value(p @ S))
         # u2(S xi) == u1(xi): node (i,j) of g1 maps to node (32-j, i) of g2
         v1 = u1.values
         v2 = np.flip(u2.values, axis=0).T
@@ -487,14 +525,14 @@ class TestProperties:
         u, box = ((DL, Box([0.6, -0.5], [1.6, 0.5])) if side == DUAL
                   else (ExpSolution(2), Box([-1, -1], [1, 1])))
         g = Grid.build(box, 33)
-        base, base_rep = newton_solve(g, u.drift(), lambda q: float(u.value(q)), side=side)
+        base, base_rep = newton_solve(g, u.drift(), u.value, side=side)
         x, p = g.points(), g.point((10, 20))
         if law == "scale":
             w, want = AffineImageOracle(u, scale=3.0), base.values / 3.0
         else:
             w = AffineImageOracle(u, p=p)
             want = base.values - float(u.value(p)) - (x - p) @ u.gradient(p)
-        image, rep = newton_solve(g, w.drift(), lambda q: float(w.value(q)), side=side)
+        image, rep = newton_solve(g, w.drift(), w.value, side=side)
         assert np.nanmax(np.abs(image.values - want)) <= 1e-12 * np.nanmax(np.abs(want))
         assert ((rep.total_iterations, rep.rejected_steps)
                 == (base_rep.total_iterations, base_rep.rejected_steps))
@@ -509,7 +547,7 @@ class TestProperties:
         the same Newton path; at 65^2 and at 15^3."""
         res = 65 if n == 2 else 15
         drift = DriftCoefficients(0.1, np.array([0.8, -0.5, 0.3][:n]))
-        data = lambda q: 0.5 * float(q @ q)
+        data = lambda q: 0.5 * np.sum(q * q, axis=-1)
         base, base_rep = newton_solve(Grid.build(Ball(np.zeros(n), 1.0), res), drift, data)
         if law == "reflection":
             radius, want = 1.0, np.flip(base.values, axis=0)
@@ -524,28 +562,30 @@ class TestProperties:
                 == (base_rep.total_iterations, base_rep.rejected_steps))
 
     def test_iteration_cap_raises(self):
+        """The cap counts factorizations: here the first factor's chord step
+        falls short, and a second one is not allowed."""
         g = Grid.build(BOX, (17, 33))
         with pytest.raises(ConvergenceError):
-            newton_solve(g, DL.drift(), duallog_trace,
-                         SolverConfig(max_newton_iters=2))
+            newton_solve(g, DL.drift(), DL.value,
+                         SolverConfig(max_newton_iters=1))
 
     def test_under_resolved_grid_rejected(self):
         from malab.errors import DomainError
 
         g = Grid.build(BOX, (9, 33))  # only 5 interior nodes across
         with pytest.raises(DomainError):
-            newton_solve(g, DL.drift(), duallog_trace)
+            newton_solve(g, DL.drift(), DL.value)
 
     def test_three_dimensional_solve(self):
         box = Box([1, -1, -1], [2, 1, 1])
         dl3 = DualLog(3)
         g = Grid.build(box, (15, 15, 15))
-        u, rep = newton_solve(g, dl3.drift(), lambda p: float(dl3.value(p)))
+        u, rep = newton_solve(g, dl3.drift(), dl3.value)
         exact = dl3.value(g.points())
         err = np.nanmax(np.abs(u.values - exact)[g.mask == INTERIOR])
         assert err <= 1e-8  # 1.05e-9 here
         assert rep.final_residual <= 1e-10
-        assert (rep.total_iterations, rep.rejected_steps) == (4, 0)
+        assert (rep.total_iterations, rep.rejected_steps, rep.factorizations) == (7, 0, 3)
 
     def test_three_dimensional_rotated_solve(self):
         """DualLog(3) turned 20 degrees in the (x1, x3) and then the (x1, x2)
@@ -555,10 +595,10 @@ class TestProperties:
         dl3 = DualLog(3)
         rot = AffineImageOracle(dl3, AffineMap(R, np.zeros(3)))
         g = Grid.build(Box([2.1, -0.5, -0.5], [3.1, 0.5, 0.5]), 15)  # 1.5 < s1 < 3.1
-        u, rep = newton_solve(g, rot.drift(), lambda p: float(rot.value(p)))
+        u, rep = newton_solve(g, rot.drift(), rot.value)
         H = u.hessian_field()[g.mask == INTERIOR]
         assert np.abs(H[:, [0, 0, 1], [1, 2, 2]]).min() >= 1e-2
         # 1.2e-6 here; a Cholesky factor without its mixed L_21 term gives 3.2e-4
         assert nodal_error(u, rot) <= 1e-5
         assert rep.final_residual <= 1e-10
-        assert (rep.total_iterations, rep.rejected_steps) == (4, 0)
+        assert (rep.total_iterations, rep.rejected_steps, rep.factorizations) == (10, 0, 2)

@@ -35,7 +35,7 @@ def test_tracer_installs_and_uninstalls():
     tracer = _load_tracer()
     q = malab.Quadratic.unit(2)  # a first solve binds malab.solver.splu, as run.py's warm-up does
     malab.newton_solve(malab.Grid.build(malab.Ball(np.zeros(2), 1.0), 17),
-                       malab.DriftCoefficients.zero(2), lambda p: float(q.value(p)))
+                       malab.DriftCoefficients.zero(2), q.value)
     before = _bindings(tracer)
     newton_solve, splu = malab.solver.newton_solve, malab.solver.splu
     t = tracer.Tracer()
